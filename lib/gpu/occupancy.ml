@@ -36,35 +36,56 @@ let calculate_uncached (arch : Arch.t) req =
   in
   { blocks_per_sm = max 0 blocks; limiting; regs_spilled_per_thread = spilled }
 
-(* The sweep asks about the same few dozen (arch, request) pairs thousands
-   of times (one per kernel pricing), so the pure calculation is memoised.
-   Arch.t and request are flat immutable records of scalars, so structural
-   equality is exact; the hash must NOT be the generic one on the whole
-   key, though — Hashtbl.hash stops after a few fields and would spend its
-   entire budget inside Arch.t, hashing every request to the same bucket.
-   Hash on the request fields (plus the architecture's name) and keep full
-   structural equality for correctness.  Validation stays outside the memo
-   so invalid requests raise identically whether or not they were seen. *)
+(* The sweep asks about the same few thousand (arch, request) pairs over
+   and over (one per kernel pricing), so the pure calculation is memoised:
+   one table of requests per architecture, hashed and compared field by
+   field.  Validation stays outside the memo so invalid requests raise
+   identically whether or not they were seen. *)
 module Memo = Hashtbl.Make (struct
-  type t = Arch.t * request
+  type t = request
 
-  let equal = ( = )
+  let equal a b =
+    a.threads = b.threads
+    && a.shared_words = b.shared_words
+    && a.regs_per_thread = b.regs_per_thread
 
-  let hash ((arch : Arch.t), req) =
-    Hashtbl.hash
-      (arch.Arch.name, req.threads, req.shared_words, req.regs_per_thread)
+  let hash r =
+    let h =
+      (((r.threads * 65599) + r.shared_words) * 65599) + r.regs_per_thread
+    in
+    h lxor (h lsr 16)
 end)
 
-let memo : result Memo.t = Memo.create 64
+(* [calculate_uncached] reads exactly these fields of an architecture, so
+   two architectures that agree on them share a table whatever their names *)
+let same_limits (a : Arch.t) (b : Arch.t) =
+  a == b
+  || a.max_regs_per_thread = b.max_regs_per_thread
+     && a.max_threads_per_sm = b.max_threads_per_sm
+     && a.max_threads_per_block = b.max_threads_per_block
+     && a.max_blocks_per_sm = b.max_blocks_per_sm
+     && a.shared_mem_per_sm = b.shared_mem_per_sm
+     && a.shared_mem_per_block = b.shared_mem_per_block
+     && a.registers_per_sm = b.registers_per_sm
 
-(* The memo is shared by every domain of the process: the domains-based
-   sweep pool (Parsweep.Dpool) prices points concurrently and an unguarded
-   Hashtbl resize under concurrent [add]s corrupts the table.  The critical
-   section is a lookup or a lookup+insert of a tiny record — contention is
-   negligible next to the pricing work around it, and the worst duplicate
-   work race (two domains both missing the same cold key) is resolved by
-   both computing the identical pure result. *)
-let memo_mutex = Mutex.create ()
+(* One memo per domain, so no lookup takes a lock: the domains-based sweep
+   pool (Parsweep.Dpool) prices points concurrently, and each of its
+   workers warms its own tables.  The arch is almost always a preset the
+   caller passes by reference, which [==] settles on the first entry. *)
+let memo : (Arch.t * result Memo.t) list ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref [])
+
+let table_for arch =
+  let tables = Domain.DLS.get memo in
+  let rec find = function
+    | (a, t) :: rest -> if same_limits a arch then t else find rest
+    | [] ->
+        let t = Memo.create 1024 in
+        tables := (arch, t) :: !tables;
+        t
+  in
+  find !tables
+
 let memo_hits = Hextime_obs.Metrics.counter "occupancy.memo_hit"
 let memo_misses = Hextime_obs.Metrics.counter "occupancy.memo_miss"
 
@@ -72,19 +93,15 @@ let calculate (arch : Arch.t) req =
   if req.threads <= 0 then invalid_arg "Occupancy: threads must be positive";
   if req.shared_words < 0 || req.regs_per_thread < 0 then
     invalid_arg "Occupancy: negative resource request";
-  let key = (arch, req) in
-  let cached =
-    Mutex.protect memo_mutex (fun () -> Memo.find_opt memo key)
-  in
-  match cached with
-  | Some r ->
+  let table = table_for arch in
+  match Memo.find table req with
+  | r ->
       Hextime_obs.Metrics.incr memo_hits;
       r
-  | None ->
+  | exception Not_found ->
       Hextime_obs.Metrics.incr memo_misses;
       let r = calculate_uncached arch req in
-      Mutex.protect memo_mutex (fun () ->
-          if not (Memo.mem memo key) then Memo.add memo key r);
+      Memo.add table req r;
       r
 
 let fits arch req = (calculate arch req).blocks_per_sm >= 1

@@ -23,10 +23,11 @@ type result = {
 val calculate : Arch.t -> request -> result
 (** Raises [Invalid_argument] for non-positive thread counts or negative
     resources.  Valid results are memoised per (architecture, request)
-    pair: the sweep's request space is tiny and the pricing hot path asks
-    about the same requests thousands of times.  The memo is mutex-guarded,
-    so concurrent calls from the domains-based sweep pool are safe and
-    share warm entries. *)
+    pair: the sweep's request space is small and the pricing hot path asks
+    about the same requests thousands of times.  Each domain keeps its own
+    memo and takes no lock, so concurrent calls from the domains-based
+    sweep pool are safe; a domain's first call for a request misses even
+    when another domain has seen it. *)
 
 val fits : Arch.t -> request -> bool
 (** Whether at least one block can be resident. *)

@@ -1,7 +1,8 @@
 type t = int64
 
-(* splitmix64 finalizer: good avalanche behaviour, trivially portable. *)
-let mix64 (z : int64) : int64 =
+(* splitmix64 finalizer: good avalanche behaviour, trivially portable.
+   Inlined so the byte loop of [mix_string] keeps its state unboxed. *)
+let[@inline] mix64 (z : int64) : int64 =
   let open Int64 in
   let z = add z 0x9E3779B97F4A7C15L in
   let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
@@ -10,9 +11,13 @@ let mix64 (z : int64) : int64 =
 
 let mix_int h i = mix64 (Int64.add h (Int64.of_int i))
 
+(* [mix_int] per byte, then [mix64]; a plain loop, because a closure over
+   the accumulator would box an int64 per byte *)
 let mix_string h s =
   let acc = ref h in
-  String.iter (fun c -> acc := mix_int !acc (Char.code c)) s;
+  for i = 0 to String.length s - 1 do
+    acc := mix64 (Int64.add !acc (Int64.of_int (Char.code (String.unsafe_get s i))))
+  done;
   mix64 !acc
 
 let mix_float h f = mix_int h (Int64.to_int (Int64.bits_of_float f))

@@ -28,3 +28,22 @@ let range ?(step = 1) lo hi =
   go [] lo
 
 let sum_by f xs = List.fold_left (fun acc x -> acc + f x) 0 xs
+
+(* digits of [m <= 0] from the most significant, on the non-positive side
+   so that [min_int] needs no special case *)
+let rec add_digits buf m =
+  if m <= -10 then add_digits buf (m / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 - (m mod 10)))
+
+let add_decimal buf n =
+  if n < 0 then begin
+    Buffer.add_char buf '-';
+    add_digits buf n
+  end
+  else add_digits buf (-n)
+
+let add_dims buf a =
+  for i = 0 to Array.length a - 1 do
+    if i > 0 then Buffer.add_char buf 'x';
+    add_decimal buf a.(i)
+  done

@@ -28,3 +28,12 @@ val range : ?step:int -> int -> int -> int list
 
 val sum_by : ('a -> int) -> 'a list -> int
 (** [sum_by f xs] is the sum of [f x] over [xs]. *)
+
+val add_decimal : Buffer.t -> int -> unit
+(** [add_decimal buf n] appends the bytes of [string_of_int n] to [buf]
+    without building that string — the writer behind the problem and
+    configuration ids every priced kernel is labelled with. *)
+
+val add_dims : Buffer.t -> int array -> unit
+(** [add_dims buf a] appends [a]'s decimals joined by ['x'], as in
+    ["512x512"]. *)

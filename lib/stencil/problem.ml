@@ -29,12 +29,19 @@ let total_updates p = points_per_step p * p.time
 let total_flops p =
   float_of_int (total_updates p) *. float_of_int p.stencil.Stencil.flops
 
+let add_id buf p =
+  let module Ints = Hextime_prelude.Ints in
+  Buffer.add_string buf p.stencil.Stencil.name;
+  Buffer.add_char buf ':';
+  Ints.add_dims buf p.space;
+  Buffer.add_string buf "xT";
+  Ints.add_decimal buf p.time;
+  match p.precision with F32 -> () | F64 -> Buffer.add_string buf "-f64"
+
 let id p =
-  let dims =
-    String.concat "x" (Array.to_list (Array.map string_of_int p.space))
-  in
-  Printf.sprintf "%s:%sxT%d%s" p.stencil.Stencil.name dims p.time
-    (match p.precision with F32 -> "" | F64 -> "-f64")
+  let buf = Buffer.create 32 in
+  add_id buf p;
+  Buffer.contents buf
 
 let pp ppf p = Format.pp_print_string ppf (id p)
 

@@ -35,6 +35,10 @@ val total_flops : t -> float
 val id : t -> string
 (** A short stable identifier, e.g. ["heat2d:4096x4096xT2048"]. *)
 
+val add_id : Buffer.t -> t -> unit
+(** [add_id buf p] appends [id p] to [buf]; every priced kernel's label
+    starts with it, so it is written without [Printf]. *)
+
 val pp : Format.formatter -> t -> unit
 
 val mix_pricing :

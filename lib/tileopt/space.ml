@@ -52,35 +52,39 @@ let axes (problem : Problem.t) =
   (tt, ts)
 
 let shapes (p : Params.t) (problem : Problem.t) =
-  (* feasibility probe: the shared-memory footprint depends only on the
-     shape, so ask Footprint for that single number instead of building a
-     throwaway Config and full footprint for each of the thousands of
-     candidates *)
+  (* The lattice in order — t_t outermost, then t_s dimension by dimension
+     — keeping the points whose shared-memory footprint
+     (Footprint.shared_words_of) is within the per-block cap.  The
+     footprint is multiplied in one dimension at a time; every factor is
+     at least 2 and grows along each ascending axis, so the first value
+     whose partial product is over the cap ends that axis: no later
+     value, and no completion of the prefix, can fit. *)
   let word_factor = Problem.word_factor problem in
   let order = problem.stencil.Stencil.order in
   let shared_limit = p.Params.shared_mem_per_block in
-  let fits shape =
-    Footprint.shared_words_of ~word_factor ~order ~t_t:shape.t_t shape.t_s
-    <= shared_limit
-  in
   let tt_axis, ts_axes = axes problem in
-  let rec product = function
-    | [] -> [ [] ]
-    | axis :: rest ->
-        let tails = product rest in
-        List.concat_map (fun v -> List.map (fun tl -> v :: tl) tails) axis
+  let rank = Array.length ts_axes in
+  let t_s = Array.make rank 0 in
+  let found = ref [] in
+  let rec fill t_t d words =
+    if d = rank then found := { t_t; t_s = Array.copy t_s } :: !found
+    else
+      let axis = ts_axes.(d) in
+      let rec go i =
+        if i < Array.length axis then begin
+          let words = words * Footprint.shared_extent ~order ~t_t axis.(i) in
+          if words <= shared_limit then begin
+            t_s.(d) <- axis.(i);
+            fill t_t (d + 1) words;
+            go (i + 1)
+          end
+        end
+      in
+      go 0
   in
-  let tile_tuples = product (Array.to_list (Array.map Array.to_list ts_axes)) in
-  (* the axes already bound t_t by 2 * problem.time; no second check is
-     needed inside the expansion *)
-  List.concat_map
-    (fun t_t ->
-      List.filter_map
-        (fun tup ->
-          let shape = { t_t; t_s = Array.of_list tup } in
-          if fits shape then Some shape else None)
-        tile_tuples)
-    (Array.to_list tt_axis)
+  (* the axes already bound t_t by 2 * problem.time *)
+  Array.iter (fun t_t -> fill t_t 0 (2 * word_factor)) tt_axis;
+  List.rev !found
 
 let id s =
   Printf.sprintf "tT%d-tS%s" s.t_t

@@ -22,9 +22,19 @@ let make_exn ~t_t ~t_s ~threads =
 let rank c = Array.length c.t_s
 let total_threads c = Array.fold_left ( * ) 1 c.threads
 
+let add_id buf c =
+  let module Ints = Hextime_prelude.Ints in
+  Buffer.add_string buf "tT";
+  Ints.add_decimal buf c.t_t;
+  Buffer.add_string buf "-tS";
+  Ints.add_dims buf c.t_s;
+  Buffer.add_string buf "-thr";
+  Ints.add_dims buf c.threads
+
 let id c =
-  let join a = String.concat "x" (Array.to_list (Array.map string_of_int a)) in
-  Printf.sprintf "tT%d-tS%s-thr%s" c.t_t (join c.t_s) (join c.threads)
+  let buf = Buffer.create 32 in
+  add_id buf c;
+  Buffer.contents buf
 
 let pp ppf c = Format.pp_print_string ppf (id c)
 let equal a b = a.t_t = b.t_t && a.t_s = b.t_s && a.threads = b.threads

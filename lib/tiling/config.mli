@@ -26,6 +26,10 @@ val total_threads : t -> int
 val id : t -> string
 (** Stable identifier, e.g. ["tT8-tS24x64-thr128"]. *)
 
+val add_id : Buffer.t -> t -> unit
+(** [add_id buf c] appends [id c] to [buf]; every priced kernel's label
+    carries it, so it is written without [Printf]. *)
+
 val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool
 val compare : t -> t -> int

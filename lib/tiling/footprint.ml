@@ -12,9 +12,11 @@ type t = {
    one word in the inner dimension (Equation 19 and its 3D analogue).
    Exposed separately so the tile-space enumerator can probe feasibility
    without building a Config or a full footprint per candidate. *)
+let shared_extent ~order ~t_t s = s + (order * t_t) + 1
+
 let shared_words_of ?(word_factor = 1) ~order ~t_t t_s =
   2
-  * Array.fold_left ( * ) 1 (Array.map (fun s -> s + (order * t_t) + 1) t_s)
+  * Array.fold_left (fun acc s -> acc * shared_extent ~order ~t_t s) 1 t_s
   * word_factor
 
 let of_config ?(word_factor = 1) ~order ~space (cfg : Config.t) =

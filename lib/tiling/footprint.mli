@@ -20,6 +20,13 @@ val shared_words_of : ?word_factor:int -> order:int -> t_t:int -> int array -> i
     {!Config.t} or computing the rest of the footprint.  The tile-space
     enumerator uses it to probe thousands of candidate shapes cheaply. *)
 
+val shared_extent : order:int -> t_t:int -> int -> int
+(** [shared_extent ~order ~t_t s] is one dimension's factor of
+    {!shared_words_of}: the hexagon's bounding extent [s + order * t_t],
+    padded by one word.  [shared_words_of] is [2 * word_factor] times the
+    product of these factors, so it can be multiplied in one dimension at
+    a time. *)
+
 val of_config :
   ?word_factor:int -> order:int -> space:int array -> Config.t -> t
 (** [of_config ~order ~space cfg] computes the footprints for a stencil of

@@ -79,7 +79,12 @@ let workload_checked (problem : Problem.t) (cfg : Config.t) ~fp ~label_prefix
     ~row_stride:fp.Footprint.inner_stride ~chunks:fp.Footprint.chunks
 
 let label_prefix_of (problem : Problem.t) (cfg : Config.t) =
-  Printf.sprintf "%s/%s/" (Problem.id problem) (Config.id cfg)
+  let buf = Buffer.create 64 in
+  Problem.add_id buf problem;
+  Buffer.add_char buf '/';
+  Config.add_id buf cfg;
+  Buffer.add_char buf '/';
+  Buffer.contents buf
 
 let workload (problem : Problem.t) (cfg : Config.t) ~family =
   match validate problem cfg with

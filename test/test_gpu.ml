@@ -405,6 +405,72 @@ let prop_simulator_monotone_in_io =
       in
       t (1024 * scale) <= t (1024 * (scale + 1)))
 
+(* The memo answers by an architecture's numbers: a copy of a preset that
+   keeps the preset's name but not its shared memory gets its own answer. *)
+let test_occupancy_memo_by_numbers () =
+  let req = occ_req 256 6000 32 in
+  let half = { arch with Arch.shared_mem_per_sm = arch.Arch.shared_mem_per_sm / 2 } in
+  Alcotest.(check int) "preset" 4 (Occ.calculate arch req).Occ.blocks_per_sm;
+  Alcotest.(check int) "same name, half the shared memory" 2
+    (Occ.calculate half req).Occ.blocks_per_sm;
+  Alcotest.(check int) "preset again" 4 (Occ.calculate arch req).Occ.blocks_per_sm
+
+let memo_counts () =
+  let snap = Hextime_obs.Metrics.snapshot () in
+  let count name =
+    Option.value ~default:0 (Hextime_obs.Metrics.find_counter snap name)
+  in
+  (count "occupancy.memo_hit", count "occupancy.memo_miss")
+
+let test_occupancy_memo_counts () =
+  (* requests no other test asks about *)
+  let reqs = List.init 10 (fun i -> occ_req 7 (100_003 + i) 9) in
+  let h0, m0 = memo_counts () in
+  List.iter (fun r -> ignore (Occ.calculate arch r)) (reqs @ reqs @ reqs);
+  let h1, m1 = memo_counts () in
+  Alcotest.(check int) "hits + misses = calls" 30 (h1 - h0 + (m1 - m0));
+  Alcotest.(check int) "one miss per new request" 10 (m1 - m0)
+
+(* Spawns domains, so it runs after every suite that forks. *)
+let test_occupancy_memo_domains () =
+  let n = 300 in
+  (* distinct: within each run of 7 consecutive i the thread counts differ *)
+  let reqs =
+    Array.init n (fun i ->
+        occ_req (32 * (1 + (i mod 32))) (97 * (1 + (i / 7))) (16 + (i mod 48)))
+  in
+  let forward = Array.init n Fun.id and backward = Array.init n (fun i -> n - 1 - i) in
+  let answer order = Array.map (fun i -> Occ.calculate arch reqs.(i)) order in
+  (* a new domain starts with an empty memo, so its first pass computes
+     every answer *)
+  let h0, m0 = memo_counts () in
+  let memo_free = Domain.join (Domain.spawn (fun () -> answer forward)) in
+  let h1, m1 = memo_counts () in
+  Alcotest.(check (pair int int)) "a new domain misses every request" (0, n)
+    (h1 - h0, m1 - m0);
+  let passes = 5 in
+  let worker order = Domain.spawn (fun () -> List.init passes (fun _ -> answer order)) in
+  let a = worker forward and b = worker backward in
+  let results = [ (forward, Domain.join a); (backward, Domain.join b) ] in
+  let h2, m2 = memo_counts () in
+  List.iter
+    (fun (order, runs) ->
+      List.iter
+        (Array.iteri (fun k r ->
+             if r <> memo_free.(order.(k)) then
+               Alcotest.failf "request %d: answer differs from the memo-free one" order.(k)))
+        runs)
+    results;
+  Alcotest.(check (pair int int)) "each domain misses once per request"
+    (2 * (passes - 1) * n, 2 * n)
+    (h2 - h1, m2 - m1)
+
+let domain_suite =
+  [
+    Alcotest.test_case "occupancy memo per domain" `Quick
+      test_occupancy_memo_domains;
+  ]
+
 let suite =
   [
     Alcotest.test_case "presets (Table 2)" `Quick test_presets;
@@ -412,6 +478,8 @@ let suite =
     Alcotest.test_case "pointcost" `Quick test_pointcost;
     Alcotest.test_case "occupancy limits" `Quick test_occupancy_limits;
     Alcotest.test_case "occupancy infeasible/spill" `Quick test_occupancy_infeasible_and_spill;
+    Alcotest.test_case "occupancy memo by numbers" `Quick test_occupancy_memo_by_numbers;
+    Alcotest.test_case "occupancy memo counts" `Quick test_occupancy_memo_counts;
     Alcotest.test_case "coalescing" `Quick test_memory_coalescing;
     Alcotest.test_case "transfer timing" `Quick test_memory_transfer;
     Alcotest.test_case "smem conflicts" `Quick test_smem_conflicts;

@@ -52,6 +52,41 @@ let test_citer_deterministic () =
   let b = H.Microbench.citer arch S.laplacian2d in
   Alcotest.(check (float 0.0)) "memoized and deterministic" a b
 
+(* The memos are keyed by what calibration reads, not by names: a modified
+   copy of a preset, calibrated after the preset, gets its own constants,
+   and a renamed copy shares the preset's but keeps its own name. *)
+let test_microbench_memo_keys () =
+  let preset = H.Microbench.params arch in
+  let fewer_sms = { arch with Gpu.Arch.n_sm = 8 } in
+  let p = H.Microbench.params fewer_sms in
+  Alcotest.(check int) "n_sm of the copy" 8 p.Params.n_sm;
+  let fresh =
+    Params.of_microbenchmarks fewer_sms
+      ~l_word:(H.Microbench.measure_l fewer_sms)
+      ~tau_sync:(H.Microbench.measure_tau_sync fewer_sms)
+      ~t_sync:(H.Microbench.measure_t_sync fewer_sms)
+  in
+  Alcotest.(check bool) "the copy's own calibration" true (p = fresh);
+  Alcotest.(check bool) "differs from the preset's" true
+    (p.Params.l_word <> preset.Params.l_word);
+  let renamed = { arch with Gpu.Arch.name = "gtx980-copy" } in
+  let r = H.Microbench.params renamed in
+  Alcotest.(check string) "renamed copy's name" "gtx980-copy" r.Params.arch_name;
+  Alcotest.(check bool) "renamed copy shares the constants" true
+    (r.Params.l_word = preset.Params.l_word
+    && r.Params.tau_sync = preset.Params.tau_sync
+    && r.Params.t_sync = preset.Params.t_sync);
+  let c = H.Microbench.citer arch S.heat2d in
+  let slow = { arch with Gpu.Arch.clock_ghz = arch.Gpu.Arch.clock_ghz /. 2.0 } in
+  let c_slow = H.Microbench.citer slow S.heat2d in
+  (* about double: the clock also reseeds the sampled shapes *)
+  Alcotest.(check bool)
+    (Printf.sprintf "half clock doubles C_iter (%.6g vs %.6g)" c_slow c)
+    true
+    (Float.abs ((c_slow /. c) -. 2.0) < 0.01);
+  Alcotest.(check (float 0.0)) "renamed arch, same C_iter" c
+    (H.Microbench.citer renamed S.heat2d)
+
 let test_experiment_grids () =
   Alcotest.(check int) "paper 2D experiments" 80
     (List.length (H.Experiments.all_2d H.Experiments.Paper));
@@ -642,6 +677,8 @@ let suite =
     Alcotest.test_case "microbench direction" `Quick test_microbench_direction;
     Alcotest.test_case "citer shape (Table 4)" `Quick test_citer_table4_shape;
     Alcotest.test_case "citer deterministic" `Quick test_citer_deterministic;
+    Alcotest.test_case "microbench memos keyed by pricing" `Quick
+      test_microbench_memo_keys;
     Alcotest.test_case "experiment grids" `Quick test_experiment_grids;
     Alcotest.test_case "scale parsing" `Quick test_scale_parsing;
     Alcotest.test_case "sweep population" `Quick test_sweep_population;

@@ -67,6 +67,33 @@ let test_hash_sensitivity () =
   let b = Det_hash.to_int64 (Det_hash.mix_int base 2) in
   Alcotest.(check bool) "different inputs differ" true (a <> b)
 
+(* Digests of mix_string recorded before its loop was rewritten: every
+   jitter seed is one, so a changed digest moves every measured time. *)
+let test_hash_string_pinned () =
+  let label = "heat2d:512x512xT128/tT16-tS12x128-thr256/yellow" in
+  check_int "a 47-byte kernel label" 47 (String.length label);
+  List.iter
+    (fun (s, created, mixed) ->
+      Alcotest.(check int64) (Printf.sprintf "create %S" s) created
+        (Det_hash.to_int64 (Det_hash.create s));
+      Alcotest.(check int64) (Printf.sprintf "mix_string %S" s) mixed
+        (Det_hash.to_int64
+           (Det_hash.mix_string (Det_hash.mix_int (Det_hash.create "") 0) s)))
+    [
+      ("", 8911345218238399542L, 7083096473277562592L);
+      ("g", 2651433718857275051L, -3875349568291362600L);
+      (label, -2920065458250889038L, 587568917418143197L);
+      ("\x80\xff\x00\xc3\xa9", -1997322197078839L, -5871498497346967383L);
+    ]
+
+let prop_add_decimal =
+  QCheck.Test.make ~name:"add_decimal writes string_of_int" ~count:1000
+    QCheck.(oneof [ int; small_signed_int; oneofl [ min_int; max_int; 0; -1 ] ])
+    (fun n ->
+      let buf = Buffer.create 8 in
+      Ints.add_decimal buf n;
+      Buffer.contents buf = string_of_int n)
+
 let prop_uniform_range =
   QCheck.Test.make ~name:"uniform in [0,1)" ~count:500 QCheck.int (fun i ->
       let u = Det_hash.uniform (Det_hash.mix_int (Det_hash.create "u") i) in
@@ -165,7 +192,7 @@ let test_cells () =
 
 let qsuite = List.map QCheck_alcotest.to_alcotest
     [ prop_ceil_div; prop_round_up; prop_uniform_range; prop_jitter_range;
-      prop_rmse_nonneg ]
+      prop_rmse_nonneg; prop_add_decimal ]
 
 module Mj = Hextime_prelude.Minijson
 
@@ -230,6 +257,7 @@ let suite =
     Alcotest.test_case "sum_by" `Quick test_sum_by;
     Alcotest.test_case "hash deterministic" `Quick test_hash_deterministic;
     Alcotest.test_case "hash sensitivity" `Quick test_hash_sensitivity;
+    Alcotest.test_case "mix_string digests pinned" `Quick test_hash_string_pinned;
     Alcotest.test_case "uniform spread" `Quick test_uniform_spread;
     Alcotest.test_case "mean/stddev" `Quick test_mean_stddev;
     Alcotest.test_case "geomean" `Quick test_geomean;

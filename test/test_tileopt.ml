@@ -237,6 +237,59 @@ let prop_model_more_permissive_than_machine =
               | Ok _ -> true
               | Error _ -> false)))
 
+(* The list-product enumeration Space.shapes replaced, kept as the
+   reference: the whole lattice of Space.axes, in order, filtered by the
+   footprint. *)
+let reference_shapes (p : Params.t) (problem : P.t) =
+  let fits (shape : Space.shape) =
+    Footprint.shared_words_of ~word_factor:(P.word_factor problem)
+      ~order:problem.P.stencil.S.order ~t_t:shape.t_t shape.t_s
+    <= p.Params.shared_mem_per_block
+  in
+  let tt_axis, ts_axes = Space.axes problem in
+  let rec product = function
+    | [] -> [ [] ]
+    | axis :: rest ->
+        let tails = product rest in
+        List.concat_map (fun v -> List.map (fun tl -> v :: tl) tails) axis
+  in
+  let tuples = product (Array.to_list (Array.map Array.to_list ts_axes)) in
+  List.concat_map
+    (fun t_t ->
+      List.filter_map
+        (fun tup ->
+          let shape = { Space.t_t; t_s = Array.of_list tup } in
+          if fits shape then Some shape else None)
+        tuples)
+    (Array.to_list tt_axis)
+
+let prop_shapes_match_reference =
+  let gen =
+    QCheck.Gen.(
+      let* stencil = oneofl S.all_benchmarks in
+      let* space =
+        array_repeat stencil.S.rank (int_range ((2 * stencil.S.order) + 1) 700)
+      in
+      let* time = int_range 1 80 in
+      let* precision = oneofl [ P.F32; P.F64 ] in
+      let* arch = oneofl Gpu.Arch.presets in
+      let* shared_mem_per_block = int_range 256 (2 * arch.shared_mem_per_block) in
+      return
+        ( { arch with Gpu.Arch.shared_mem_per_block },
+          P.make ~precision stencil ~space ~time ))
+  in
+  QCheck.Test.make ~name:"Space.shapes = list-product reference" ~count:150
+    (QCheck.make
+       ~print:(fun ((a : Gpu.Arch.t), p) ->
+         Printf.sprintf "%s cap %d %s" a.name a.shared_mem_per_block (P.id p))
+       gen)
+    (fun (arch, problem) ->
+      let p =
+        Params.of_microbenchmarks arch ~l_word:3.0e-11 ~tau_sync:1.0e-9
+          ~t_sync:1.0e-6
+      in
+      Space.shapes p problem = reference_shapes p problem)
+
 let suite =
   [
     Alcotest.test_case "space constraints" `Quick test_space_constraints;
@@ -254,4 +307,5 @@ let suite =
     Alcotest.test_case "exhaustive capped" `Quick test_exhaustive_capped;
     Alcotest.test_case "AMPL emission" `Quick test_ampl_emission;
     QCheck_alcotest.to_alcotest prop_model_more_permissive_than_machine;
+    QCheck_alcotest.to_alcotest prop_shapes_match_reference;
   ]

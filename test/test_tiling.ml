@@ -167,6 +167,53 @@ let prop_footprint_positive =
       && b.F.input_words > a.F.input_words
       && b.F.shared_words > a.F.shared_words)
 
+(* The ids every kernel label is built from, formatted through Printf as
+   they were before the buffer writers; kept here as the reference. *)
+let printf_dims a = String.concat "x" (Array.to_list (Array.map string_of_int a))
+
+let printf_problem_id (p : P.t) =
+  Printf.sprintf "%s:%sxT%d%s" p.P.stencil.S.name (printf_dims p.P.space)
+    p.P.time
+    (match p.P.precision with P.F32 -> "" | P.F64 -> "-f64")
+
+let printf_config_id (c : C.t) =
+  Printf.sprintf "tT%d-tS%s-thr%s" c.C.t_t (printf_dims c.C.t_s)
+    (printf_dims c.C.threads)
+
+let gen_problem_config =
+  QCheck.Gen.(
+    let* rank = int_range 1 3 in
+    let* stencil =
+      oneofl (List.filter (fun s -> s.S.rank = rank) S.all_benchmarks)
+    in
+    let* precision = oneofl [ P.F32; P.F64 ] in
+    let* space = array_repeat rank (int_range ((2 * stencil.S.order) + 1) 100_000) in
+    let* time = int_range 1 100_000 in
+    let* half_t_t = int_range 1 40 in
+    let* t_s = array_repeat rank (int_range 1 600) in
+    let* threads = array_size (int_range 1 3) (int_range 1 1024) in
+    if rank > 1 then t_s.(rank - 1) <- 32 * t_s.(rank - 1);
+    return
+      ( P.make ~precision stencil ~space ~time,
+        C.make_exn ~t_t:(2 * half_t_t) ~t_s ~threads ))
+
+let prop_ids_match_printf =
+  QCheck.Test.make ~name:"ids and kernel labels equal their Printf form"
+    ~count:300
+    (QCheck.make
+       ~print:(fun (p, c) -> printf_problem_id p ^ " " ^ printf_config_id c)
+       gen_problem_config)
+    (fun (p, c) ->
+      let prefix = printf_problem_id p ^ "/" ^ printf_config_id c ^ "/" in
+      P.id p = printf_problem_id p
+      && C.id c = printf_config_id c
+      &&
+      match L.compile p c with
+      | Error _ -> true
+      | Ok k ->
+          k.L.green.Gpu.Kernel.label = prefix ^ "green"
+          && k.L.yellow.Gpu.Kernel.label = prefix ^ "yellow")
+
 let suite =
   [
     Alcotest.test_case "config constraints" `Quick test_config_constraints;
@@ -182,4 +229,5 @@ let suite =
     Alcotest.test_case "lower rejects" `Quick test_lower_rejects;
     Alcotest.test_case "lower io = footprint" `Quick test_lower_io_matches_footprint;
     QCheck_alcotest.to_alcotest prop_footprint_positive;
+    QCheck_alcotest.to_alcotest prop_ids_match_printf;
   ]
