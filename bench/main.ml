@@ -1059,22 +1059,13 @@ let () =
     float_of_int (Gpu.Simulator.invocations () - inv0)
     /. (3.0 *. float_of_int !n_points)
   in
-  (* the two parallel backends on the identical cache-less workload: the
-     fork pool pays a fork + Marshal round-trip per point, the domains
-     pool claims indices off an atomic counter and writes results by
-     reference.  `hextime bench-compare` gates domains >= 2x fork. *)
-  let par_jobs = Parsweep.Pool.default_jobs () in
-  let fork_exec = { Parsweep.serial with jobs = par_jobs } in
-  let domains_exec =
-    { Parsweep.serial with jobs = par_jobs; backend = `Domains }
-  in
-  let fork_s =
-    best_of_3 (fun () -> ignore (H.Sweep.baseline ~exec:fork_exec e))
-  in
+  (* the same cache-less workload on the parallel pool's worker domains.
+     `hextime bench-compare` gates domains >= 0.5x serial at >= 2 jobs. *)
+  let par_jobs = Parsweep.Dpool.default_jobs () in
+  let domains_exec = { Parsweep.serial with jobs = par_jobs } in
   let domains_s =
     best_of_3 (fun () -> ignore (H.Sweep.baseline ~exec:domains_exec e))
   in
-  let fork_pps = float_of_int !n_points /. fork_s in
   let domains_pps = float_of_int !n_points /. domains_s in
   (* pricing: the jitter-invariant pass over one compiled config *)
   let cfg = Config.make_exn ~t_t:16 ~t_s:[| 16; 64 |] ~threads:[| 256 |] in
@@ -1121,10 +1112,9 @@ let () =
   in
   let es_cps = es_cycles *. float_of_int es_reps /. es_s in
   (* hexserve warm path: requests/sec and exact client-side latency
-     percentiles over one connection.  The server runs in a domain, so
-     this must come after every fork-backend sweep above — OCaml 5
-     forbids Unix.fork once a domain has been spawned.  The index holds
-     the ci experiment grid; every ask below hits it warm. *)
+     percentiles over one connection, to a server running in a domain.
+     The index holds the ci experiment grid; every ask below hits it
+     warm. *)
   let module Serve = Hextime_serve in
   let serve_socket =
     Filename.concat
@@ -1227,10 +1217,9 @@ let () =
     (sweep_pps /. pre_refactor_pps)
     pre_refactor_pps;
   Printf.printf "  simulator prices  %10.2f per point\n" invocations_per_point;
-  Printf.printf "cold sweep, fork    %10.1f points/sec (%d jobs)\n" fork_pps
-    par_jobs;
-  Printf.printf "cold sweep, domains %10.1f points/sec (%d jobs, %.2fx fork)\n"
-    domains_pps par_jobs (domains_pps /. fork_pps);
+  Printf.printf
+    "cold sweep, domains %10.1f points/sec (%d jobs, %.2fx serial)\n"
+    domains_pps par_jobs (domains_pps /. sweep_pps);
   Printf.printf "price               %10.1f ns/kernel\n" price_ns;
   Printf.printf "eventsim            %10.3e simulated cycles/sec\n" es_cps;
   Printf.printf
@@ -1248,7 +1237,6 @@ let () =
         ("schema", Minijson.Str "hextime-bench-v1");
         ("scale", Minijson.Str (H.Experiments.scale_to_string scale));
         ("cold_sweep_points_per_sec", Minijson.Num sweep_pps);
-        ("fork_cold_sweep_points_per_sec", Minijson.Num fork_pps);
         ("domains_cold_sweep_points_per_sec", Minijson.Num domains_pps);
         ("sweep_jobs", Minijson.Num (float_of_int par_jobs));
         ("cold_sweep_points", Minijson.Num (float_of_int !n_points));
@@ -1314,7 +1302,6 @@ let () =
          ~metrics:
            [
              ("cold_sweep_points_per_sec", sweep_pps);
-             ("fork_cold_sweep_points_per_sec", fork_pps);
              ("domains_cold_sweep_points_per_sec", domains_pps);
              ("cold_sweep_points", float_of_int !n_points);
              ("simulator_prices_per_point", invocations_per_point);

@@ -113,10 +113,10 @@ let problem_of stencil space time =
 let jobs_arg =
   Arg.(
     value
-    & opt int (Parsweep.Pool.default_jobs ())
+    & opt int (Parsweep.Dpool.default_jobs ())
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Worker processes for sweeps (default: core count, overridable \
+          "Worker domains for sweeps (default: core count, overridable \
            with $(b,HEXTIME_JOBS)).  1 runs fully in-process; results are \
            identical either way.")
 
@@ -135,54 +135,8 @@ let no_cache_arg =
     value & flag
     & info [ "no-cache" ] ~doc:"Disable the on-disk sweep cache entirely.")
 
-let backend_arg =
-  let parse = function
-    | "fork" -> Ok `Fork
-    | "domains" -> Ok `Domains
-    | s ->
-        Error
-          (`Msg (Printf.sprintf "unknown backend %S (expected fork|domains)" s))
-  in
-  let print ppf b =
-    Format.pp_print_string ppf
-      (match b with `Fork -> "fork" | `Domains -> "domains")
-  in
-  Arg.(
-    value
-    & opt (conv (parse, print)) `Fork
-    & info [ "backend" ] ~docv:"fork|domains"
-        ~doc:
-          "Parallel sweep backend.  $(b,fork): worker processes with \
-           per-task fault isolation, timeouts and retries.  $(b,domains): \
-           worker domains of this process sharing the heap — much higher \
-           point throughput, but a crashing task takes the process down.  \
-           Results are identical either way.")
-
-let timeout_arg =
-  Arg.(
-    value
-    & opt float Parsweep.Pool.default_timeout_s
-    & info [ "timeout" ] ~docv:"SECONDS"
-        ~doc:
-          "Wall-clock timeout per sweep task chunk before the worker is \
-           killed and the chunk's tasks retried individually.  Enforced by \
-           the $(b,fork) backend only; the $(b,domains) backend warns and \
-           ignores it (shared-heap workers cannot be killed in isolation).")
-
-let retries_arg =
-  Arg.(
-    value
-    & opt int Parsweep.Pool.default_retries
-    & info [ "retries" ] ~docv:"N"
-        ~doc:
-          "How many times a crashed or timed-out task is retried (as a \
-           singleton, isolating the poison point) before being reported \
-           failed.  Fork backend only, like $(b,--timeout).")
-
-let exec_of ?(backend = `Fork) ?(timeout_s = Parsweep.Pool.default_timeout_s)
-    ?(retries = Parsweep.Pool.default_retries) jobs cache_dir no_cache =
-  let e = Parsweep.default ~backend ~jobs ?cache_dir () in
-  let e = { e with Parsweep.timeout_s; retries } in
+let exec_of jobs cache_dir no_cache =
+  let e = Parsweep.default ~jobs ?cache_dir () in
   if no_cache then { e with Parsweep.cache = None } else e
 
 (* --- observability (hexscope) ------------------------------------------- *)
@@ -195,16 +149,16 @@ let profile_arg =
         ~doc:
           "Enable span tracing and write a Chrome trace-event JSON \
            (openable in chrome://tracing or ui.perfetto.dev) to FILE on \
-           exit, with the merged metrics snapshot embedded under \
-           $(b,metrics).  Worker-process spans and counters are merged in \
-           across the fork boundary.  Stdout is unaffected: sweep/CSV \
-           output stays byte-identical with or without this flag.")
+           exit, with the metrics snapshot embedded under $(b,metrics).  \
+           Worker domains record into the same trace, each on its own \
+           lane.  Stdout is unaffected: sweep/CSV output stays \
+           byte-identical with or without this flag.")
 
 let metrics_arg =
   Arg.(
     value & flag
     & info [ "metrics" ]
-        ~doc:"Print the merged metrics snapshot to stderr on exit.")
+        ~doc:"Print the metrics snapshot to stderr on exit.")
 
 (* Wrap a subcommand body with trace/metrics capture.  All hexscope output
    goes to the trace file or stderr, never stdout, so enabling it cannot
@@ -569,19 +523,16 @@ let validate_cmd =
   let plot =
     Arg.(value & flag & info [ "plot" ] ~doc:"Render the ASCII scatter plot.")
   in
-  let run arch stencil space time csv plot backend jobs timeout_s retries
-      cache_dir no_cache profile metrics ledger no_ledger =
+  let run arch stencil space time csv plot jobs cache_dir no_cache profile
+      metrics ledger no_ledger =
     with_obs profile metrics @@ fun () ->
     match problem_of stencil space time with
     | Error msg -> die "%s" msg
     | Ok problem ->
         let t0 = Unix.gettimeofday () in
         let e = { H.Experiments.arch; problem } in
-        let full, stats =
-          H.Sweep.run
-            ~exec:(exec_of ~backend ~timeout_s ~retries jobs cache_dir no_cache)
-            e
-        in
+        let exec = exec_of jobs cache_dir no_cache in
+        let full, stats = H.Sweep.run ~exec e in
         let elapsed_s = Unix.gettimeofday () -. t0 in
         let sweep = full.H.Sweep.points in
         if sweep = [] then die "no data point survived"
@@ -625,8 +576,8 @@ let validate_cmd =
     Term.(
       ret
         (const run $ arch_arg $ stencil_arg $ space_arg $ time_arg $ csv $ plot
-       $ backend_arg $ jobs_arg $ timeout_arg $ retries_arg $ cache_dir_arg
-       $ no_cache_arg $ profile_arg $ metrics_arg $ ledger_arg $ no_ledger_arg))
+       $ jobs_arg $ cache_dir_arg $ no_cache_arg $ profile_arg $ metrics_arg
+       $ ledger_arg $ no_ledger_arg))
   in
   Cmd.v
     (Cmd.info "validate"
@@ -915,8 +866,8 @@ let lint_cmd =
                     then [ "bounds"; "resources" ]
                     else []))
       in
-      (* params/citer are computed per experiment in the parent, so forked
-         workers inherit the warm micro-benchmark memos *)
+      (* params/citer are computed once per experiment, before the sweep
+         fans its configurations out to the workers *)
       let tasks =
         List.concat_map
           (fun (e : H.Experiments.t) ->
@@ -1522,11 +1473,14 @@ let trace_verify_cmd =
       value & opt int 1
       & info [ "min-events" ] ~docv:"N" ~doc:"Require at least N span events.")
   in
-  let min_pids =
+  let min_lanes =
     Arg.(
       value & opt int 1
-      & info [ "min-pids" ] ~docv:"N"
-          ~doc:"Require events from at least N distinct process ids.")
+      & info [ "min-lanes" ] ~docv:"N"
+          ~doc:
+            "Require events from at least N distinct lanes, a lane being a \
+             (process id, domain id) pair: a parallel sweep's worker \
+             domains each record on their own lane.")
   in
   let require_counters =
     Arg.(
@@ -1535,7 +1489,7 @@ let trace_verify_cmd =
           ~doc:"Require the embedded metrics snapshot to carry this counter \
                 (repeatable).")
   in
-  let run file min_events min_pids required =
+  let run file min_events min_lanes required =
     match
       let ic = open_in_bin file in
       Fun.protect
@@ -1549,7 +1503,7 @@ let trace_verify_cmd =
         | Ok json -> (
             match Minijson.member "traceEvents" json with
             | Some (Minijson.List events) -> (
-                let pids = Hashtbl.create 8 in
+                let lanes = Hashtbl.create 8 in
                 let well_formed =
                   List.for_all
                     (fun ev ->
@@ -1562,7 +1516,11 @@ let trace_verify_cmd =
                             Minijson.number )
                       with
                       | Some _, Some _, Some _, Some pid ->
-                          Hashtbl.replace pids pid ();
+                          let tid =
+                            Option.bind (Minijson.member "tid" ev)
+                              Minijson.number
+                          in
+                          Hashtbl.replace lanes (pid, tid) ();
                           true
                       | _ -> false)
                     events
@@ -1572,9 +1530,9 @@ let trace_verify_cmd =
                 else if List.length events < min_events then
                   die "trace-verify: %s: %d events < required %d" file
                     (List.length events) min_events
-                else if Hashtbl.length pids < min_pids then
-                  die "trace-verify: %s: %d distinct pids < required %d" file
-                    (Hashtbl.length pids) min_pids
+                else if Hashtbl.length lanes < min_lanes then
+                  die "trace-verify: %s: %d distinct lanes < required %d" file
+                    (Hashtbl.length lanes) min_lanes
                 else
                   let counters =
                     match
@@ -1591,9 +1549,9 @@ let trace_verify_cmd =
                   with
                   | [] ->
                       Printf.printf
-                        "trace-verify: ok — %d events, %d distinct pids, %d \
+                        "trace-verify: ok — %d events, %d distinct lanes, %d \
                          counters\n"
-                        (List.length events) (Hashtbl.length pids)
+                        (List.length events) (Hashtbl.length lanes)
                         (List.length counters);
                       `Ok ()
                   | missing ->
@@ -1608,7 +1566,7 @@ let trace_verify_cmd =
           well-formed trace events, minimum event/worker counts, required \
           metric counters present.  Used by CI on the campaign trace \
           artifact.")
-    Term.(ret (const run $ file $ min_events $ min_pids $ require_counters))
+    Term.(ret (const run $ file $ min_events $ min_lanes $ require_counters))
 
 let doctor_cmd =
   let run () =
@@ -1735,10 +1693,9 @@ let doctor_cmd =
     Term.(ret (const run $ const ()))
 
 let campaign_cmd =
-  let run scale backend jobs cache_dir no_cache profile metrics ledger
-      no_ledger =
+  let run scale jobs cache_dir no_cache profile metrics ledger no_ledger =
     with_obs profile metrics @@ fun () ->
-    let exec = exec_of ~backend jobs cache_dir no_cache in
+    let exec = exec_of jobs cache_dir no_cache in
     let t0 = Unix.gettimeofday () in
     let est = H.Campaign.estimate ~exec scale in
     let elapsed_s = Unix.gettimeofday () -. t0 in
@@ -1777,8 +1734,8 @@ let campaign_cmd =
           rejected configurations are counted separately.")
     Term.(
       ret
-        (const run $ scale_arg $ backend_arg $ jobs_arg $ cache_dir_arg
-       $ no_cache_arg $ profile_arg $ metrics_arg $ ledger_arg $ no_ledger_arg))
+        (const run $ scale_arg $ jobs_arg $ cache_dir_arg $ no_cache_arg
+       $ profile_arg $ metrics_arg $ ledger_arg $ no_ledger_arg))
 
 let report_cmd =
   let out =
@@ -1871,7 +1828,6 @@ let bench_compare_cmd =
         let metrics =
           [
             "cold_sweep_points_per_sec";
-            "fork_cold_sweep_points_per_sec";
             "domains_cold_sweep_points_per_sec";
             "price_ns_per_kernel";
             "eventsim_cycles_per_sec";
@@ -1901,40 +1857,36 @@ let bench_compare_cmd =
         (* the gate: cold-sweep throughput must not regress beyond the
            tolerance band; the other metrics are reported but advisory *)
         let gate = "cold_sweep_points_per_sec" in
-        (* in-file invariant, not a baseline delta: when the current file
-           reports both backends, the domains pool must deliver at least
-           twice the fork pool's cold-sweep throughput — that ratio is the
-           whole point of the backend.  Old baselines without the fields
-           are fine; a current file missing them is too (pre-domains
-           bench binary judged by a newer CLI). *)
+        (* in-file invariant, not a baseline delta: a parallel sweep must
+           keep at least half the serial sweep's cold throughput, or
+           fanning out costs more than it returns.  With a single worker
+           the parallel sweep degenerates to the serial path, so the gate
+           only applies when it actually fanned out.  A current file
+           without the fields (an older bench binary) passes untested. *)
         let domains_gate () =
           match
-            ( field "fork_cold_sweep_points_per_sec" cur,
-              field "domains_cold_sweep_points_per_sec" cur )
+            ( field "cold_sweep_points_per_sec" cur,
+              field "domains_cold_sweep_points_per_sec" cur,
+              field "sweep_jobs" cur )
           with
-          | Some fork, Some domains when fork > 0.0 -> (
-              (* with a single worker both backends degenerate to the
-                 serial path, so the ratio is meaningless: only enforce
-                 when the parallel sweeps actually fanned out *)
-              match field "sweep_jobs" cur with
-              | Some jobs when jobs >= 2.0 ->
-                  if domains >= 2.0 *. fork then begin
-                    Printf.printf
-                      "bench-compare: ok — domains backend %.1f >= 2x fork \
-                       %.1f\n"
-                      domains fork;
-                    `Ok ()
-                  end
-                  else
-                    die
-                      "bench-compare: domains backend too slow: %.1f points/s \
-                       < 2x fork backend %.1f"
-                      domains fork
-              | _ ->
-                  Printf.printf
-                    "bench-compare: domains-vs-fork gate skipped (sweep_jobs \
-                     < 2)\n";
-                  `Ok ())
+          | Some serial, Some domains, Some jobs when jobs >= 2.0 ->
+              if domains >= 0.5 *. serial then begin
+                Printf.printf
+                  "bench-compare: ok — domains %.1f >= 0.5x serial %.1f \
+                   points/s\n"
+                  domains serial;
+                `Ok ()
+              end
+              else
+                die
+                  "bench-compare: parallel sweep too slow: domains %.1f \
+                   points/s < 0.5x serial %.1f"
+                  domains serial
+          | Some _, Some _, _ ->
+              Printf.printf
+                "bench-compare: domains-vs-serial gate skipped (sweep_jobs < \
+                 2)\n";
+              `Ok ()
           | _ -> `Ok ()
         in
         (* in-file invariant: a warm answer from the tile-advisor index must
@@ -2521,10 +2473,9 @@ let index_path_arg =
     & info [ "index" ] ~docv:"FILE" ~doc:"Arg-min index snapshot file.")
 
 let index_cmd =
-  let run scale out backend jobs timeout_s retries cache_dir no_cache profile
-      metrics ledger no_ledger =
+  let run scale out jobs cache_dir no_cache profile metrics ledger no_ledger =
     with_obs profile metrics @@ fun () ->
-    let exec = exec_of ~backend ~timeout_s ~retries jobs cache_dir no_cache in
+    let exec = exec_of jobs cache_dir no_cache in
     let t0 = Unix.gettimeofday () in
     let experiments = H.Experiments.all scale in
     let outcomes, stats =
@@ -2589,9 +2540,8 @@ let index_cmd =
           $(b,hextime serve) answers warm queries from.")
     Term.(
       ret
-        (const run $ scale_arg $ out $ backend_arg $ jobs_arg $ timeout_arg
-       $ retries_arg $ cache_dir_arg $ no_cache_arg $ profile_arg
-       $ metrics_arg $ ledger_arg $ no_ledger_arg))
+        (const run $ scale_arg $ out $ jobs_arg $ cache_dir_arg $ no_cache_arg
+       $ profile_arg $ metrics_arg $ ledger_arg $ no_ledger_arg))
 
 let serve_cmd =
   let max_requests =
@@ -2687,10 +2637,10 @@ let serve_cmd =
   in
   let run socket index_path no_index max_requests metrics_port access_log
       slow_us slo_window_s slo_p99_us slo_warm_ratio audit_rate audit_cold
-      drift_min_ratio backend jobs timeout_s retries cache_dir no_cache
-      profile metrics ledger no_ledger =
+      drift_min_ratio jobs cache_dir no_cache profile metrics ledger no_ledger
+      =
     with_obs profile metrics @@ fun () ->
-    let exec = exec_of ~backend ~timeout_s ~retries jobs cache_dir no_cache in
+    let exec = exec_of jobs cache_dir no_cache in
     let index_path = if no_index then None else Some index_path in
     let t0 = Unix.gettimeofday () in
     let on_ready () =
@@ -2776,9 +2726,9 @@ let serve_cmd =
       ret
         (const run $ socket_arg $ index_path_arg $ no_index $ max_requests
        $ metrics_port $ access_log $ slow_us $ slo_window_s $ slo_p99_us
-       $ slo_warm_ratio $ audit_rate $ audit_cold $ drift_min_ratio
-       $ backend_arg $ jobs_arg $ timeout_arg $ retries_arg $ cache_dir_arg
-       $ no_cache_arg $ profile_arg $ metrics_arg $ ledger_arg $ no_ledger_arg))
+       $ slo_warm_ratio $ audit_rate $ audit_cold $ drift_min_ratio $ jobs_arg
+       $ cache_dir_arg $ no_cache_arg $ profile_arg $ metrics_arg $ ledger_arg
+       $ no_ledger_arg))
 
 let ask_cmd =
   let format =

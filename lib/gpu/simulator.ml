@@ -23,8 +23,8 @@ type run_stats = {
    directly observable.  Since the priced-kernel refactor a pricing happens
    once per kernel, not once per measurement run: a min-of-five measurement
    is one pricing plus five jitter reapplications.  The counters live in the
-   metrics registry so sweep workers can snapshot them back across the fork
-   boundary and the coordinator's totals stay correct under --jobs N. *)
+   metrics registry, which a sweep's worker domains share, so the totals
+   stay correct under --jobs N. *)
 let price_counter = Metrics.counter "simulator.price"
 let replay_counter = Metrics.counter "simulator.replay"
 let invocations () = Metrics.value price_counter

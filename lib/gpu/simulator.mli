@@ -42,8 +42,8 @@ val invocations : unit -> int
     Instrumentation for the sweep-cache tests: a warm-cache sweep must
     answer every point without touching the simulator, and a cold sweep
     must price each kernel of a point exactly once (not once per
-    measurement run).  Forked sweep workers count in their own process,
-    not the parent's. *)
+    measurement run).  A parallel sweep's worker domains count into the
+    same total. *)
 
 val block_cost :
   Arch.t -> resident:int -> Workload.t -> spilled_regs:int -> float * float

@@ -97,20 +97,62 @@ let digest_with mix presets =
 let arch_digest = digest_with Gpu.Arch.mix_pricing Gpu.Arch.presets
 let stencil_digest = digest_with Stencil.mix_pricing Stencil.all_benchmarks
 
+(* Both memos are read on every warm advisor request and written by
+   whichever domain first calibrates a new context (a parallel sweep or
+   index build, a cold solve), so each is published through an [Atomic]
+   holding an immutable map: a lookup is one [Atomic.get] and a map search,
+   no lock; an insert swaps in an extended map by compare-and-set, retrying
+   when another domain published in between.  Calibration is deterministic,
+   so two domains racing on one key compute the same value and the first
+   to publish wins. *)
+module Memo (K : Map.OrderedType) = struct
+  module M = Map.Make (K)
+
+  let create () = Atomic.make M.empty
+  let mem t k = M.mem k (Atomic.get t)
+
+  let find_or_add t k compute =
+    match M.find_opt k (Atomic.get t) with
+    | Some v -> v
+    | None ->
+        let v = compute () in
+        let rec publish () =
+          let m = Atomic.get t in
+          match M.find_opt k m with
+          | Some v -> v
+          | None ->
+              if Atomic.compare_and_set t m (M.add k v m) then v
+              else publish ()
+        in
+        publish ()
+end
+
+module Constants_memo = Memo (Int64)
+
+module Citer_memo = Memo (struct
+  type t = int64 * int64 * Problem.precision
+
+  let compare (a, s, p) (a', s', p') =
+    match Int64.compare a a' with
+    | 0 -> (
+        match Int64.compare s s' with
+        | 0 -> (
+            match (p, p') with
+            | Problem.F32, Problem.F64 -> -1
+            | F64, F32 -> 1
+            | F32, F32 | F64, F64 -> 0)
+        | c -> c)
+    | c -> c
+end)
+
 (* the measured constants; the record around them carries the caller's
    architecture name *)
-let constants_cache : (int64, float * float * float) Hashtbl.t =
-  Hashtbl.create 4
+let constants_memo = Constants_memo.create ()
 
 let params arch =
-  let key = arch_digest arch in
   let l_word, tau_sync, t_sync =
-    match Hashtbl.find_opt constants_cache key with
-    | Some c -> c
-    | None ->
-        let c = (measure_l arch, measure_tau_sync arch, measure_t_sync arch) in
-        Hashtbl.add constants_cache key c;
-        c
+    Constants_memo.find_or_add constants_memo (arch_digest arch) (fun () ->
+        (measure_l arch, measure_tau_sync arch, measure_t_sync arch))
   in
   Params.of_microbenchmarks arch ~l_word ~tau_sync ~t_sync
 
@@ -206,21 +248,25 @@ let citer_once ~precision arch stencil ~sample =
           in
           Some (body_time /. float_of_int (iterations arch stripped)))
 
-let citer_cache : (int64 * int64 * Problem.precision, float) Hashtbl.t =
-  Hashtbl.create 16
+let measure_citer ?(precision = Problem.F32) arch stencil =
+  let samples =
+    List.filter_map
+      (fun i -> citer_once ~precision arch stencil ~sample:i)
+      (Ints.range 0 (citer_samples - 1))
+  in
+  if samples = [] then
+    invalid_arg "Microbench.citer: no feasible random instance";
+  Hextime_prelude.Stats.mean samples
+
+let citer_memo = Citer_memo.create ()
+
+let citer_key precision arch stencil =
+  (arch_digest arch, stencil_digest stencil, precision)
 
 let citer ?(precision = Problem.F32) arch stencil =
-  let key = (arch_digest arch, stencil_digest stencil, precision) in
-  match Hashtbl.find_opt citer_cache key with
-  | Some c -> c
-  | None ->
-      let samples =
-        List.filter_map
-          (fun i -> citer_once ~precision arch stencil ~sample:i)
-          (Ints.range 0 (citer_samples - 1))
-      in
-      if samples = [] then
-        invalid_arg "Microbench.citer: no feasible random instance";
-      let c = Hextime_prelude.Stats.mean samples in
-      Hashtbl.add citer_cache key c;
-      c
+  Citer_memo.find_or_add citer_memo (citer_key precision arch stencil)
+    (fun () -> measure_citer ~precision arch stencil)
+
+let memoized ?(precision = Problem.F32) arch stencil =
+  Constants_memo.mem constants_memo (arch_digest arch)
+  && Citer_memo.mem citer_memo (citer_key precision arch stencil)

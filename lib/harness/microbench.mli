@@ -25,13 +25,33 @@ val measure_t_sync : Hextime_gpu.Arch.t -> float
 val params : Hextime_gpu.Arch.t -> Hextime_core.Params.t
 (** Assembled (and memoized) machine parameters for an architecture. *)
 
+val measure_citer :
+  ?precision:Hextime_stencil.Problem.precision ->
+  Hextime_gpu.Arch.t ->
+  Hextime_stencil.Stencil.t ->
+  float
+(** Measured C_iter for a stencil on an architecture, recomputed on every
+    call; F64 pays Maxwell's double-precision throughput penalty. *)
+
 val citer :
   ?precision:Hextime_stencil.Problem.precision ->
   Hextime_gpu.Arch.t ->
   Hextime_stencil.Stencil.t ->
   float
-(** Measured (and memoized) C_iter for a stencil on an architecture; F64
-    pays Maxwell's double-precision throughput penalty. *)
+(** {!measure_citer}, memoized. *)
+
+val memoized :
+  ?precision:Hextime_stencil.Problem.precision ->
+  Hextime_gpu.Arch.t ->
+  Hextime_stencil.Stencil.t ->
+  bool
+(** Whether both the constants of the architecture and the stencil's
+    C_iter on it are in the memos.
+
+    Both memos are keyed by pricing digests (a modified copy of a preset
+    keeps the name but gets its own entry) and are domain-safe: reads take
+    no lock, and concurrent first calibrations from several domains all
+    land. *)
 
 val citer_samples : int
 (** Number of random instances averaged for C_iter (70, as in the paper). *)

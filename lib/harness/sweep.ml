@@ -110,8 +110,8 @@ let run ?limit ?(exec = Parsweep.serial) (e : Experiments.t) =
         match outcome with
         | Ok (`Point p) -> (p :: pts, im, ir)
         | Ok (`Infeasible_model _) -> (pts, im + 1, ir)
-        (* an engine-level failure (worker crash/timeout beyond retries)
-           drops the point like a rejected run: it is counted, not hidden *)
+        (* an exception escaping a point drops it like a rejected run: it
+           is counted, not hidden *)
         | Ok (`Infeasible_runner _) | Error _ -> (pts, im, ir + 1))
       outcomes ([], 0, 0)
   in

@@ -3,7 +3,7 @@
     simulator, producing the paired data behind Figure 3 and Section 5.3.
 
     The sweep runs through {!Hextime_parsweep.Parsweep}: pass [?exec] to
-    fan configurations out over forked workers and/or memoise completed
+    fan configurations out over worker domains and/or memoise completed
     points on disk.  The default is the serial in-process path, and the
     parallel path is bit-identical to it — results are collected in
     configuration order and every worker runs the same deterministic

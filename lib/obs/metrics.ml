@@ -5,10 +5,10 @@ module Tabulate = Hextime_prelude.Tabulate
 
 (* Counters are Atomic-backed: the domains-based sweep pool (Parsweep.Dpool)
    runs [f] on several domains of one process, all bumping the same handles,
-   and the serial == fork == domains totals contract requires every bump to
-   land.  Gauges and histograms are multi-field updates, so they serialise
-   through [registry_mutex] instead — they are off the per-point hot path
-   (progress ticks, per-task latency). *)
+   and the serial == parallel totals contract requires every bump to land.
+   Gauges and histograms are multi-field updates, so they serialise through
+   [registry_mutex] instead — they are off the per-point hot path (progress
+   ticks, per-task latency). *)
 type counter = { c_name : string; c : int Atomic.t }
 type gauge = { g_name : string; mutable g : float; mutable g_set : bool }
 
@@ -162,82 +162,6 @@ let snapshot () =
 
 let empty =
   { snap_counters = []; snap_gauges = []; snap_histograms = [] }
-
-let reset () =
-  locked @@ fun () ->
-  Hashtbl.iter (fun _ c -> Atomic.set c.c 0) counters;
-  Hashtbl.iter
-    (fun _ g ->
-      g.g <- 0.0;
-      g.g_set <- false)
-    gauges;
-  Hashtbl.iter
-    (fun _ h ->
-      h.h_count <- 0;
-      h.h_sum <- 0.0;
-      h.h_min <- infinity;
-      h.h_max <- neg_infinity;
-      Array.fill h.h_buckets 0 bucket_count 0)
-    histograms
-
-(* merge two sorted association lists with a combining function *)
-let merge_assoc combine xs ys =
-  let rec go xs ys acc =
-    match (xs, ys) with
-    | [], rest | rest, [] -> List.rev_append acc rest
-    | ((kx, vx) as x) :: xs', ((ky, vy) as y) :: ys' ->
-        let c = String.compare kx ky in
-        if c < 0 then go xs' ys (x :: acc)
-        else if c > 0 then go xs ys' (y :: acc)
-        else go xs' ys' ((kx, combine vx vy) :: acc)
-  in
-  go xs ys []
-
-let merge_hist a b =
-  let buckets =
-    let rec go xs ys acc =
-      match (xs, ys) with
-      | [], rest | rest, [] -> List.rev_append acc rest
-      | ((ix, cx) as x) :: xs', ((iy, cy) as y) :: ys' ->
-          if ix < iy then go xs' ys (x :: acc)
-          else if ix > iy then go xs ys' (y :: acc)
-          else go xs' ys' ((ix, cx + cy) :: acc)
-    in
-    go a.hs_buckets b.hs_buckets []
-  in
-  {
-    hs_count = a.hs_count + b.hs_count;
-    hs_sum = a.hs_sum +. b.hs_sum;
-    hs_min = Float.min a.hs_min b.hs_min;
-    hs_max = Float.max a.hs_max b.hs_max;
-    hs_buckets = buckets;
-  }
-
-let merge a b =
-  {
-    snap_counters = merge_assoc ( + ) a.snap_counters b.snap_counters;
-    (* a gauge is "last observed value": the right operand wins *)
-    snap_gauges = merge_assoc (fun _ y -> y) a.snap_gauges b.snap_gauges;
-    snap_histograms = merge_assoc merge_hist a.snap_histograms b.snap_histograms;
-  }
-
-let absorb s =
-  List.iter (fun (name, v) -> incr ~by:v (counter name)) s.snap_counters;
-  List.iter (fun (name, v) -> set (gauge name) v) s.snap_gauges;
-  List.iter
-    (fun (name, hs) ->
-      let h = histogram name in
-      locked @@ fun () ->
-      h.h_count <- h.h_count + hs.hs_count;
-      h.h_sum <- h.h_sum +. hs.hs_sum;
-      if hs.hs_min < h.h_min then h.h_min <- hs.hs_min;
-      if hs.hs_max > h.h_max then h.h_max <- hs.hs_max;
-      List.iter
-        (fun (i, c) ->
-          if i >= 0 && i < bucket_count then
-            h.h_buckets.(i) <- h.h_buckets.(i) + c)
-        hs.hs_buckets)
-    s.snap_histograms
 
 (* --- quantiles ------------------------------------------------------------ *)
 

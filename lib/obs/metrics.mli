@@ -9,15 +9,9 @@
 
     The registry is domain-safe: counters are [Atomic]-backed and gauge
     sets, histogram observations, registration and snapshots serialise
-    through one internal mutex, so the domains-based sweep pool
-    ([Parsweep.Dpool]) produces exactly the totals the serial and forked
-    paths produce.
-
-    Snapshots are pure, marshal-safe data.  A forked worker calls [reset]
-    when it starts serving (dropping counts inherited from the parent
-    image), then ships [snapshot () ] back with each result; the
-    coordinator [absorb]s them, which fixes the classic fork-loses-counters
-    hole.  Domain workers need no such dance — they share the registry. *)
+    through one internal mutex, so the sweep pool's worker domains
+    ([Parsweep.Dpool]) share the registry and produce exactly the totals
+    the serial path produces.  Snapshots are pure data. *)
 
 type counter
 type gauge
@@ -75,18 +69,6 @@ type snapshot = {
 
 val empty : snapshot
 val snapshot : unit -> snapshot
-
-(** Zero every registered metric (handles stay valid). *)
-val reset : unit -> unit
-
-(** Pointwise combination: counters and histograms add; for gauges the
-    right operand wins (a gauge is "last observed value"). *)
-val merge : snapshot -> snapshot -> snapshot
-
-(** Add a snapshot into the live registry (counters/histograms accumulate,
-    gauges overwrite).  This is how the sweep coordinator folds worker
-    snapshots back in. *)
-val absorb : snapshot -> unit
 
 val quantile : hist_snapshot -> float -> float
 (** [quantile hs q] estimates the [q]-quantile ([0.0 <= q <= 1.0]) of the

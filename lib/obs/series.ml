@@ -47,10 +47,10 @@ let group_of (e : Ledger.entry) =
 (* The default watched set: the longitudinal claims of the paper (model
    accuracy, arg-min band membership) and the operational figures the
    gates care about (sweep throughput, serving latency).  Deliberately
-   curated — every extra series is false-positive surface.  The fork- and
-   domains-backend throughput variants stay out: bench-compare gates them
-   per-run, and their run-to-run spread is a property of the container,
-   not the code. *)
+   curated — every extra series is false-positive surface.  The parallel
+   (domains) throughput stays out: bench-compare gates it per run against
+   the serial figure, and its run-to-run spread is a property of the
+   container, not the code. *)
 let default_watch =
   [
     ( "bench",

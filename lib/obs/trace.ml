@@ -11,9 +11,8 @@ type event = {
   ev_args : (string * string) list;
 }
 
-(* Wall-clock epoch captured at module load.  Forked workers inherit it, so
-   parent and worker timestamps share one time base and a merged trace lays
-   the workers out side by side in Perfetto. *)
+(* Wall-clock epoch captured at module load: every domain's timestamps
+   share one time base. *)
 let epoch = Unix.gettimeofday ()
 let now_us () = (Unix.gettimeofday () -. epoch) *. 1e6
 
@@ -25,8 +24,7 @@ let enabled () = !enabled_flag
 (* Collected events, newest first.  The buffer is shared by every domain of
    the process (the domains-based sweep pool records spans concurrently), so
    all mutation goes through [buffer_mutex]; the tid column carries the
-   recording domain so a merged trace lays domain workers out side by side
-   exactly as forked workers are laid out by pid. *)
+   recording domain so a trace lays domain workers out side by side. *)
 let buffer : event list ref = ref []
 let count = ref 0
 let buffer_mutex = Mutex.create ()
@@ -52,26 +50,10 @@ let emit ev =
 let events () = Mutex.protect buffer_mutex (fun () -> List.rev !buffer)
 let num_events () = Mutex.protect buffer_mutex (fun () -> !count)
 
-let recent n =
-  let rec take k = function
-    | [] -> []
-    | x :: xs -> if k = 0 then [] else x :: take (k - 1) xs
-  in
-  Mutex.protect buffer_mutex (fun () -> List.rev (take n !buffer))
-
-let drain () =
-  Mutex.protect buffer_mutex @@ fun () ->
-  let evs = List.rev !buffer in
-  buffer := [];
-  count := 0;
-  evs
-
 let reset () =
   Mutex.protect buffer_mutex @@ fun () ->
   buffer := [];
   count := 0
-
-let absorb evs = List.iter emit evs
 
 let with_span ?cat ?args name f =
   if not !enabled_flag then f ()
@@ -130,17 +112,3 @@ let write_file ?extra path evs =
     (fun () ->
       output_string oc (Minijson.render (to_json ?extra evs));
       output_char oc '\n')
-
-let render_event ev =
-  let args =
-    match ev.ev_args with
-    | [] -> ""
-    | kvs ->
-        " " ^ String.concat " " (List.map (fun (k, v) -> k ^ ":" ^ v) kvs)
-  in
-  if ev.ev_ph = "X" then
-    Printf.sprintf "[pid %d +%.0fus %.0fus] %s%s" ev.ev_pid ev.ev_ts_us
-      ev.ev_dur_us ev.ev_name args
-  else
-    Printf.sprintf "[pid %d +%.0fus %s] %s%s" ev.ev_pid ev.ev_ts_us ev.ev_ph
-      ev.ev_name args

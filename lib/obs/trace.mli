@@ -4,9 +4,10 @@
     Tracing is {b off by default}: [with_span] costs one [ref] read when
     disabled and argument thunks are only forced on the enabled path, so
     instrumented hot code stays free.  Event timestamps are microseconds
-    since a wall-clock epoch captured at module load; forked workers
-    inherit the epoch, so worker events [absorb]ed by the coordinator share
-    its time base. *)
+    since a wall-clock epoch captured at module load.  The buffer is
+    shared by every domain of the process; each event's [ev_tid] names the
+    recording domain, so a sweep's worker domains show up as separate
+    lanes. *)
 
 type event = {
   ev_name : string;
@@ -27,8 +28,7 @@ val enabled : unit -> bool
 val now_us : unit -> float
 
 (** Construct an event without recording it ([ev_pid] is the calling
-    process).  Used by the pool's flight recorder, which keeps its own ring
-    even when tracing is off. *)
+    process, [ev_tid] the calling domain). *)
 val make :
   ?cat:string ->
   ?args:(string * string) list ->
@@ -57,19 +57,8 @@ val events : unit -> event list
 
 val num_events : unit -> int
 
-(** Last [n] events, oldest first. *)
-val recent : int -> event list
-
-(** Return all events and clear the buffer. *)
-val drain : unit -> event list
-
-(** Clear the buffer (workers call this after fork to drop inherited
-    events). *)
+(** Clear the buffer. *)
 val reset : unit -> unit
-
-(** Append events recorded elsewhere (e.g. marshalled back from a
-    worker). *)
-val absorb : event list -> unit
 
 (** Chrome trace-event JSON: an object with a [traceEvents] array plus any
     [extra] top-level members (e.g. a merged metrics snapshot). *)
@@ -81,7 +70,3 @@ val to_json :
 val write_file :
   ?extra:(string * Hextime_prelude.Minijson.t) list ->
   string -> event list -> unit
-
-(** One-line human rendering, used by the pool flight recorder's failure
-    reports. *)
-val render_event : event -> string

@@ -34,14 +34,14 @@ let rec mkdir_p dir =
     | Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
-(* [put] writes through "<entry>.tmp.<pid>" then renames.  A writer that is
-   SIGKILLed between the two (the fork pool kills timed-out workers with
-   exactly that signal) leaks its temp file forever — no code path ever
-   looked at them again.  Sweep them when a cache is opened: a temp file
-   whose embedded pid no longer exists belongs to a dead writer and can
-   never be renamed, so it is garbage.  [kill pid 0] probes existence
-   without signalling; EPERM means the pid is alive but owned by someone
-   else, so only ESRCH (and a pid that doesn't parse) condemns the file.
+(* [put] writes through "<entry>.tmp.<pid>" then renames.  A process that is
+   killed between the two (SIGKILL, the OOM killer) leaks its temp file
+   forever — no code path ever looked at them again.  Sweep them when a
+   cache is opened: a temp file whose embedded pid no longer exists
+   belongs to a dead writer and can never be renamed, so it is garbage.
+   [kill pid 0] probes existence without signalling; EPERM means the pid
+   is alive but owned by someone else, so only ESRCH (and a pid that
+   doesn't parse) condemns the file.
    A racing live writer is never touched, and losing the race to remove a
    file some other opener already swept is fine. *)
 let sweep_stale_tmp dir =

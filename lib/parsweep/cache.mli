@@ -33,10 +33,10 @@ val default_dir : unit -> string
 val create : ?dir:string -> unit -> t
 (** Open (creating directories as needed) a cache rooted at [dir],
     defaulting to {!default_dir}.  Hit/miss/write counters start at zero.
-    Stale write-temp files (["*.tmp.<pid>"] left behind by a writer that
-    was SIGKILLed between write and rename — the fork pool kills timed-out
-    workers exactly that way) are swept here: a temp whose pid is no
-    longer alive is removed; temps of live writers are left alone. *)
+    Stale write-temp files (["*.tmp.<pid>"] left behind by a process
+    killed between write and rename — SIGKILL, the OOM killer) are swept
+    here: a temp whose pid is no longer alive is removed; temps of live
+    writers are left alone. *)
 
 val dir : t -> string
 

@@ -1,14 +1,17 @@
 module Metrics = Hextime_obs.Metrics
 module Trace = Hextime_obs.Trace
 
-(* These names intentionally collide with the fork pool's: Metrics handles
-   are interned by name, so both backends bump the same live counters and
-   the "pool.tasks" total a sweep reports is backend-independent. *)
+type 'b outcome = ('b, string) result
+
 let tasks_counter = Metrics.counter "pool.tasks"
 let task_hist = Metrics.histogram "pool.task_seconds"
 
+let default_jobs () =
+  match Option.bind (Sys.getenv_opt "HEXTIME_JOBS") int_of_string_opt with
+  | Some n when n >= 1 -> n
+  | Some _ | None -> max 1 (Domain.recommended_domain_count ())
+
 let in_process ~on_result ~on_progress ~f (tasks : 'a array) results =
-  let completed = ref 0 in
   Array.iteri
     (fun i t ->
       let t0 = Unix.gettimeofday () in
@@ -16,43 +19,21 @@ let in_process ~on_result ~on_progress ~f (tasks : 'a array) results =
       Metrics.incr tasks_counter;
       Metrics.observe task_hist (Unix.gettimeofday () -. t0);
       results.(i) <- r;
-      incr completed;
       on_result i r;
-      on_progress ~done_:!completed ~alive:0 ~busy:0)
+      on_progress ~done_:(i + 1) ~alive:0 ~busy:0)
     tasks;
-  (results, { Pool.completed = !completed; crashed = 0; retried = 0; failed = 0 })
+  results
 
-(* No per-task timeout or retry on this backend: workers share the heap,
-   so the only way to stop a runaway task would be to kill the whole
-   process.  The parameters are accepted for signature parity with
-   {!Pool.map} — but silently dropping an {e explicit} fault-isolation
-   request is a trap, so the first map that receives non-default values
-   says so on stderr (once per process; domain-safe via the exchange). *)
-let options_warned = Atomic.make false
-
-let warn_ignored_options ~timeout_s ~retries =
-  if
-    (timeout_s <> Pool.default_timeout_s || retries <> Pool.default_retries)
-    && not (Atomic.exchange options_warned true)
-  then
-    prerr_endline
-      "hextime: warning: timeout/retries are ignored by the domains backend \
-       (domain workers share the heap, so a runaway task cannot be killed \
-       in isolation); use the fork backend to enforce them"
-
-let map ?jobs ?(timeout_s = Pool.default_timeout_s)
-    ?(retries = Pool.default_retries) ?(on_result = fun _ _ -> ())
+let map ?jobs ?(on_result = fun _ _ -> ())
     ?(on_progress = fun ~done_:_ ~alive:_ ~busy:_ -> ()) ~f (tasks : 'a array)
     =
-  warn_ignored_options ~timeout_s ~retries;
   let n = Array.length tasks in
-  let jobs = match jobs with Some j -> max 1 j | None -> Pool.default_jobs () in
-  let results : 'b Pool.outcome array =
+  let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in
+  let results : 'b outcome array =
     Array.make n (Error "parsweep: not executed")
   in
-  if n = 0 then
-    (results, { Pool.completed = 0; crashed = 0; retried = 0; failed = 0 })
-  else if jobs <= 1 || n = 1 then in_process ~on_result ~on_progress ~f tasks results
+  if jobs <= 1 || n <= 1 then
+    in_process ~on_result ~on_progress ~f tasks results
   else begin
     let jobs = min jobs n in
     (* Work distribution is one atomic counter: each worker claims the next
@@ -65,7 +46,6 @@ let map ?jobs ?(timeout_s = Pool.default_timeout_s)
     let next = Atomic.make 0 in
     let done_count = ref 0 in
     let record_mutex = Mutex.create () in
-    let completed = Atomic.make 0 in
     let worker () =
       let rec loop () =
         let i = Atomic.fetch_and_add next 1 in
@@ -82,7 +62,6 @@ let map ?jobs ?(timeout_s = Pool.default_timeout_s)
           Metrics.incr tasks_counter;
           Metrics.observe task_hist dt;
           results.(i) <- r;
-          ignore (Atomic.fetch_and_add completed 1);
           Mutex.protect record_mutex (fun () ->
               incr done_count;
               on_result i r;
@@ -100,11 +79,5 @@ let map ?jobs ?(timeout_s = Pool.default_timeout_s)
     (* the calling domain is the jobs-th worker, not an idle coordinator *)
     worker ();
     List.iter Domain.join others;
-    ( results,
-      {
-        Pool.completed = Atomic.get completed;
-        crashed = 0;
-        retried = 0;
-        failed = 0;
-      } )
+    results
   end

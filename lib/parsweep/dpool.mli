@@ -1,53 +1,54 @@
-(** Domains-based worker pool: run a pure function over an array of tasks
-    on [N] domains of this process, sharing the heap.
+(** Worker pool: run a pure function over an array of tasks on [N] domains
+    of this process, sharing the heap.
 
-    This is the fork pool's high-throughput sibling.  {!Pool} buys fault
-    isolation (a crashing or runaway task cannot take the sweep down) at
-    the price of a fork per worker and a [Marshal] round-trip per result;
-    for the simulator's microsecond-scale points that marshalling tax
-    dominates.  Here workers are [Domain.spawn]ed into the same address
-    space: tasks are claimed off one atomic counter, results are written
-    by reference into their output slot, and the warm state the sweep
-    depends on — the {!Hextime_gpu.Occupancy} memo, the
-    {!Hextime_obs.Metrics} registry, the trace buffer — is shared live
-    rather than snapshotted and merged, all three being domain-safe.
+    Workers are [Domain.spawn]ed into the same address space: tasks are
+    claimed off one atomic counter, results are written by reference into
+    their output slot, and the warm state the sweep depends on — the
+    {!Hextime_gpu.Occupancy} memo, the calibration memos, the
+    {!Hextime_obs.Metrics} registry, the trace buffer — is shared live,
+    all of it domain-safe.
 
     The trade-offs, explicitly:
 
-    - {b No fault isolation.}  An exception in [f] is still caught and
-      returned as [Error], but a segfault, OOM-kill or infinite loop
-      takes the whole process with it.  [timeout_s] and [retries] are
-      accepted for signature parity with {!Pool.map} and {e ignored} —
-      there is no safe way to kill a domain.  Passing a non-default
-      value prints a one-time warning to stderr rather than silently
-      dropping the request.  Sweeps of untrusted or experimental model
-      code should stay on the fork backend.
+    - {b No fault isolation.}  An exception in [f] is caught and returned
+      as [Error], but a segfault, OOM-kill or infinite loop takes the
+      whole process with it: there is no per-task timeout or retry, since
+      a domain cannot be killed in isolation.
     - {b Shared mutable state must be domain-safe.}  Everything the
-      harness's [f] touches is (memo mutex, atomic counters, mutexed
-      trace buffer); new global state reachable from a sweep must follow
-      suit.
+      harness's [f] touches is (per-domain occupancy memo, atomically
+      published calibration memos, atomic counters, mutexed trace
+      buffer); new global state reachable from a sweep must follow suit.
 
-    Determinism: identical to the other paths — results land at their
-    task index, [f] is deterministic, so serial, fork and domains runs
-    return bit-identical results (CI [cmp]s the CSVs).
+    Determinism: results land at their task index and [f] is
+    deterministic, so serial and parallel runs return bit-identical
+    results (CI [cmp]s the CSVs).
 
-    [on_result] and [on_progress] are serialised under one internal
-    mutex (they feed the cache and the progress tracker, which are not
-    domain-safe) and may be called from any worker domain.  Stats:
-    [completed] counts every executed task; [crashed], [retried] and
-    [failed] are always 0 on this backend. *)
+    [on_result] and [on_progress] are serialised under one internal mutex
+    (they feed the cache and the progress tracker, which are not
+    domain-safe) and may be called from any worker domain. *)
+
+type 'b outcome = ('b, string) result
+
+val default_jobs : unit -> int
+(** [$HEXTIME_JOBS] if set to a positive integer, else the machine's
+    recommended parallelism ([Domain.recommended_domain_count]).
+    Non-numeric, zero and negative values fall back to the machine
+    default. *)
 
 val map :
   ?jobs:int ->
-  ?timeout_s:float ->
-  ?retries:int ->
-  ?on_result:(int -> 'b Pool.outcome -> unit) ->
+  ?on_result:(int -> 'b outcome -> unit) ->
   ?on_progress:(done_:int -> alive:int -> busy:int -> unit) ->
   f:('a -> 'b) ->
   'a array ->
-  'b Pool.outcome array * Pool.stats
+  'b outcome array
 (** [map ~f tasks] evaluates [f] on every task across [jobs] domains
-    (default {!Pool.default_jobs}; the calling domain works too, so
-    [jobs] domains run in total).  [jobs <= 1] or fewer than two tasks
-    runs in-process with no spawning, semantics identical to
-    {!Pool.map}'s in-process path. *)
+    (default {!default_jobs}; the calling domain works too, so [jobs]
+    domains run in total) and returns the outcomes in task order.  Every
+    task is executed exactly once.  [jobs <= 1] or fewer than two tasks
+    runs in-process with no spawning.  [on_result] is called as each
+    outcome is recorded, in completion order — the hook the cache layer
+    uses to persist points incrementally so an interrupted sweep can
+    resume.  [on_progress] follows each [on_result] with the running
+    completion count and the worker liveness ([alive] domains of which
+    [busy] have a task in flight; both 0 on the in-process path). *)

@@ -1,38 +1,18 @@
 module Cache = Cache
-module Pool = Pool
 module Dpool = Dpool
 
-type backend = [ `Fork | `Domains ]
+type backend = [ `Domains ]
+type exec = { jobs : int; cache : Cache.t option; backend : backend }
 
-type exec = {
-  jobs : int;
-  cache : Cache.t option;
-  timeout_s : float;
-  retries : int;
-  backend : backend;
-}
+let serial = { jobs = 1; cache = None; backend = `Domains }
 
-let serial =
-  {
-    jobs = 1;
-    cache = None;
-    timeout_s = Pool.default_timeout_s;
-    retries = Pool.default_retries;
-    backend = `Fork;
-  }
+let default ?jobs ?cache_dir () =
+  let jobs =
+    match jobs with Some j -> max 1 j | None -> Dpool.default_jobs ()
+  in
+  { serial with jobs; cache = Some (Cache.create ?dir:cache_dir ()) }
 
-let default ?(backend = `Fork) ?jobs ?cache_dir () =
-  let jobs = match jobs with Some j -> max 1 j | None -> Pool.default_jobs () in
-  { serial with jobs; cache = Some (Cache.create ?dir:cache_dir ()); backend }
-
-type stats = {
-  total : int;
-  cache_hits : int;
-  computed : int;
-  crashed : int;
-  retried : int;
-  failed : int;
-}
+type stats = { total : int; cache_hits : int; computed : int }
 
 let map ?label exec ~key ~f tasks =
   let arr = Array.of_list tasks in
@@ -84,15 +64,7 @@ let map ?label exec ~key ~f tasks =
           ~workers_alive:alive ~workers_busy:busy
   in
   let misses = Array.map (fun i -> arr.(i)) todo in
-  let outcomes, pstats =
-    match exec.backend with
-    | `Fork ->
-        Pool.map ~jobs:exec.jobs ~timeout_s:exec.timeout_s
-          ~retries:exec.retries ~on_result ~on_progress ~f misses
-    | `Domains ->
-        Dpool.map ~jobs:exec.jobs ~timeout_s:exec.timeout_s
-          ~retries:exec.retries ~on_result ~on_progress ~f misses
-  in
+  let outcomes = Dpool.map ~jobs:exec.jobs ~on_result ~on_progress ~f misses in
   (match progress with
   | Some p -> Hextime_obs.Progress.finish p
   | None -> ());
@@ -103,18 +75,8 @@ let map ?label exec ~key ~f tasks =
          (function Some r -> r | None -> Error "parsweep: missing result")
          results)
   in
-  ( out,
-    {
-      total = n;
-      cache_hits = !hits;
-      computed = pstats.Pool.completed;
-      crashed = pstats.Pool.crashed;
-      retried = pstats.Pool.retried;
-      failed = pstats.Pool.failed;
-    } )
+  (out, { total = n; cache_hits = !hits; computed = Array.length misses })
 
 let pp_stats ppf s =
   Format.fprintf ppf "%d points: %d cached, %d computed" s.total s.cache_hits
-    s.computed;
-  if s.retried > 0 then Format.fprintf ppf ", %d retried" s.retried;
-  if s.failed > 0 then Format.fprintf ppf ", %d failed" s.failed
+    s.computed

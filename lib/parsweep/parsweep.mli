@@ -4,14 +4,14 @@
     configurations per experiment (Section 7), and the repository sweeps
     tens of thousands of configurations through the execution simulator in
     CI.  This module makes that cheap: an execution context bundling a
-    {!Pool} of forked workers with an on-disk {!Cache}, behind a single
+    {!Dpool} of worker domains with an on-disk {!Cache}, behind a single
     order-preserving {!map}.
 
-    Layering: {!Cache} knows nothing about processes, {!Pool} knows
-    nothing about persistence; [map] consults the cache in the parent,
-    fans the misses out to the pool, and persists each computed result
-    from the parent as it arrives (the pool's [on_result] hook), so a
-    killed sweep resumes from its last completed point.
+    Layering: {!Cache} knows nothing about workers, {!Dpool} knows nothing
+    about persistence; [map] consults the cache, fans the misses out to
+    the pool, and persists each computed result as it arrives (the pool's
+    [on_result] hook), so a killed sweep resumes from its last completed
+    point.
 
     Determinism: tasks are keyed and collected by index, the cache stores
     marshalled values (bit-exact floats), and the workers run the same
@@ -20,24 +20,17 @@
     differs from [serial] only in wall-clock. *)
 
 module Cache = Cache
-module Pool = Pool
 module Dpool = Dpool
 
-type backend = [ `Fork | `Domains ]
-(** How cache misses are executed in parallel.  [`Fork]: worker processes
-    ({!Pool}) with per-task fault isolation, timeouts and retries —
-    robust, but pays a [Marshal] round-trip per result.  [`Domains]:
-    worker domains of this process ({!Dpool}) sharing the heap and the
-    occupancy memo — results pass by reference, an order of magnitude
-    cheaper per point, but a runaway or crashing task takes the process
-    down ([timeout_s]/[retries] are ignored).  Identical results either
-    way; [jobs <= 1] runs in-process regardless. *)
+type backend = [ `Domains ]
+(** Every parallel sweep runs on {!Dpool}'s worker domains; [`Domains] is
+    the only value.  The type and the [backend] field below remain so
+    that record literals naming the backend
+    ([{ serial with jobs = n; backend = `Domains }]) keep compiling. *)
 
 type exec = {
-  jobs : int;  (** workers; [<= 1] runs in-process *)
+  jobs : int;  (** worker domains; [<= 1] runs in-process *)
   cache : Cache.t option;  (** [None] disables memoisation *)
-  timeout_s : float;  (** per-task wall-clock bound ([`Fork] only) *)
-  retries : int;  (** re-executions after a worker death ([`Fork] only) *)
   backend : backend;
 }
 
@@ -46,19 +39,15 @@ val serial : exec
     harness had before the engine existed.  Library entry points taking
     [?exec] default to this. *)
 
-val default : ?backend:backend -> ?jobs:int -> ?cache_dir:string -> unit -> exec
-(** The CLI default: [jobs] from {!Pool.default_jobs} (the [$HEXTIME_JOBS]
-    override, else all cores), a cache at [cache_dir] (default
-    {!Cache.default_dir}, which honours [$HEXTIME_CACHE_DIR]), and the
-    [`Fork] backend unless overridden. *)
+val default : ?jobs:int -> ?cache_dir:string -> unit -> exec
+(** The CLI default: [jobs] from {!Dpool.default_jobs} (the [$HEXTIME_JOBS]
+    override, else all cores) and a cache at [cache_dir] (default
+    {!Cache.default_dir}, which honours [$HEXTIME_CACHE_DIR]). *)
 
 type stats = {
   total : int;
   cache_hits : int;  (** tasks answered from the cache, no execution *)
   computed : int;  (** tasks actually executed *)
-  crashed : int;
-  retried : int;
-  failed : int;  (** tasks abandoned after exhausting retries *)
 }
 
 val map :
@@ -71,9 +60,8 @@ val map :
 (** [map exec ~key ~f tasks]: results in task order.  [key] must
     determine [f]'s result completely (include a code-version tag — see
     {!Cache}); cached values are returned without executing [f].  [Error]
-    marks engine-level failures only (task crashed/timed out beyond
-    [retries]); domain-level rejection should live inside ['b].  Only [Ok]
-    results are persisted.
+    carries an exception raised by [f]; domain-level rejection should
+    live inside ['b].  Only [Ok] results are persisted.
 
     [label] turns on the hexwatch heartbeat for this sweep: a
     {!Hextime_obs.Progress} tracker spanning every task (cache hits
@@ -82,5 +70,4 @@ val map :
     keeps the sweep silent, exactly as before. *)
 
 val pp_stats : Format.formatter -> stats -> unit
-(** e.g. ["850 points: 840 cached, 10 computed"], appending retry/failure
-    counts only when non-zero. *)
+(** e.g. ["850 points: 840 cached, 10 computed"]. *)

@@ -4,7 +4,6 @@ module Params = Hextime_core.Params
 module Model = Hextime_core.Model
 module Config = Hextime_tiling.Config
 module Space = Hextime_tileopt.Space
-module Descent = Hextime_tileopt.Descent
 module Attribution = Hextime_obs.Attribution
 module Det_hash = Hextime_prelude.Det_hash
 module Microbench = Hextime_harness.Microbench
@@ -14,7 +13,7 @@ module Trace = Hextime_obs.Trace
 (* Bump whenever the recommendation a digest maps to can change meaning:
    the model, the solver's arg-min semantics, or the thread-selection rule.
    Index entries and request keys from older code must miss. *)
-let code_version = "hextime-serve-v1"
+let code_version = "hextime-serve-v2"
 
 type answer = {
   a_config : Config.t;
@@ -71,15 +70,14 @@ let solve ?(req_id = "") (arch : Arch.t) (problem : Problem.t) =
     (fun () ->
       let params = Microbench.params arch in
       let citer = Microbench.citer arch problem.Problem.stencil in
-      (* `Symbolic seeds the multi-start descent with Hexabs' certified
-         branch-and-bound arg-min first; descent only ever accepts strict
-         improvements and the cross-restart fold keeps the first optimum, so
-         the returned shape is exactly the certified (= exhaustive) arg-min
-         at ~1 concrete model evaluation instead of a full enumeration. *)
-      match Descent.solve ~seed_mode:`Symbolic params ~citer problem with
-      | Error e -> Error e
-      | Ok sol -> (
-          match config_of_shape sol.Descent.shape with
+      (* The paper's own procedure (Section 6.1): evaluate the model on
+         every feasible shape of the lattice and keep the minimum — the
+         same arg-min [audit] and every cross-check recompute, so a served
+         answer equals a recomputed one by construction. *)
+      match Optimizer.evaluate_space params ~citer problem with
+      | [] -> Error "advisor: empty feasible space"
+      | evaluated -> (
+          match config_of_shape (Optimizer.best evaluated).Optimizer.shape with
           | Error e -> Error e
           | Ok cfg -> (
               match Model.attribution params ~citer problem cfg with

@@ -3,12 +3,13 @@
 
     This is the hexserve cold path and the index builder's worker, shared
     so a cold miss served live and an index entry built offline are
-    guaranteed to agree.  The solver is {!Hextime_tileopt.Descent.solve}
-    in its [`Symbolic] seed mode: {!Hextime_analysis.Hexabs.minimize}
-    certifies the Talg arg-min over the tile lattice with ~1 concrete
-    model evaluation, the descent polishes from that seed (a no-op at the
-    optimum, by construction), and the answer carries the predicted Talg
-    plus its Section-5 cost attribution. *)
+    guaranteed to agree.  The solver is the paper's (Section 6.1): the
+    model is evaluated on every feasible shape of the tile lattice
+    ({!Hextime_tileopt.Optimizer.evaluate_space}, at most 1,664 shapes)
+    and the minimum kept ({!Hextime_tileopt.Optimizer.best}), so the
+    answer is the exhaustive arg-min that {!audit} and every cross-check
+    recompute.  The answer carries the predicted Talg plus its Section-5
+    cost attribution. *)
 
 val code_version : string
 (** Versions {!request_key} and the index schema together: bump it and
@@ -39,11 +40,13 @@ val solve :
   Hextime_gpu.Arch.t ->
   Hextime_stencil.Problem.t ->
   (answer, string) result
-(** Compute the recommendation from scratch (the cold path).  Returns the
-    exhaustive-sweep arg-min configuration without the exhaustive sweep.
-    When tracing is enabled the solve is wrapped in an [advisor.solve]
-    span carrying [req_id] (the serving request id), so a slow cold solve
-    is attributable to the request that paid for it. *)
+(** Compute the recommendation from scratch (the cold path): the
+    exhaustive-sweep arg-min shape ({!config_of_shape} picks its threads),
+    with a predicted Talg bit-equal to the sweep's minimum.  [Error] when
+    the feasible space is empty.  When tracing is enabled the solve is
+    wrapped in an [advisor.solve] span carrying [req_id] (the serving
+    request id), so a slow cold solve is attributable to the request that
+    paid for it. *)
 
 (** {1 Online drift auditing}
 

@@ -74,8 +74,7 @@ val run :
     (stale or malformed indexes are discarded with a warning) and is the
     write-back target for cold-miss answers; without it the index lives
     only in memory.  [exec] drives the cold-path batch and the audit
-    batches (default {!Hextime_parsweep.Parsweep.serial} — callers that
-    spawned domains must not use the fork backend).  [on_ready] fires
+    batches (default {!Hextime_parsweep.Parsweep.serial}).  [on_ready] fires
     after the sockets are bound and listening, before the first accept:
     tests use it to release clients.  The socket file is unlinked on
     exit.

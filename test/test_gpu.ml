@@ -431,7 +431,6 @@ let test_occupancy_memo_counts () =
   Alcotest.(check int) "hits + misses = calls" 30 (h1 - h0 + (m1 - m0));
   Alcotest.(check int) "one miss per new request" 10 (m1 - m0)
 
-(* Spawns domains, so it runs after every suite that forks. *)
 let test_occupancy_memo_domains () =
   let n = 300 in
   (* distinct: within each run of 7 consecutive i the thread counts differ *)

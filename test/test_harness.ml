@@ -87,6 +87,54 @@ let test_microbench_memo_keys () =
   Alcotest.(check (float 0.0)) "renamed arch, same C_iter" c
     (H.Microbench.citer renamed S.heat2d)
 
+(* Worker domains of a parallel sweep or index build calibrate new
+   contexts concurrently: every racing first calibration must land in the
+   memos, and each domain must get the answer a serial, memo-free
+   calibration gives. *)
+let test_microbench_memos_across_domains () =
+  let domains = 4 in
+  (* n_sm above the preset's 16, so no other test has calibrated them *)
+  let variants = List.init 32 (fun k -> { arch with Gpu.Arch.n_sm = 17 + k }) in
+  List.iter
+    (fun a ->
+      Alcotest.(check bool) "variant not calibrated yet" false
+        (H.Microbench.memoized a S.heat2d))
+    variants;
+  let ready = Atomic.make 0 in
+  let calibrate mine () =
+    (* start together, so the first inserts race *)
+    Atomic.incr ready;
+    while Atomic.get ready < domains do
+      Domain.cpu_relax ()
+    done;
+    List.map
+      (fun a -> (a, H.Microbench.params a, H.Microbench.citer a S.heat2d))
+      mine
+  in
+  let answers =
+    List.init domains (fun d ->
+        Domain.spawn
+          (calibrate (List.filteri (fun i _ -> i mod domains = d) variants)))
+    |> List.concat_map Domain.join
+  in
+  Alcotest.(check int) "every variant calibrated" (List.length variants)
+    (List.length answers);
+  List.iter
+    (fun ((a : Gpu.Arch.t), p, c) ->
+      let serial =
+        Params.of_microbenchmarks a ~l_word:(H.Microbench.measure_l a)
+          ~tau_sync:(H.Microbench.measure_tau_sync a)
+          ~t_sync:(H.Microbench.measure_t_sync a)
+      in
+      let name = Printf.sprintf "n_sm = %d" a.Gpu.Arch.n_sm in
+      Alcotest.(check bool) (name ^ ": serial constants") true (p = serial);
+      Alcotest.(check (float 0.0)) (name ^ ": serial C_iter")
+        (H.Microbench.measure_citer a S.heat2d)
+        c;
+      Alcotest.(check bool) (name ^ ": memoized") true
+        (H.Microbench.memoized a S.heat2d))
+    answers
+
 let test_experiment_grids () =
   Alcotest.(check int) "paper 2D experiments" 80
     (List.length (H.Experiments.all_2d H.Experiments.Paper));
@@ -707,4 +755,6 @@ let suite =
       test_explain_recompute_verifies_stored;
     Alcotest.test_case "explain: discrete decision flips" `Quick
       test_explain_decision_flips;
+    Alcotest.test_case "microbench memos across domains" `Quick
+      test_microbench_memos_across_domains;
   ]

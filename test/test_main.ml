@@ -17,10 +17,6 @@ let () =
       ("obs", Test_obs.suite);
       ("extensions", Test_extensions.suite);
       ("hexabs", Test_hexabs.suite);
-      (* spawns domains: after every suite that forks *)
       ("gpu-domain", Test_gpu.domain_suite);
-      (* keep last: serve tests run the server in spawned domains, and
-         OCaml 5 forbids Unix.fork (the pool backend every earlier suite
-         exercises) once a domain has been spawned *)
       ("serve", Test_serve.suite);
     ]

@@ -53,68 +53,6 @@ let test_counter_gauge_histogram () =
       Alcotest.(check int) "largest bucket holds two" 2
         (List.fold_left (fun acc (_, n) -> max acc n) 0 hs.Metrics.hs_buckets)
 
-let test_merge_and_absorb () =
-  (* literal snapshots: merge semantics without registry cross-talk *)
-  let hist ~count ~sum ~mn ~mx ~buckets =
-    {
-      Metrics.hs_count = count;
-      hs_sum = sum;
-      hs_min = mn;
-      hs_max = mx;
-      hs_buckets = buckets;
-    }
-  in
-  let a =
-    {
-      Metrics.snap_counters = [ ("only.a", 3); ("shared", 10) ];
-      snap_gauges = [ ("g", 1.0) ];
-      snap_histograms =
-        [ ("h", hist ~count:1 ~sum:1.0 ~mn:1.0 ~mx:1.0 ~buckets:[ (64, 1) ]) ];
-    }
-  in
-  let b =
-    {
-      Metrics.snap_counters = [ ("only.b", 5); ("shared", 32) ];
-      snap_gauges = [ ("g", 9.0) ];
-      snap_histograms =
-        [
-          ( "h",
-            hist ~count:2 ~sum:6.0 ~mn:2.0 ~mx:4.0
-              ~buckets:[ (65, 1); (66, 1) ] );
-        ];
-    }
-  in
-  let m = Metrics.merge a b in
-  Alcotest.(check (option int)) "left-only counter kept" (Some 3)
-    (Metrics.find_counter m "only.a");
-  Alcotest.(check (option int)) "right-only counter kept" (Some 5)
-    (Metrics.find_counter m "only.b");
-  Alcotest.(check (option int)) "shared counters add" (Some 42)
-    (Metrics.find_counter m "shared");
-  Alcotest.(check (option (float 1e-12))) "gauge: right wins" (Some 9.0)
-    (List.assoc_opt "g" m.Metrics.snap_gauges);
-  (match List.assoc_opt "h" m.Metrics.snap_histograms with
-  | None -> Alcotest.fail "merged histogram missing"
-  | Some hs ->
-      Alcotest.(check int) "histogram counts add" 3 hs.Metrics.hs_count;
-      Alcotest.(check (float 1e-12)) "histogram sums add" 7.0 hs.Metrics.hs_sum;
-      Alcotest.(check (float 1e-12)) "histogram min combines" 1.0
-        hs.Metrics.hs_min;
-      Alcotest.(check (float 1e-12)) "histogram max combines" 4.0
-        hs.Metrics.hs_max;
-      Alcotest.(check int) "bucket lists union" 3
-        (List.length hs.Metrics.hs_buckets));
-  (* absorb: a worker-style delta lands in the live registry *)
-  let c = Metrics.counter "test.obs.absorb" in
-  let base = Metrics.value c in
-  Metrics.absorb
-    {
-      Metrics.empty with
-      Metrics.snap_counters = [ ("test.obs.absorb", 7) ];
-    };
-  Alcotest.(check int) "absorb adds into live counters" (base + 7)
-    (Metrics.value c)
-
 (* --- Trace ----------------------------------------------------------------- *)
 
 let test_trace_gating () =
@@ -177,21 +115,6 @@ let test_trace_records_and_exports () =
       match Minijson.member "metrics" json with
       | Some (Minijson.Obj _) -> Trace.reset ()
       | _ -> Alcotest.fail "extra top-level member lost")
-
-let test_trace_absorb_preserves_worker_pid () =
-  with_tracing @@ fun () ->
-  Trace.reset ();
-  let foreign =
-    Trace.make ~ts_us:12.0 ~dur_us:3.0 ~ph:"X" "test.obs.foreign"
-  in
-  let foreign = { foreign with Trace.ev_pid = 424242 } in
-  Trace.absorb [ foreign ];
-  (match Trace.events () with
-  | [ ev ] ->
-      Alcotest.(check int) "absorbed event keeps its origin pid" 424242
-        ev.Trace.ev_pid
-  | _ -> Alcotest.fail "absorb should append exactly one event");
-  Trace.reset ()
 
 (* --- Minijson: non-finite floats and round-trips --------------------------- *)
 
@@ -1217,12 +1140,9 @@ let suite =
     Alcotest.test_case "histogram quantiles" `Quick test_histogram_quantiles;
     Alcotest.test_case "quantiles exported in snapshot JSON" `Quick
       test_quantiles_in_snapshot_json;
-    Alcotest.test_case "merge and absorb" `Quick test_merge_and_absorb;
     Alcotest.test_case "trace gating" `Quick test_trace_gating;
     Alcotest.test_case "trace records and exports" `Quick
       test_trace_records_and_exports;
-    Alcotest.test_case "trace absorb keeps worker pid" `Quick
-      test_trace_absorb_preserves_worker_pid;
     Alcotest.test_case "minijson non-finite floats" `Quick
       test_minijson_nonfinite;
     Alcotest.test_case "minijson nested/large round-trip" `Quick

@@ -4,7 +4,6 @@
    identity. *)
 
 module Parsweep = Hextime_parsweep.Parsweep
-module Pool = Hextime_parsweep.Pool
 module Dpool = Hextime_parsweep.Dpool
 module Cache = Hextime_parsweep.Cache
 module Gpu = Hextime_gpu
@@ -64,22 +63,37 @@ let test_subsample_validation () =
     (Invalid_argument "Sweep.subsample: limit must be positive") (fun () ->
       ignore (H.Sweep.subsample (Some 0) [ 1; 2; 3 ]))
 
-(* --- Pool ----------------------------------------------------------------- *)
+(* --- Dpool: the in-process path and the recording hooks ------------------- *)
 
 let ok = Alcotest.(result int string)
 
+(* every outcome is recorded exactly once through [on_result], and the
+   progress hook ends on the full count, whichever path runs the tasks *)
 let test_pool_parallel_matches_serial () =
   let tasks = Array.init 50 (fun i -> i) in
   let f i = (i * i) + 7 in
-  let serial, _ = Pool.map ~jobs:1 ~f tasks in
-  let parallel, stats = Pool.map ~jobs:4 ~f tasks in
-  Alcotest.(check (array ok)) "point-for-point identical" serial parallel;
-  Alcotest.(check int) "all completed" 50 stats.Pool.completed;
-  Alcotest.(check int) "no crashes" 0 stats.Pool.crashed
+  let run jobs =
+    let recorded = Array.make 50 [] in
+    let last_done = ref 0 in
+    let results =
+      Dpool.map ~jobs
+        ~on_result:(fun i r -> recorded.(i) <- r :: recorded.(i))
+        ~on_progress:(fun ~done_ ~alive:_ ~busy:_ -> last_done := done_)
+        ~f tasks
+    in
+    Alcotest.(check (array (list ok))) "each outcome recorded once"
+      (Array.map (fun r -> [ r ]) results)
+      recorded;
+    Alcotest.(check int) "progress reaches the task count" 50 !last_done;
+    results
+  in
+  let serial = run 1 in
+  let parallel = run 4 in
+  Alcotest.(check (array ok)) "point-for-point identical" serial parallel
 
 let test_pool_exception_becomes_error () =
   let f i = if i = 3 then failwith "boom" else i in
-  let results, stats = Pool.map ~jobs:2 ~f (Array.init 6 Fun.id) in
+  let results = Dpool.map ~jobs:1 ~f (Array.init 6 Fun.id) in
   (match results.(3) with
   | Error msg ->
       Alcotest.(check bool) "message preserved" true
@@ -87,203 +101,9 @@ let test_pool_exception_becomes_error () =
   | Ok _ -> Alcotest.fail "exception not surfaced");
   Array.iteri
     (fun i r -> if i <> 3 then Alcotest.(check ok) "others fine" (Ok i) r)
-    results;
-  (* a caught exception is a completed task, not a worker death *)
-  Alcotest.(check int) "no crashes" 0 stats.Pool.crashed
-
-let test_pool_killed_worker_retried () =
-  let marker = Filename.temp_file "hextime-retry" ".marker" in
-  Sys.remove marker;
-  let f i =
-    if i = 5 && not (Sys.file_exists marker) then begin
-      close_out (open_out marker);
-      Unix.kill (Unix.getpid ()) Sys.sigkill;
-      0 (* unreachable *)
-    end
-    else i * 10
-  in
-  let results, stats = Pool.map ~jobs:2 ~retries:1 ~f (Array.init 10 Fun.id) in
-  Sys.remove marker;
-  Array.iteri
-    (fun i r -> Alcotest.(check ok) "retry recovered" (Ok (i * 10)) r)
-    results;
-  Alcotest.(check bool) "death observed" true (stats.Pool.crashed >= 1);
-  Alcotest.(check bool) "task retried" true (stats.Pool.retried >= 1);
-  Alcotest.(check int) "nothing abandoned" 0 stats.Pool.failed
-
-let test_pool_retries_exhausted () =
-  let f i =
-    if i = 3 then begin
-      Unix.kill (Unix.getpid ()) Sys.sigkill;
-      0
-    end
-    else i
-  in
-  let results, stats = Pool.map ~jobs:2 ~retries:1 ~f (Array.init 6 Fun.id) in
-  (match results.(3) with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "always-crashing task reported Ok");
-  Array.iteri
-    (fun i r -> if i <> 3 then Alcotest.(check ok) "others fine" (Ok i) r)
-    results;
-  Alcotest.(check int) "one task abandoned" 1 stats.Pool.failed;
-  Alcotest.(check bool) "both attempts crashed" true (stats.Pool.crashed >= 2)
-
-let test_pool_timeout () =
-  let f i =
-    if i = 2 then Unix.sleepf 30.0;
-    i
-  in
-  let results, stats =
-    Pool.map ~jobs:2 ~timeout_s:0.4 ~retries:0 ~f (Array.init 4 Fun.id)
-  in
-  (match results.(2) with
-  | Error msg ->
-      Alcotest.(check bool) "timeout named" true
-        (Test_util.contains msg "timed out")
-  | Ok _ -> Alcotest.fail "hung task reported Ok");
-  Array.iteri
-    (fun i r -> if i <> 2 then Alcotest.(check ok) "others fine" (Ok i) r)
-    results;
-  Alcotest.(check int) "one task abandoned" 1 stats.Pool.failed
-
-(* chunking: many points per fork-task envelope amortizes the marshal and
-   scheduling overhead; results, ordering and fault isolation must be
-   unchanged relative to the one-task-per-message protocol *)
-
-let test_pool_explicit_chunking_identity () =
-  let tasks = Array.init 100 Fun.id in
-  let f i = (i * 3) + 1 in
-  let serial, _ = Pool.map ~jobs:1 ~f tasks in
-  let chunked, stats = Pool.map ~jobs:4 ~chunk:8 ~f tasks in
-  Alcotest.(check (array ok)) "chunked results point-for-point identical"
-    serial chunked;
-  Alcotest.(check int) "all completed" 100 stats.Pool.completed;
-  Alcotest.(check int) "no crashes" 0 stats.Pool.crashed
-
-let test_pool_chunked_crash_retried_as_singletons () =
-  let marker = Filename.temp_file "hextime-chunk-retry" ".marker" in
-  Sys.remove marker;
-  let f i =
-    if i = 7 && not (Sys.file_exists marker) then begin
-      close_out (open_out marker);
-      Unix.kill (Unix.getpid ()) Sys.sigkill;
-      0 (* unreachable *)
-    end
-    else i * 2
-  in
-  let results, stats =
-    Pool.map ~jobs:2 ~chunk:5 ~retries:1 ~f (Array.init 20 Fun.id)
-  in
-  Sys.remove marker;
-  (* the whole chunk died with the worker, but every task in it — poison
-     point included — recovers via singleton retries *)
-  Array.iteri
-    (fun i r -> Alcotest.(check ok) "retry recovered" (Ok (i * 2)) r)
-    results;
-  Alcotest.(check bool) "death observed" true (stats.Pool.crashed >= 1);
-  Alcotest.(check bool) "chunk tasks retried" true (stats.Pool.retried >= 1);
-  Alcotest.(check int) "nothing abandoned" 0 stats.Pool.failed
-
-(* --- Pool observability ----------------------------------------------------- *)
-
-(* each failure mode must carry the dead worker's flight-recorder tail: the
-   persisted span ring survives SIGKILL, so the failure report can say what
-   the worker was doing when it died *)
-
-let test_pool_crash_report_carries_flight_recorder () =
-  let f i =
-    if i = 3 then begin
-      Unix.kill (Unix.getpid ()) Sys.sigkill;
-      0
-    end
-    else i
-  in
-  let results, _ = Pool.map ~jobs:2 ~retries:0 ~f (Array.init 6 Fun.id) in
-  match results.(3) with
-  | Ok _ -> Alcotest.fail "crashing task reported Ok"
-  | Error msg ->
-      Alcotest.(check bool) "crash named" true
-        (Test_util.contains msg "worker crashed");
-      Alcotest.(check bool) "flight recorder attached" true
-        (Test_util.contains msg "flight recorder");
-      Alcotest.(check bool) "final span is the fatal task" true
-        (Test_util.contains msg "pool.task")
-
-let test_pool_timeout_report_carries_flight_recorder () =
-  let f i =
-    if i = 2 then Unix.sleepf 30.0;
-    i
-  in
-  let results, _ =
-    Pool.map ~jobs:2 ~timeout_s:0.4 ~retries:0 ~f (Array.init 4 Fun.id)
-  in
-  match results.(2) with
-  | Ok _ -> Alcotest.fail "hung task reported Ok"
-  | Error msg ->
-      Alcotest.(check bool) "timeout named" true
-        (Test_util.contains msg "timed out");
-      Alcotest.(check bool) "flight recorder attached" true
-        (Test_util.contains msg "flight recorder")
-
-let test_pool_retry_exhaustion_report_carries_flight_recorder () =
-  let f i =
-    if i = 1 then begin
-      Unix.kill (Unix.getpid ()) Sys.sigkill;
-      0
-    end
-    else i
-  in
-  let results, stats = Pool.map ~jobs:2 ~retries:2 ~f (Array.init 4 Fun.id) in
-  Alcotest.(check bool) "every retry crashed" true (stats.Pool.crashed >= 3);
-  match results.(1) with
-  | Ok _ -> Alcotest.fail "always-crashing task reported Ok"
-  | Error msg ->
-      Alcotest.(check bool) "flight recorder attached after final retry" true
-        (Test_util.contains msg "flight recorder")
+    results
 
 let obs_work_counter = Hextime_obs.Metrics.counter "test.parsweep.work"
-
-(* the fork-boundary fix: worker counter deltas are shipped back with each
-   result and absorbed, so parent-side totals match the in-process path *)
-let test_pool_counters_survive_fork () =
-  let f _ =
-    Hextime_obs.Metrics.incr obs_work_counter ~by:2;
-    0
-  in
-  let count run =
-    let before = Hextime_obs.Metrics.value obs_work_counter in
-    run ();
-    Hextime_obs.Metrics.value obs_work_counter - before
-  in
-  let serial =
-    count (fun () -> ignore (Pool.map ~jobs:1 ~f (Array.init 25 Fun.id)))
-  in
-  let forked =
-    count (fun () -> ignore (Pool.map ~jobs:3 ~f (Array.init 25 Fun.id)))
-  in
-  Alcotest.(check int) "in-process total" 50 serial;
-  Alcotest.(check int) "forked total equals in-process total" serial forked
-
-let test_pool_ships_worker_spans () =
-  Hextime_obs.Trace.enable ();
-  Fun.protect ~finally:(fun () ->
-      Hextime_obs.Trace.disable ();
-      Hextime_obs.Trace.reset ())
-  @@ fun () ->
-  Hextime_obs.Trace.reset ();
-  let f i = Hextime_obs.Trace.with_span "test.span" (fun () -> i) in
-  ignore (Pool.map ~jobs:2 ~f (Array.init 8 Fun.id));
-  let spans =
-    List.filter
-      (fun e -> e.Hextime_obs.Trace.ev_name = "test.span")
-      (Hextime_obs.Trace.events ())
-  in
-  Alcotest.(check int) "every worker span shipped to the parent" 8
-    (List.length spans);
-  let parent = Unix.getpid () in
-  Alcotest.(check bool) "spans carry worker pids, not the parent's" true
-    (List.for_all (fun e -> e.Hextime_obs.Trace.ev_pid <> parent) spans)
 
 (* --- Cache ---------------------------------------------------------------- *)
 
@@ -466,16 +286,13 @@ let test_runner_reports_binding_kernel () =
 let test_dpool_matches_serial () =
   let tasks = Array.init 50 (fun i -> i) in
   let f i = (i * i) + 7 in
-  let serial, _ = Pool.map ~jobs:1 ~f tasks in
-  let domains, stats = Dpool.map ~jobs:4 ~f tasks in
-  Alcotest.(check (array ok)) "point-for-point identical" serial domains;
-  Alcotest.(check int) "all completed" 50 stats.Pool.completed;
-  Alcotest.(check int) "no crashes" 0 stats.Pool.crashed;
-  Alcotest.(check int) "nothing abandoned" 0 stats.Pool.failed
+  let serial = Dpool.map ~jobs:1 ~f tasks in
+  let domains = Dpool.map ~jobs:4 ~f tasks in
+  Alcotest.(check (array ok)) "point-for-point identical" serial domains
 
 let test_dpool_exception_becomes_error () =
   let f i = if i = 3 then failwith "boom" else i in
-  let results, stats = Dpool.map ~jobs:2 ~f (Array.init 6 Fun.id) in
+  let results = Dpool.map ~jobs:2 ~f (Array.init 6 Fun.id) in
   (match results.(3) with
   | Error msg ->
       Alcotest.(check bool) "message preserved" true
@@ -483,12 +300,10 @@ let test_dpool_exception_becomes_error () =
   | Ok _ -> Alcotest.fail "exception not surfaced");
   Array.iteri
     (fun i r -> if i <> 3 then Alcotest.(check ok) "others fine" (Ok i) r)
-    results;
-  (* a caught exception is a completed task; domains can't crash a worker *)
-  Alcotest.(check int) "no crashes" 0 stats.Pool.crashed
+    results
 
 (* the Atomic-counter requirement: domain workers bump the same process-wide
-   counters the serial path does, so serial == fork == domains totals hold *)
+   counters the serial path does, so serial == parallel totals hold *)
 let test_dpool_counters_match_serial () =
   let f _ =
     Hextime_obs.Metrics.incr obs_work_counter ~by:2;
@@ -500,7 +315,7 @@ let test_dpool_counters_match_serial () =
     Hextime_obs.Metrics.value obs_work_counter - before
   in
   let serial =
-    count (fun () -> ignore (Pool.map ~jobs:1 ~f (Array.init 25 Fun.id)))
+    count (fun () -> ignore (Dpool.map ~jobs:1 ~f (Array.init 25 Fun.id)))
   in
   let domains =
     count (fun () -> ignore (Dpool.map ~jobs:3 ~f (Array.init 25 Fun.id)))
@@ -508,11 +323,12 @@ let test_dpool_counters_match_serial () =
   Alcotest.(check int) "in-process total" 50 serial;
   Alcotest.(check int) "domains total equals in-process total" serial domains
 
+(* the record literal external callers write, backend named *)
 let test_sweep_domains_identical_to_serial () =
   let serial = H.Sweep.baseline experiment in
   let domains =
     H.Sweep.baseline
-      ~exec:{ Parsweep.serial with Parsweep.jobs = 3; backend = `Domains }
+      ~exec:{ Parsweep.serial with Parsweep.jobs = 2; backend = `Domains }
       experiment
   in
   Alcotest.(check bool) "sweep non-trivial" true
@@ -546,13 +362,14 @@ let test_pricing_neutral_rename_stays_warm () =
 
 let test_cache_sweeps_stale_tmp_files () =
   let dir = fresh_dir () in
-  (* a real dead pid: fork a child and reap it *)
+  (* a real dead pid: run a child to completion and reap it *)
   let dead_pid =
-    match Unix.fork () with
-    | 0 -> Unix._exit 0
-    | pid ->
-        ignore (Unix.waitpid [] pid);
-        pid
+    let pid =
+      Unix.create_process "true" [| "true" |] Unix.stdin Unix.stdout
+        Unix.stderr
+    in
+    ignore (Unix.waitpid [] pid);
+    pid
   in
   let write name =
     let oc = open_out_bin (Filename.concat dir name) in
@@ -585,17 +402,17 @@ let test_default_jobs_env_validation () =
       f
   in
   (* "" parses as no override, so this is the machine default *)
-  let machine = with_env "" (fun () -> Pool.default_jobs ()) in
+  let machine = with_env "" (fun () -> Dpool.default_jobs ()) in
   Alcotest.(check bool) "machine default positive" true (machine >= 1);
   List.iter
     (fun v ->
       Alcotest.(check int)
         (Printf.sprintf "HEXTIME_JOBS=%S falls back to the machine default" v)
         machine
-        (with_env v (fun () -> Pool.default_jobs ())))
+        (with_env v (fun () -> Dpool.default_jobs ())))
     [ "0"; "-3"; "garbage" ];
   Alcotest.(check int) "valid override honoured" 4
-    (with_env "4" (fun () -> Pool.default_jobs ()))
+    (with_env "4" (fun () -> Dpool.default_jobs ()))
 
 (* --- cache round-trips under QCheck ------------------------------------------ *)
 
@@ -655,22 +472,11 @@ let suite =
       test_pool_parallel_matches_serial;
     Alcotest.test_case "pool exception -> Error" `Quick
       test_pool_exception_becomes_error;
-    Alcotest.test_case "pool killed worker retried" `Quick
-      test_pool_killed_worker_retried;
-    Alcotest.test_case "pool retries exhausted" `Quick
-      test_pool_retries_exhausted;
-    Alcotest.test_case "pool timeout" `Quick test_pool_timeout;
-    Alcotest.test_case "pool explicit chunking identity" `Quick
-      test_pool_explicit_chunking_identity;
-    Alcotest.test_case "pool chunked crash retried as singletons" `Quick
-      test_pool_chunked_crash_retried_as_singletons;
     Alcotest.test_case "cache roundtrip" `Quick test_cache_roundtrip;
     Alcotest.test_case "cache corrupt entry" `Quick
       test_cache_corrupt_entry_is_a_miss;
     Alcotest.test_case "map resumes from cache" `Quick
       test_map_resumes_from_cache;
-    (* forks a child for a dead pid, so it must run before any test that
-       spawns domains: OCaml 5 forbids Unix.fork once domains exist *)
     Alcotest.test_case "stale write-temps swept" `Quick
       test_cache_sweeps_stale_tmp_files;
     Alcotest.test_case "sweep parallel = serial" `Quick

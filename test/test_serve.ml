@@ -1,12 +1,8 @@
 (* hexserve: the precomputed arg-min index, the wire protocol, and the
    advisor service.  The load-bearing properties: an index survives a
    save/load round-trip with bit-identical answers, the cold path returns
-   exactly the exhaustive-sweep arg-min on every accuracy-baseline
-   experiment, and concurrent clients get deterministic answers.
-
-   These tests spawn domains (the server runs in one), so this suite must
-   be registered LAST: OCaml 5 forbids Unix.fork once domains exist, and
-   every fork-backend pool test precedes us. *)
+   exactly the exhaustive-sweep arg-min, and concurrent clients get
+   deterministic answers. *)
 
 module Serve = Hextime_serve
 module Advisor = Serve.Advisor
@@ -202,14 +198,12 @@ let test_index_rejects_stale_code_version () =
 
 (* --- cold path: exact exhaustive arg-min ------------------------------------ *)
 
-(* On every accuracy-baseline experiment, the advisor's certified-seed
-   descent must land on the configuration the exhaustive model sweep picks
-   — same tiles, bit-identical predicted Talg.  This is the guarantee that
-   a cold miss served live agrees with `hextime tune`. *)
-let test_cold_path_matches_exhaustive_argmin () =
-  let experiments = H.Experiments.all H.Experiments.Ci in
-  Alcotest.(check int) "accuracy-baseline experiment count" 12
-    (List.length experiments);
+(* The advisor must answer with the configuration the exhaustive model
+   sweep picks — same tiles, bit-identical predicted Talg.  This is the
+   guarantee that a cold miss served live agrees with `hextime tune` and
+   with `ask --check`. *)
+let check_cold_path_is_exhaustive_argmin (experiments : H.Experiments.t list)
+    =
   List.iter
     (fun (e : H.Experiments.t) ->
       let id = H.Experiments.id e in
@@ -236,6 +230,30 @@ let test_cold_path_matches_exhaustive_argmin () =
             (id ^ ": Talg bit-exact")
             best.Optimizer.prediction.Model.talg a.Advisor.a_talg)
     experiments
+
+let test_cold_path_matches_exhaustive_argmin () =
+  let experiments = H.Experiments.all H.Experiments.Ci in
+  Alcotest.(check int) "accuracy-baseline experiment count" 12
+    (List.length experiments);
+  check_cold_path_is_exhaustive_argmin experiments
+
+(* Beyond the CI grid: the whole paper-scale grid, whose problems have
+   near-optimal shapes off the lattice and exact Talg ties between
+   shapes, plus two problems CI asks cold with `ask --check`. *)
+let test_cold_path_matches_exhaustive_argmin_paper () =
+  let experiments = H.Experiments.all H.Experiments.Paper in
+  Alcotest.(check int) "paper-scale experiment count" 128
+    (List.length experiments);
+  let named arch stencil space time =
+    {
+      H.Experiments.arch = Gpu.Arch.find arch;
+      problem = P.make (S.find stencil) ~space ~time;
+    }
+  in
+  check_cold_path_is_exhaustive_argmin
+    (named "gtx980" "laplacian3d" [| 88; 112; 104 |] 36
+    :: named "titanx" "gradient2d" [| 544; 512 |] 112
+    :: experiments)
 
 (* --- the server ------------------------------------------------------------- *)
 
@@ -799,6 +817,8 @@ let suite =
       test_index_rejects_stale_code_version;
     Alcotest.test_case "cold path = exhaustive arg-min (12 experiments)"
       `Quick test_cold_path_matches_exhaustive_argmin;
+    Alcotest.test_case "cold path = exhaustive arg-min (paper grid)" `Quick
+      test_cold_path_matches_exhaustive_argmin_paper;
     Alcotest.test_case "serve: cold, warm, write-back, concurrent clients"
       `Quick test_serve_cold_warm_writeback_and_concurrency;
     Alcotest.test_case "hexpulse: scrape endpoint, quantile round-trip"
