@@ -50,23 +50,20 @@ let maybe_flush t ~now =
 (* The record is streamed straight into the reused buffer — no Minijson
    tree, no [render_compact] (the A/B bench put the tree + render at ~3 us
    per record, most of the log's warm-path cost; this path is ~1 us).
-   Strings take a scan-first fast path: request digests, sources and
-   config ids never need escaping, so the common case is one bulk
-   [Buffer.add_string]; anything else falls back to Minijson's escaper.
-   Times are rendered at fixed precision by integer math rather than
-   %.17g via sprintf: microseconds on the unix timestamp and on the
-   latency are exact enough for a log. *)
+   Strings go through Minijson's scan-first escaper: request digests,
+   sources and config ids never need escaping, so the common case is one
+   bulk [Buffer.add_string].  Times are rendered at fixed precision by
+   integer math rather than %.17g: microseconds on the unix timestamp and
+   on the latency are exact enough for a log. *)
 let add_str t s =
   Buffer.add_char t.buf '"';
-  let n = String.length s in
-  let rec clean i =
-    i >= n
-    ||
-    let c = String.unsafe_get s i in
-    c <> '"' && c <> '\\' && Char.code c >= 0x20 && clean (i + 1)
-  in
-  if clean 0 then Buffer.add_string t.buf s else Minijson.add_escaped t.buf s;
+  Minijson.add_escaped t.buf s;
   Buffer.add_char t.buf '"'
+
+(* the [width] low decimal digits of [n >= 0], zero-padded *)
+let rec add_padded buf width n =
+  if width > 1 then add_padded buf (width - 1) (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
 
 (* Fixed 6-decimal rendering: [f] is a unix timestamp or a latency in us,
    both far inside the range where [f *. 1e6] is exact to the digit. *)
@@ -82,7 +79,7 @@ let add_time t f =
     in
     Buffer.add_string t.buf (Int64.to_string sec);
     Buffer.add_char t.buf '.';
-    Buffer.add_string t.buf (Printf.sprintf "%06d" frac)
+    add_padded t.buf 6 frac
   end
 
 let log t ~ts ~req_id ~key ~source ~latency_us ?digest ?error ?attribution ()

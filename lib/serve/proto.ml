@@ -7,24 +7,20 @@ module Minijson = Hextime_prelude.Minijson
    client can make the server allocate. *)
 let max_frame = 1 lsl 20
 
+(* Header and payload go out in one [write]: a reader woken by a lone
+   header would only block again waiting for the payload, and on a shared
+   CPU that is an extra context switch per frame. *)
 let write_frame fd json =
-  let payload = Bytes.unsafe_of_string (Minijson.render_compact json) in
-  let n = Bytes.length payload in
+  let payload = Minijson.render_compact json in
+  let n = String.length payload in
   if n > max_frame then invalid_arg "Proto.write_frame: frame too large";
-  let header = Bytes.create 4 in
-  Bytes.set_uint8 header 0 ((n lsr 24) land 0xff);
-  Bytes.set_uint8 header 1 ((n lsr 16) land 0xff);
-  Bytes.set_uint8 header 2 ((n lsr 8) land 0xff);
-  Bytes.set_uint8 header 3 (n land 0xff);
-  let write_all b =
-    let len = Bytes.length b in
-    let off = ref 0 in
-    while !off < len do
-      off := !off + Unix.write fd b !off (len - !off)
-    done
-  in
-  write_all header;
-  write_all payload
+  let frame = Bytes.create (4 + n) in
+  Bytes.set_int32_be frame 0 (Int32.of_int n);
+  Bytes.blit_string payload 0 frame 4 n;
+  let off = ref 0 in
+  while !off < 4 + n do
+    off := !off + Unix.write fd frame !off (4 + n - !off)
+  done
 
 (* [Ok None] is a clean end-of-stream (the client closed between frames);
    anything malformed — short header, oversized length, truncated payload,

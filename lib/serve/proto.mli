@@ -14,8 +14,10 @@
 val max_frame : int
 
 val write_frame : Unix.file_descr -> Hextime_prelude.Minijson.t -> unit
-(** Blocking write of one frame.  Raises [Unix.Unix_error] on a broken
-    connection and [Invalid_argument] past {!max_frame}. *)
+(** Blocking write of one frame: header and payload in a single buffer,
+    handed to one [write] (resumed only if the kernel takes part of it).
+    Raises [Unix.Unix_error] on a broken connection and
+    [Invalid_argument] past {!max_frame}, before writing anything. *)
 
 val read_frame :
   Unix.file_descr -> (Hextime_prelude.Minijson.t option, string) result

@@ -247,6 +247,219 @@ let test_minijson_errors () =
   | Ok _ -> Alcotest.fail "wrong parse"
   | Error e -> Alcotest.failf "valid doc rejected: %s" e)
 
+(* --- the codec against its frozen reference ----------------------------- *)
+
+module Ref = Minijson_ref
+
+(* [=] equates 0.0 with -0.0: numbers must agree to the bit *)
+let rec same_value a b =
+  match (a, b) with
+  | Mj.Num x, Mj.Num y ->
+      Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Mj.List xs, Mj.List ys -> List.equal same_value xs ys
+  | Mj.Obj xs, Mj.Obj ys ->
+      List.equal
+        (fun (k, x) (k', y) -> String.equal k k' && same_value x y)
+        xs ys
+  | (Mj.Null | Mj.Bool _ | Mj.Str _), _ -> a = b
+  | _ -> false
+
+let same_parse text =
+  match (Mj.parse text, Ref.parse text) with
+  | Ok x, Ok y -> same_value x y
+  | Error e, Error e' -> String.equal e e'
+  | _ -> false
+
+let pow2_53 = Float.of_int (1 lsl 53)
+
+let edge_floats =
+  [ 0.0; -0.0; 1e15 -. 1.0; -.(1e15 -. 1.0); 1e15; -1e15; pow2_53;
+    pow2_53 +. 2.0; 5e-324; -5e-324; Float.max_float; Float.min_float;
+    Float.nan; Float.infinity; Float.neg_infinity; 0.1; -2.5; 1e300 ]
+
+let gen_float =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map float_of_int (int_range (-1000) 1000));
+        (2, map float_of_int (int_range (-(1 lsl 53)) (1 lsl 53)));
+        ( 3,
+          map2
+            (fun m e -> float_of_int m *. (10.0 ** float_of_int e))
+            (int_range (-999_999) 999_999) (int_range (-25) 25) );
+        (2, map Int64.float_of_bits ui64);
+        (1, oneofl edge_floats);
+      ])
+
+let gen_char =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, char_range 'a' 'z');
+        (2, char_range ' ' '~');
+        (1, map Char.chr (int_range 0 31));
+        (1, oneofl [ '"'; '\\'; '/' ]);
+        (1, map Char.chr (int_range 128 255));
+      ])
+
+let gen_string = QCheck.Gen.(string_size ~gen:gen_char (int_range 0 12))
+
+let gen_doc =
+  QCheck.Gen.(
+    sized_size (int_range 0 4)
+    @@ fix (fun self depth ->
+           let scalar =
+             frequency
+               [
+                 (1, return Mj.Null);
+                 (1, map (fun b -> Mj.Bool b) bool);
+                 (4, map (fun f -> Mj.Num f) gen_float);
+                 (3, map (fun s -> Mj.Str s) gen_string);
+               ]
+           in
+           if depth = 0 then scalar
+           else
+             let sub g = list_size (int_range 0 4) g in
+             frequency
+               [
+                 (2, scalar);
+                 (1, map (fun l -> Mj.List l) (sub (self (depth - 1))));
+                 ( 1,
+                   map
+                     (fun l -> Mj.Obj l)
+                     (sub (pair gen_string (self (depth - 1)))) );
+               ]))
+
+let arb_doc = QCheck.make ~print:Ref.render_compact gen_doc
+
+let prop_render_matches_reference =
+  QCheck.Test.make ~name:"minijson render = frozen reference" ~count:2000
+    arb_doc (fun doc ->
+      String.equal (Mj.render doc) (Ref.render doc)
+      && String.equal (Mj.render_compact doc) (Ref.render_compact doc))
+
+(* A rendered document, damaged: cut short, a byte overwritten, or a
+   structural character inserted. *)
+type mutation = Truncate of int | Flip of int * char | Insert of int * char
+
+let mutate text m =
+  let n = String.length text in
+  match m with
+  | Truncate i -> String.sub text 0 (i mod (n + 1))
+  | Flip (i, c) when n > 0 ->
+      String.mapi (fun j c' -> if j = i mod n then c else c') text
+  | Flip _ -> text
+  | Insert (i, c) ->
+      let i = i mod (n + 1) in
+      String.sub text 0 i ^ String.make 1 c ^ String.sub text i (n - i)
+
+let gen_mutation =
+  QCheck.Gen.(
+    let pos = int_bound 10_000 in
+    frequency
+      [
+        (1, map (fun i -> Truncate i) pos);
+        (2, map2 (fun i b -> Flip (i, Char.chr b)) pos (int_bound 255));
+        ( 3,
+          map2
+            (fun i c -> Insert (i, c))
+            pos
+            (oneofl [ '"'; '\\'; '{'; '}'; '['; ']'; ','; ':'; '0'; 'e'; '-'; '.' ])
+        );
+      ])
+
+let arb_damaged =
+  QCheck.make
+    ~print:(fun text -> Printf.sprintf "%S" text)
+    QCheck.Gen.(
+      map3
+        (fun doc compact ms ->
+          let text = if compact then Ref.render_compact doc else Ref.render doc in
+          List.fold_left mutate text ms)
+        gen_doc bool
+        (list_size (int_range 0 3) gen_mutation))
+
+let prop_parse_matches_reference =
+  QCheck.Test.make ~name:"minijson parse = frozen reference" ~count:3000
+    arb_damaged same_parse
+
+(* number tokens straddle the integer fast path and float_of_string *)
+let arb_number_token =
+  QCheck.make
+    ~print:(fun text -> Printf.sprintf "%S" text)
+    QCheck.Gen.(
+      map2
+        (fun tok wrap -> if wrap then "[" ^ tok ^ "]" else tok)
+        (string_size
+           ~gen:
+             (frequency
+                [ (8, char_range '0' '9'); (1, oneofl [ '-'; '+'; '.'; 'e'; 'E' ]) ])
+           (int_range 0 20))
+        bool)
+
+let prop_numbers_match_reference =
+  QCheck.Test.make ~name:"minijson number tokens = frozen reference"
+    ~count:3000 arb_number_token same_parse
+
+let test_minijson_edge_cases () =
+  List.iter
+    (fun f ->
+      Alcotest.(check string) (Printf.sprintf "render_number %h" f)
+        (Ref.render_number f) (Mj.render_number f))
+    edge_floats;
+  Alcotest.(check (list string)) "pinned numbers"
+    [ "-0"; "999999999999999"; "-999999999999999"; "1000000000000000";
+      "-1000000000000000"; "9007199254740992"; "4.9406564584124654e-324";
+      "\"NaN\""; "\"Infinity\""; "\"-Infinity\"" ]
+    (List.map Mj.render_number
+       [ -0.0; 1e15 -. 1.0; -.(1e15 -. 1.0); 1e15; -1e15; pow2_53 +. 1.0;
+         5e-324; Float.nan; Float.infinity; Float.neg_infinity ]);
+  let all_bytes = String.init 256 Char.chr in
+  List.iter
+    (fun s ->
+      let doc = Mj.Obj [ (s, Mj.Str s) ] in
+      Alcotest.(check string) (Printf.sprintf "render %S" s) (Ref.render doc)
+        (Mj.render doc);
+      Alcotest.(check string) (Printf.sprintf "render_compact %S" s)
+        (Ref.render_compact doc) (Mj.render_compact doc))
+    [ ""; "plain"; "\""; "\\"; "\x00\x01\x1f"; "a\"b\\c\nd\re\tf"; "\x80\xff";
+      all_bytes ];
+  Alcotest.(check string) "escapes pinned" "\"\\u0001\\u001f\\\"\\\\\\n\x80\""
+    (Mj.render_compact (Mj.Str "\x01\x1f\"\\\n\x80"));
+  List.iter
+    (fun text ->
+      Alcotest.(check bool) (Printf.sprintf "parse %S" text) true
+        (same_parse text))
+    [ "\"\\u0041\""; "\"\\u00_41\""; "\"\\u00e9\""; "\"\\u12\""; "-0"; "[-0]";
+      "007"; "-007"; "123456789012345"; "-123456789012345";
+      "1234567890123456"; "-1234567890123456"; "9007199254740993"; "-";
+      "1e5"; "1.5e"; "--1"; "+1"; ".5"; "1.0"; "0x10"; "[1,]"; "{\"a\" 1}";
+      "\"abc"; "\"ab\\"; "tru"; "nul"; " "; "" ];
+  (match Mj.parse "[-0, 007, \"\\u0041\"]" with
+  | Ok (Mj.List [ Mj.Num z; Mj.Num seven; Mj.Str "A" ]) ->
+      Alcotest.(check bool) "-0 keeps its sign" true (Float.sign_bit z);
+      Alcotest.(check (float 0.0)) "007" 7.0 seven
+  | Ok _ | Error _ -> Alcotest.fail "edge document misparsed")
+
+let test_minijson_depth_cap () =
+  let nested k = String.make k '[' ^ String.make k ']' in
+  Alcotest.(check (result unit string)) "a 1 MiB frame of '['"
+    (Error "minijson: nesting deeper than 256 at offset 256")
+    (Result.map ignore (Mj.parse (String.make 1_048_576 '[')));
+  Alcotest.(check bool) "64 deep parses" true
+    (Result.is_ok (Mj.parse (nested 64)) && same_parse (nested 64));
+  let objects k =
+    String.concat "" (List.init k (fun _ -> "{\"a\":")) ^ "1"
+    ^ String.make k '}'
+  in
+  Alcotest.(check bool) "64 deep objects parse" true
+    (same_parse (objects 64));
+  Alcotest.(check bool) "256 deep is the cap" true
+    (Result.is_ok (Mj.parse (nested 256)));
+  Alcotest.(check (result unit string)) "257 deep is past it"
+    (Error "minijson: nesting deeper than 256 at offset 1280")
+    (Result.map ignore (Mj.parse (objects 257)))
+
 let suite =
   [
     Alcotest.test_case "ceil_div" `Quick test_ceil_div;
@@ -271,5 +484,14 @@ let suite =
     Alcotest.test_case "minijson roundtrip" `Quick test_minijson_roundtrip;
     Alcotest.test_case "minijson accessors" `Quick test_minijson_accessors;
     Alcotest.test_case "minijson errors" `Quick test_minijson_errors;
+    Alcotest.test_case "minijson edge cases = reference" `Quick
+      test_minijson_edge_cases;
+    Alcotest.test_case "minijson nesting cap" `Quick test_minijson_depth_cap;
   ]
   @ qsuite
+  @ List.map QCheck_alcotest.to_alcotest
+      [
+        prop_render_matches_reference;
+        prop_parse_matches_reference;
+        prop_numbers_match_reference;
+      ]

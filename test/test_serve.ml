@@ -10,6 +10,7 @@ module Index = Serve.Index
 module Proto = Serve.Proto
 module Server = Serve.Server
 module Client = Serve.Client
+module Access_log = Serve.Access_log
 module Parsweep = Hextime_parsweep.Parsweep
 module Gpu = Hextime_gpu
 module S = Hextime_stencil.Stencil
@@ -144,6 +145,108 @@ let test_proto_roundtrip () =
   | Ok None -> ()
   | Ok (Some _) -> Alcotest.fail "phantom frame after close"
   | Error e -> Alcotest.failf "clean close misread as %s" e
+
+(* --- frames on the wire ------------------------------------------------------ *)
+
+let with_socketpair f =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () ->
+      (try Unix.close a with Unix.Unix_error _ -> ());
+      try Unix.close b with Unix.Unix_error _ -> ())
+  @@ fun () -> f a b
+
+let read_raw fd n =
+  let b = Bytes.create n in
+  let off = ref 0 in
+  while !off < n do
+    match Unix.read fd b !off (n - !off) with
+    | 0 -> Alcotest.failf "end of stream after %d of %d bytes" !off n
+    | k -> off := !off + k
+  done;
+  Bytes.to_string b
+
+let pending fd =
+  match Unix.select [ fd ] [] [] 0.0 with [], _, _ -> false | _ -> true
+
+let test_frame_bytes () =
+  with_socketpair @@ fun a b ->
+  let json =
+    Proto.request_to_json
+      (Proto.Ask
+         { arch = "gtx980"; stencil = "heat2d"; space = [| 512; 512 |]; time = 128 })
+  in
+  let payload = Minijson.render_compact json in
+  let n = String.length payload in
+  let header =
+    String.init 4 (fun i -> Char.chr ((n lsr (8 * (3 - i))) land 0xff))
+  in
+  Proto.write_frame a json;
+  Alcotest.(check string) "big-endian length, then the compact payload"
+    (header ^ payload) (read_raw b (4 + n));
+  Alcotest.(check bool) "nothing after the frame" false (pending b)
+
+(* Larger than the socket buffer: the writer blocks part-way and the
+   partial-write loop must resume at the right offset. *)
+let test_frame_larger_than_socket_buffer () =
+  with_socketpair @@ fun a b ->
+  let text =
+    String.init 900_000 (fun i ->
+        if i mod 97 = 96 then '\n' else Char.chr (32 + (i * 7 mod 95)))
+  in
+  let big = Proto.reply_to_json (Proto.Metrics_reply text) in
+  Alcotest.(check bool) "frame exceeds the socket send buffer" true
+    (String.length (Minijson.render_compact big)
+    > Unix.getsockopt_int a Unix.SO_SNDBUF);
+  (* a maximal frame of '[' is refused at the nesting cap, not recursed *)
+  let deep =
+    let n = Proto.max_frame in
+    let f = Bytes.make (4 + n) '[' in
+    Bytes.set_int32_be f 0 (Int32.of_int n);
+    f
+  in
+  let reader =
+    Domain.spawn (fun () ->
+        let first = Proto.read_frame b in
+        let second = Proto.read_frame b in
+        (first, second, Proto.read_frame b))
+  in
+  Proto.write_frame a big;
+  Proto.write_frame a (Proto.request_to_json Proto.Stats);
+  let off = ref 0 in
+  while !off < Bytes.length deep do
+    off := !off + Unix.write a deep !off (Bytes.length deep - !off)
+  done;
+  let first, second, third = Domain.join reader in
+  Alcotest.(check (result unit string)) "1 MiB of '[' refused at the cap"
+    (Error "bad frame payload: minijson: nesting deeper than 256 at offset 256")
+    (Result.map ignore third);
+  (match first with
+  | Ok (Some json) -> (
+      match Proto.reply_of_json json with
+      | Ok (Proto.Metrics_reply text') ->
+          Alcotest.(check bool) "900 KB exposition byte-identical" true
+            (String.equal text text')
+      | Ok _ -> Alcotest.fail "large frame decoded to the wrong arm"
+      | Error e -> Alcotest.fail e)
+  | Ok None -> Alcotest.fail "end of stream instead of the large frame"
+  | Error e -> Alcotest.fail e);
+  match second with
+  | Ok (Some json) ->
+      Alcotest.(check bool) "next frame intact" true
+        (Proto.request_of_json json = Ok Proto.Stats)
+  | Ok None -> Alcotest.fail "end of stream instead of the next frame"
+  | Error e -> Alcotest.fail e
+
+let test_frame_over_max_rejected () =
+  with_socketpair @@ fun a b ->
+  (* the quotes make the payload one byte longer than the limit *)
+  let json = Minijson.Str (String.make (Proto.max_frame - 1) 'x') in
+  Alcotest.(check int) "payload is max_frame + 1 bytes" (Proto.max_frame + 1)
+    (String.length (Minijson.render_compact json));
+  Alcotest.check_raises "over max_frame"
+    (Invalid_argument "Proto.write_frame: frame too large") (fun () ->
+      Proto.write_frame a json);
+  Alcotest.(check bool) "nothing written" false (pending b)
 
 (* --- index round-trip ------------------------------------------------------- *)
 
@@ -600,11 +703,29 @@ let test_access_log_and_slow_attribution () =
         (List.mem_assoc "compute" fields)
   | _ -> Alcotest.fail "slow cold record without attribution");
   let error_r = List.nth records 2 in
-  match Minijson.member "error" error_r with
+  (match Minijson.member "error" error_r with
   | Some (Minijson.Str msg) ->
       Alcotest.(check bool) "error record names the stencil" true
         (Test_util.contains msg "no-such-stencil")
-  | _ -> Alcotest.fail "error record without an error field"
+  | _ -> Alcotest.fail "error record without an error field");
+  (* one record byte for byte: fractions with leading zeros, strings that
+     need escaping *)
+  let pinned_path = fresh_path ".jsonl" in
+  (match Access_log.open_ ~path:pinned_path with
+  | Error m -> Alcotest.fail m
+  | Ok alog ->
+      Access_log.log alog ~ts:1700000000.000042 ~req_id:"r000007"
+        ~key:"k\"1" ~source:"error" ~latency_us:12.000305
+        ~error:"unknown stencil \"x\"\n\x01" ();
+      Access_log.close alog);
+  let ic = open_in_bin pinned_path in
+  let text = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Sys.remove pinned_path;
+  Alcotest.(check string) "pinned record"
+    ({|{"ts":1700000000.000042,"req_id":"r000007","key":"k\"1","source":"error","latency_us":12.000305,"error":"unknown stencil \"x\"\n\u0001"}|}
+    ^ "\n")
+    text
 
 (* The drift monitor.  A clean index audits in-band and the alarm stays
    down; an index whose served Talg was perturbed away from the model's
@@ -811,6 +932,11 @@ let test_graceful_shutdown_on_sigterm () =
 let suite =
   [
     Alcotest.test_case "proto frame round-trip" `Quick test_proto_roundtrip;
+    Alcotest.test_case "proto frame bytes on the wire" `Quick test_frame_bytes;
+    Alcotest.test_case "proto frame larger than socket buffer" `Quick
+      test_frame_larger_than_socket_buffer;
+    Alcotest.test_case "proto frame over max_frame rejected" `Quick
+      test_frame_over_max_rejected;
     Alcotest.test_case "index save/load round-trip" `Quick
       test_index_roundtrip;
     Alcotest.test_case "index rejects stale code version" `Quick
