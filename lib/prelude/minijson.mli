@@ -35,6 +35,11 @@ val render_number : float -> string
     into a buffer themselves (the serving access log) and must stay
     byte-identical with {!render}. *)
 
+val add_number : Buffer.t -> float -> unit
+(** {!render_number} appended to a buffer, without the intermediate
+    string: the writer a caller splicing numbers into pre-rendered JSON
+    (the serving reply) uses to stay byte-identical with {!render}. *)
+
 val add_escaped : Buffer.t -> string -> unit
 (** {!render}'s string-content escaping alone, appended to a buffer
     (quotes not included): double quote and backslash get a backslash,

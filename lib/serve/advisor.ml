@@ -21,6 +21,12 @@ type answer = {
   a_components : Attribution.components;
 }
 
+(* [request_key]'s constant part, mixed once per process *)
+let key_seed =
+  Det_hash.mix_string (Det_hash.create "hextime-ask") code_version
+
+let key_prefix = "ask|" ^ code_version ^ "|"
+
 (* The same digest-the-pricing-inputs scheme as Sweep.point_key, minus the
    per-point configuration: a request's answer is a function of exactly
    the code version, the architecture's numeric description, the derived
@@ -31,13 +37,23 @@ type answer = {
 let request_key (arch : Arch.t) (problem : Problem.t) =
   let params = Microbench.params arch in
   let citer = Microbench.citer arch problem.Problem.stencil in
-  let h = Det_hash.create "hextime-ask" in
-  let h = Det_hash.mix_string h code_version in
-  let h = Arch.mix_pricing h arch in
+  let h = Arch.mix_pricing key_seed arch in
   let h = Params.mix_pricing h params in
   let h = Det_hash.mix_float h citer in
   let h = Problem.mix_pricing h problem in
-  Printf.sprintf "ask|%s|%016Lx" code_version (Det_hash.to_int64 h)
+  (* the bytes of [Printf.sprintf "%s%016Lx" key_prefix digest] *)
+  let digest = Det_hash.to_int64 h in
+  let p = String.length key_prefix in
+  let key = Bytes.create (p + 16) in
+  Bytes.blit_string key_prefix 0 key 0 p;
+  for i = 0 to 15 do
+    let d =
+      Int64.to_int (Int64.shift_right_logical digest (60 - (4 * i))) land 0xf
+    in
+    Bytes.unsafe_set key (p + i)
+      (Char.unsafe_chr (if d < 10 then 48 + d else 87 + d))
+  done;
+  Bytes.unsafe_to_string key
 
 (* Thread-per-block choice for the recommended configuration.  Talg does
    not depend on threads (a deliberate model property, Section 7), so the

@@ -28,7 +28,9 @@ val request_key : Hextime_gpu.Arch.t -> Hextime_stencil.Problem.t -> string
     measured C_iter, the problem instance — in the style of
     [Sweep.point_key]: pricing-neutral edits (renames, preset reshuffles)
     keep the key, pricing changes invalidate it.  Forces the (memoized)
-    micro-benchmarks for the architecture on first use. *)
+    micro-benchmarks for the architecture on first use.  The key reads
+    [ask|<code_version>|<16 lowercase hex digits>]; saved indexes are
+    keyed by these bytes. *)
 
 val config_of_shape :
   Hextime_tileopt.Space.shape -> (Hextime_tiling.Config.t, string) result

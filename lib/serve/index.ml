@@ -18,17 +18,6 @@ type entry = {
   e_components : Attribution.components;
 }
 
-type t = (string, entry) Hashtbl.t
-
-let create () : t = Hashtbl.create 64
-let size (t : t) = Hashtbl.length t
-let find (t : t) key = Hashtbl.find_opt t key
-let add (t : t) e = Hashtbl.replace t e.e_key e
-
-let entries (t : t) =
-  Hashtbl.fold (fun _ e acc -> e :: acc) t []
-  |> List.sort (fun a b -> String.compare a.e_key b.e_key)
-
 let entry_of_answer (arch : Arch.t) (problem : Problem.t)
     (a : Advisor.answer) =
   {
@@ -75,6 +64,32 @@ let entry_to_json e =
       ("talg", num e.e_talg);
       ("attribution", Attribution.components_to_json e.e_components);
     ]
+
+(* --- the table ------------------------------------------------------------ *)
+
+(* Each entry sits beside its fields rendered once, compact and without
+   the braces, so a served answer splices these bytes instead of building
+   and rendering the entry's tree per request.  The bytes live in the
+   table rather than in [entry]: a [{ e with ... }] copy would carry stale
+   ones. *)
+type t = (string, entry * string) Hashtbl.t
+
+let render_fields e =
+  let s = Minijson.render_compact (entry_to_json e) in
+  String.sub s 1 (String.length s - 2)
+
+let create () : t = Hashtbl.create 64
+let size (t : t) = Hashtbl.length t
+let find_rendered (t : t) key = Hashtbl.find_opt t key
+
+let find (t : t) key =
+  match Hashtbl.find_opt t key with Some (e, _) -> Some e | None -> None
+
+let add (t : t) e = Hashtbl.replace t e.e_key (e, render_fields e)
+
+let entries (t : t) =
+  Hashtbl.fold (fun _ (e, _) acc -> e :: acc) t []
+  |> List.sort (fun a b -> String.compare a.e_key b.e_key)
 
 let to_json (t : t) =
   Minijson.Obj

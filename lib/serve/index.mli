@@ -29,8 +29,16 @@ val create : unit -> t
 val size : t -> int
 val find : t -> string -> entry option
 
+val find_rendered : t -> string -> (entry * string) option
+(** {!find}, plus the entry's fields as {!add} rendered them: the compact
+    JSON of {!entry_to_json} without its enclosing braces.  A served
+    answer splices these bytes ({!Proto.write_answer}) rather than
+    rendering the entry per request. *)
+
 val add : t -> entry -> unit
-(** Insert or replace by [e_key] — the server's cold-miss write-back. *)
+(** Insert or replace by [e_key] — the index build, {!load} and the
+    server's cold-miss write-back.  Renders the entry's fields for
+    {!find_rendered} once, here; replacing an entry replaces its bytes. *)
 
 val entries : t -> entry list
 (** Sorted by key: serialisation is deterministic. *)

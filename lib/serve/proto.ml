@@ -7,20 +7,27 @@ module Minijson = Hextime_prelude.Minijson
    client can make the server allocate. *)
 let max_frame = 1 lsl 20
 
+let check_length n =
+  if n > max_frame then invalid_arg "Proto.write_frame: frame too large"
+
 (* Header and payload go out in one [write]: a reader woken by a lone
    header would only block again waiting for the payload, and on a shared
    CPU that is an extra context switch per frame. *)
+let write_all fd frame =
+  let len = Bytes.length frame in
+  let off = ref 0 in
+  while !off < len do
+    off := !off + Unix.write fd frame !off (len - !off)
+  done
+
 let write_frame fd json =
   let payload = Minijson.render_compact json in
   let n = String.length payload in
-  if n > max_frame then invalid_arg "Proto.write_frame: frame too large";
+  check_length n;
   let frame = Bytes.create (4 + n) in
   Bytes.set_int32_be frame 0 (Int32.of_int n);
   Bytes.blit_string payload 0 frame 4 n;
-  let off = ref 0 in
-  while !off < 4 + n do
-    off := !off + Unix.write fd frame !off (4 + n - !off)
-  done
+  write_all fd frame
 
 (* [Ok None] is a clean end-of-stream (the client closed between frames);
    anything malformed — short header, oversized length, truncated payload,
@@ -178,6 +185,42 @@ let reply_to_json = function
   | Error_reply msg ->
       Minijson.Obj
         [ ("status", Minijson.Str "error"); ("message", Minijson.Str msg) ]
+
+(* [reply_to_json (Answer a)] rendered by hand: the fixed keys, the
+   per-request numbers and strings, and the entry's pre-rendered fields in
+   the order the tree puts them, behind a header patched in last. *)
+let write_answer fd { source; entry = _; latency_us; req_id; server } ~fields =
+  let buf = Buffer.create (String.length fields + 192) in
+  Buffer.add_string buf "\000\000\000\000{\"status\":\"ok\",\"source\":\"";
+  Buffer.add_string buf (source_to_string source);
+  Buffer.add_string buf "\",\"latency_us\":";
+  Minijson.add_number buf latency_us;
+  if req_id <> "" then begin
+    Buffer.add_string buf ",\"req_id\":\"";
+    Minijson.add_escaped buf req_id;
+    Buffer.add_char buf '"'
+  end;
+  Buffer.add_char buf ',';
+  Buffer.add_string buf fields;
+  (match server with
+  | [] -> ()
+  | kvs ->
+      Buffer.add_string buf ",\"server\":{";
+      List.iteri
+        (fun i (k, v) ->
+          if i > 0 then Buffer.add_char buf ',';
+          Buffer.add_char buf '"';
+          Minijson.add_escaped buf k;
+          Buffer.add_string buf "\":";
+          Minijson.add_number buf v)
+        kvs;
+      Buffer.add_char buf '}');
+  Buffer.add_char buf '}';
+  let frame = Buffer.to_bytes buf in
+  let n = Bytes.length frame - 4 in
+  check_length n;
+  Bytes.set_int32_be frame 0 (Int32.of_int n);
+  write_all fd frame
 
 let reply_of_json j =
   match str "status" j with

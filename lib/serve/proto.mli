@@ -61,4 +61,16 @@ type reply =
   | Error_reply of string
 
 val reply_to_json : reply -> Hextime_prelude.Minijson.t
+(** The reference encoding of every reply; {!write_answer} must match it
+    byte for byte on answers. *)
+
+val write_answer : Unix.file_descr -> answer -> fields:string -> unit
+(** [write_answer fd a ~fields] sends the frame
+    [write_frame fd (reply_to_json (Answer a))] sends, byte for byte,
+    given [fields] as {!Index.find_rendered} returns them for [a.entry]:
+    the fixed keys, [latency_us], [req_id] and the [server] vitals are
+    written around the pre-rendered entry fields, and [a.entry] itself is
+    not read.  Header and payload go out in one [write]; raises as
+    {!write_frame} does. *)
+
 val reply_of_json : Hextime_prelude.Minijson.t -> (reply, string) result

@@ -79,9 +79,23 @@ type state = {
   mutable ring_pos : int;
 }
 
+let format_req_id n =
+  let rec digits k m = if m < 10 then k else digits (k + 1) (m / 10) in
+  let w = max 6 (digits 1 n) in
+  let id = Bytes.make (w + 1) '0' in
+  Bytes.unsafe_set id 0 'r';
+  let rec fill i m =
+    if m > 0 then begin
+      Bytes.unsafe_set id i (Char.unsafe_chr (48 + (m mod 10)));
+      fill (i - 1) (m / 10)
+    end
+  in
+  fill w n;
+  Bytes.unsafe_to_string id
+
 let fresh_req_id st =
   st.next_req <- st.next_req + 1;
-  Printf.sprintf "r%06d" st.next_req
+  format_req_id st.next_req
 
 let vitals st ~now =
   [
@@ -165,6 +179,8 @@ type audit_task = {
   q_source : Proto.source;
 }
 
+(* A client that hung up costs its reply, not the server: the EPIPE a
+   write to it raises (SIGPIPE is ignored while serving) is dropped. *)
 let send_reply fd reply =
   try Proto.write_frame fd (Proto.reply_to_json reply)
   with Unix.Unix_error _ | Invalid_argument _ -> ()
@@ -190,8 +206,9 @@ let answer_error st ?(req_id = "") ?(key = "") ?(t0 = nan) fd msg =
 (* Answer one ask that resolved to an index entry (warm hit or solved cold
    miss): bump the books, feed the SLO window, log the access — with the
    answer's Section-5 attribution attached when a cold solve blew the
-   slow-query threshold — and reply with the entry plus server vitals. *)
-let answer_entry st fd ~req_id ~source ~(entry : Index.entry) ~t0 =
+   slow-query threshold — and reply with the entry's pre-rendered fields
+   plus server vitals. *)
+let answer_entry st fd ~req_id ~source ~(entry : Index.entry) ~fields ~t0 =
   let now = Unix.gettimeofday () in
   let dt = now -. t0 in
   (match source with
@@ -216,15 +233,11 @@ let answer_entry st fd ~req_id ~source ~(entry : Index.entry) ~t0 =
     ~latency_us
     ~digest:(Hextime_tiling.Config.id entry.Index.e_config)
     ?attribution ();
-  send_reply fd
-    (Proto.Answer
-       {
-         source;
-         entry;
-         latency_us;
-         req_id;
-         server = vitals st ~now;
-       })
+  try
+    Proto.write_answer fd
+      { source; entry; latency_us; req_id; server = vitals st ~now }
+      ~fields
+  with Unix.Unix_error _ | Invalid_argument _ -> ()
 
 (* Solve every queued cold miss as one batch through the Parsweep pool:
    concurrent misses from independent clients amortize pool startup and
@@ -244,27 +257,28 @@ let solve_batch st (pending : pending list) =
       ~f:(fun p -> Advisor.solve ~req_id:p.p_req_id p.p_arch p.p_problem)
       tasks
   in
-  let solved = Hashtbl.create (List.length tasks) in
+  let failed = Hashtbl.create 4 in
   List.iter2
     (fun (p : pending) outcome ->
       match outcome with
       | Ok (Ok answer) ->
-          let entry = Index.entry_of_answer p.p_arch p.p_problem answer in
-          Index.add st.index entry;
-          st.dirty <- true;
-          Hashtbl.replace solved p.p_key (Ok entry)
-      | Ok (Error msg) | Error msg -> Hashtbl.replace solved p.p_key (Error msg))
+          Index.add st.index
+            (Index.entry_of_answer p.p_arch p.p_problem answer);
+          st.dirty <- true
+      | Ok (Error msg) | Error msg -> Hashtbl.replace failed p.p_key msg)
     tasks outcomes;
   persist st;
+  (* every queued key missed the index, so a key found there now is one
+     this batch solved *)
   List.filter_map
     (fun (p : pending) ->
       st.requests <- st.requests + 1;
       Metrics.incr requests_counter;
       st.in_flight <- st.in_flight - 1;
-      match Hashtbl.find_opt solved p.p_key with
-      | Some (Ok entry) ->
+      match Index.find_rendered st.index p.p_key with
+      | Some (entry, fields) ->
           answer_entry st p.p_fd ~req_id:p.p_req_id ~source:Proto.Cold ~entry
-            ~t0:p.p_t0;
+            ~fields ~t0:p.p_t0;
           if st.audit_cold then
             Some
               {
@@ -275,13 +289,11 @@ let solve_batch st (pending : pending list) =
                 q_source = Proto.Cold;
               }
           else None
-      | Some (Error msg) ->
-          answer_error st ~req_id:p.p_req_id ~key:p.p_key ~t0:p.p_t0 p.p_fd
-            ("advisor: " ^ msg);
-          None
       | None ->
           answer_error st ~req_id:p.p_req_id ~key:p.p_key ~t0:p.p_t0 p.p_fd
-            "advisor: batch lost the request";
+            ("advisor: "
+            ^ Option.value ~default:"batch lost the request"
+                (Hashtbl.find_opt failed p.p_key));
           None)
     pending
 
@@ -448,23 +460,42 @@ let serve_http_client st fd =
 
 let stats_json st ~now = Metrics.to_json (refreshed_snapshot st ~now)
 
+(* A snapshot that does not load (damaged, or from another code version)
+   is moved to [<path>.bad.<unix time>] before the server starts empty, so
+   the first write-back cannot replace it.  If it cannot be moved, nothing
+   is written back. *)
+let load_index path =
+  match Index.load ~path with
+  | Ok idx -> (idx, Some path)
+  | Error msg -> (
+      let base = Printf.sprintf "%s.bad.%.0f" path (Unix.time ()) in
+      let rec free i =
+        let p = if i = 0 then base else Printf.sprintf "%s.%d" base i in
+        if Sys.file_exists p then free (i + 1) else p
+      in
+      let aside = free 0 in
+      match Sys.rename path aside with
+      | () ->
+          Format.eprintf
+            "hexserve: %s — moved to %s, starting with an empty index@." msg
+            aside;
+          (Index.create (), Some path)
+      | exception Sys_error e ->
+          Format.eprintf
+            "hexserve: %s — cannot move it aside (%s), starting with an \
+             empty index and no write-back@."
+            msg e;
+          (Index.create (), None))
+
 let run ?index_path ?(exec = Parsweep.serial) ?max_requests
     ?(on_ready = fun () -> ()) ?http_port ?on_http_port ?access_log_path
     ?(slow_us = infinity) ?slo ?(audit_rate = 0) ?(audit_cold = false)
     ?(drift_min_ratio = 0.99) ?ledger_path ~socket_path () =
   let t_start = Unix.gettimeofday () in
-  let index =
+  let index, index_path =
     match index_path with
-    | None -> Index.create ()
-    | Some path ->
-        if Sys.file_exists path then
-          match Index.load ~path with
-          | Ok idx -> idx
-          | Error msg ->
-              Format.eprintf
-                "hexserve: %s — starting with an empty index@." msg;
-              Index.create ()
-        else Index.create ()
+    | Some path when Sys.file_exists path -> load_index path
+    | _ -> (Index.create (), index_path)
   in
   warm_memos index;
   let alog =
@@ -543,19 +574,26 @@ let run ?index_path ?(exec = Parsweep.serial) ?max_requests
      they are installed before [on_ready] so a caller who signals as soon
      as the socket is up cannot hit the default disposition. *)
   let stop_signal = ref None in
-  let install s =
-    match
-      Sys.signal s
-        (Sys.Signal_handle
-           (fun _ ->
-             stop_signal := Some s;
-             running := false))
-    with
+  let stop =
+    Sys.Signal_handle
+      (fun s ->
+        stop_signal := Some s;
+        running := false)
+  in
+  let install (s, behaviour) =
+    match Sys.signal s behaviour with
     | prev -> Some (s, prev)
     | exception (Invalid_argument _ | Sys_error _) -> None
   in
+  (* SIGPIPE is ignored so that a client that hangs up before its reply
+     costs that reply (the write's EPIPE), not the process. *)
   let saved_handlers =
-    List.filter_map install [ Sys.sigint; Sys.sigterm ]
+    List.filter_map install
+      [
+        (Sys.sigpipe, Sys.Signal_ignore);
+        (Sys.sigint, stop);
+        (Sys.sigterm, stop);
+      ]
   in
   on_ready ();
   let budget_left () =
@@ -591,6 +629,9 @@ let run ?index_path ?(exec = Parsweep.serial) ?max_requests
             end
             else
               match Proto.read_frame fd with
+              | exception Unix.Unix_error _ ->
+                  (* ECONNRESET: the client closed with our reply unread *)
+                  close_client fd
               | Ok None -> close_client fd
               | Error msg ->
                   answer_error st fd msg;
@@ -632,13 +673,13 @@ let run ?index_path ?(exec = Parsweep.serial) ?max_requests
                       | Ok (arch, problem) -> (
                           st.in_flight <- st.in_flight + 1;
                           let key = Advisor.request_key arch problem in
-                          match Index.find st.index key with
-                          | Some entry ->
+                          match Index.find_rendered st.index key with
+                          | Some (entry, fields) ->
                               st.requests <- st.requests + 1;
                               Metrics.incr requests_counter;
                               st.in_flight <- st.in_flight - 1;
                               answer_entry st fd ~req_id ~source:Proto.Warm
-                                ~entry ~t0;
+                                ~entry ~fields ~t0;
                               incr audit_clock;
                               if
                                 st.audit_rate > 0

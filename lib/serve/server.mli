@@ -70,10 +70,14 @@ val run :
     additionally appends one [kind = "serve"] record to [ledger_path]
     (label [shutdown = sigint|sigterm]) carrying the final vitals and the
     full metrics snapshot; the previous signal dispositions are restored
-    before [run] returns.  [index_path] is loaded if it exists
-    (stale or malformed indexes are discarded with a warning) and is the
-    write-back target for cold-miss answers; without it the index lives
-    only in memory.  [exec] drives the cold-path batch and the audit
+    before [run] returns.  SIGPIPE is ignored while [run] serves, so a
+    client that hangs up before its reply costs that reply only.
+    [index_path] is loaded if it exists and is the write-back target for
+    cold-miss answers; without it the index lives only in memory.  A
+    snapshot that does not load (malformed, or from another code
+    version) is moved to [<index_path>.bad.<unix time>] with a warning,
+    and the server starts empty; if it cannot be moved, nothing is
+    written back.  [exec] drives the cold-path batch and the audit
     batches (default {!Hextime_parsweep.Parsweep.serial}).  [on_ready] fires
     after the sockets are bound and listening, before the first accept:
     tests use it to release clients.  The socket file is unlinked on
@@ -93,3 +97,8 @@ val run :
     material for [hextime explain] — and drive [serve.drift_alarm]
     against [drift_min_ratio] (default [0.99]); alarm transitions also
     feed the live [alert.firing]/[alert.fired] hexlens gauges. *)
+
+val format_req_id : int -> string
+(** [format_req_id n] is the request id the [n]th request is assigned:
+    the bytes of [Printf.sprintf "r%06d" n] for [n >= 0], without
+    [Printf] — ["r000001"], and ["r1000000"] past six digits. *)

@@ -248,6 +248,132 @@ let test_frame_over_max_rejected () =
       Proto.write_frame a json);
   Alcotest.(check bool) "nothing written" false (pending b)
 
+(* --- spliced answers -------------------------------------------------------- *)
+
+let expected_frame payload =
+  let n = String.length payload in
+  String.init 4 (fun i -> Char.chr ((n lsr (8 * (3 - i))) land 0xff)) ^ payload
+
+(* The bytes one [write_answer] puts on the wire, read back whole. *)
+let spliced_frame (a : Proto.answer) ~fields =
+  with_socketpair @@ fun w r ->
+  Proto.write_answer w a ~fields;
+  let header = read_raw r 4 in
+  let n = Int32.to_int (String.get_int32_be header 0) in
+  let frame = header ^ read_raw r n in
+  Alcotest.(check bool) "nothing after the frame" false (pending r);
+  frame
+
+let reference_frame (a : Proto.answer) =
+  expected_frame
+    (Minijson.render_compact (Proto.reply_to_json (Proto.Answer a)))
+
+(* What a stored entry's fields can hold: every number class the renderer
+   branches on, and strings that need escaping. *)
+let gen_float =
+  QCheck.Gen.(
+    oneof
+      [
+        oneofl
+          [ 0.0; -0.0; Float.nan; Float.infinity; Float.neg_infinity;
+            Float.min_float; -5e-324; 1e15; -1e15; 2. ** 53.; 1e300 ];
+        map
+          (fun m -> Int64.float_of_bits (Int64.of_int m))
+          (int_range 1 0xFFFFF);
+        map (fun k -> float_of_int k *. 1e15) (int_range (-1000) 1000);
+        map float_of_int int;
+        map Int64.float_of_bits ui64;
+        float_range 0.0 1e-3;
+      ])
+
+let gen_text = QCheck.Gen.(string_size ~gen:char (int_range 0 12))
+
+let gen_answer =
+  QCheck.Gen.(
+    let* rank = int_range 1 3 in
+    let* t_t = map (fun k -> 2 * k) (int_range 1 40) in
+    let* t_s =
+      array_repeat rank (int_range 1 512) >|= fun t_s ->
+      if rank > 1 then t_s.(rank - 1) <- 32 * (1 + (t_s.(rank - 1) mod 8));
+      t_s
+    in
+    let* threads = array_size (int_range 1 rank) (int_range 1 1024) in
+    let* space = array_repeat rank (int_range 1 100_000) in
+    let* time = int_range 1 100_000 in
+    let* key = gen_text and* arch = gen_text and* stencil = gen_text in
+    let* talg = gen_float in
+    let* c = array_repeat 6 gen_float in
+    let* source = oneofl [ Proto.Warm; Proto.Cold ] in
+    let* latency_us = gen_float in
+    let* req_id = oneof [ return ""; return "r000001"; gen_text ] in
+    let* server = list_size (int_range 0 4) (pair gen_text gen_float) in
+    let entry =
+      {
+        Index.e_key = key;
+        e_arch = arch;
+        e_stencil = stencil;
+        e_space = space;
+        e_time = time;
+        e_config = Config.make_exn ~t_t ~t_s ~threads;
+        e_talg = talg;
+        e_components =
+          {
+            Attribution.compute = c.(0);
+            global_mem = c.(1);
+            shared_mem = c.(2);
+            sync = c.(3);
+            launch = c.(4);
+            jitter = c.(5);
+          };
+      }
+    in
+    return { Proto.source; entry; latency_us; req_id; server })
+
+(* The writer every served answer goes through must put on the wire what
+   the reference tree encoding does, given the fields the index stored. *)
+let prop_answer_splice_equals_tree =
+  QCheck.Test.make ~name:"proto answer splice = tree bytes" ~count:300
+    (QCheck.make
+       ~print:(fun a ->
+         Minijson.render_compact (Proto.reply_to_json (Proto.Answer a)))
+       gen_answer)
+    (fun (a : Proto.answer) ->
+      let index = Index.create () in
+      Index.add index a.Proto.entry;
+      match Index.find_rendered index a.Proto.entry.Index.e_key with
+      | None -> false
+      | Some (_, fields) ->
+          String.equal (reference_frame a) (spliced_frame a ~fields))
+
+(* Re-adding under the same key replaces the stored bytes with the new
+   entry's: the server never splices a stale rendering. *)
+let test_answer_splice_after_readd () =
+  let e = entry_of (List.hd (H.Experiments.all H.Experiments.Ci)) in
+  let doubled = { e with Index.e_talg = 2.0 *. e.Index.e_talg } in
+  let index = Index.create () in
+  Index.add index e;
+  Index.add index doubled;
+  Alcotest.(check int) "one entry per key" 1 (Index.size index);
+  match Index.find_rendered index e.Index.e_key with
+  | None -> Alcotest.fail "re-added entry lost"
+  | Some (entry, fields) ->
+      Alcotest.(check (float 0.0)) "the new entry" doubled.Index.e_talg
+        entry.Index.e_talg;
+      let a =
+        {
+          Proto.source = Proto.Warm;
+          entry;
+          latency_us = 3.25;
+          req_id = "r000009";
+          server = [ ("uptime_s", 1.5) ];
+        }
+      in
+      let served = spliced_frame a ~fields in
+      Alcotest.(check string) "served bytes are the new entry's"
+        (reference_frame a) served;
+      Alcotest.(check bool) "not the old entry's" false
+        (String.equal served (reference_frame { a with entry = e }))
+
 (* --- index round-trip ------------------------------------------------------- *)
 
 let test_index_roundtrip () =
@@ -278,26 +404,64 @@ let test_index_roundtrip () =
             (components_equal e.Index.e_components e'.Index.e_components))
     (Index.entries index)
 
+let stale_index_json index =
+  match Index.to_json index with
+  | Minijson.Obj fields ->
+      Minijson.Obj
+        (List.map
+           (function
+             | "code_version", _ ->
+                 ("code_version", Minijson.Str "hextime-serve-v0")
+             | kv -> kv)
+           fields)
+  | _ -> Alcotest.fail "index JSON is not an object"
+
 let test_index_rejects_stale_code_version () =
   let index = Index.create () in
   Index.add index (entry_of (List.hd (H.Experiments.all H.Experiments.Ci)));
-  let stale =
-    match Index.to_json index with
-    | Minijson.Obj fields ->
-        Minijson.Obj
-          (List.map
-             (function
-               | "code_version", _ ->
-                   ("code_version", Minijson.Str "hextime-serve-v0")
-               | kv -> kv)
-             fields)
-    | _ -> Alcotest.fail "index JSON is not an object"
-  in
-  match Index.of_json stale with
+  match Index.of_json (stale_index_json index) with
   | Error msg ->
       Alcotest.(check bool) "error names the stale version" true
         (Test_util.contains msg "hextime-serve-v0")
   | Ok _ -> Alcotest.fail "stale code_version accepted"
+
+(* --- request keys and ids --------------------------------------------------- *)
+
+(* Saved indexes are keyed by these exact bytes: a key that drifted would
+   silently turn every indexed answer into a cold miss.  Recorded before
+   [request_key] stopped formatting through Printf. *)
+let test_request_keys_and_ids_pinned () =
+  let key (e : H.Experiments.t) =
+    Advisor.request_key e.H.Experiments.arch e.H.Experiments.problem
+  in
+  let ci = H.Experiments.all H.Experiments.Ci in
+  let paper = H.Experiments.all H.Experiments.Paper in
+  List.iter
+    (fun (what, e, expected) -> Alcotest.(check string) what expected (key e))
+    [
+      ("first CI experiment", List.nth ci 0,
+       "ask|hextime-serve-v2|1978d800651e6d0c");
+      ("second CI experiment (leading zero)", List.nth ci 1,
+       "ask|hextime-serve-v2|01fff9577aaf1295");
+      ("first paper experiment", List.nth paper 0,
+       "ask|hextime-serve-v2|838ebee81f130951");
+      ("last paper experiment", List.nth paper 127,
+       "ask|hextime-serve-v2|576a7b335cb272d6");
+    ];
+  let module D = Hextime_prelude.Det_hash in
+  Alcotest.(check string) "all 140 CI and paper keys"
+    "21f9f670fce04c84"
+    (Printf.sprintf "%016Lx"
+       (D.to_int64
+          (List.fold_left D.mix_string (D.create "pinned-request-keys")
+             (List.map key (ci @ paper)))));
+  List.iter
+    (fun n ->
+      Alcotest.(check string) (string_of_int n) (Printf.sprintf "r%06d" n)
+        (Server.format_req_id n))
+    [ 0; 1; 9; 10; 99_999; 100_000; 999_999; 1_000_000; 12_345_678; max_int ];
+  Alcotest.(check string) "past six digits" "r1000000"
+    (Server.format_req_id 1_000_000)
 
 (* --- cold path: exact exhaustive arg-min ------------------------------------ *)
 
@@ -386,7 +550,8 @@ let test_serve_cold_warm_writeback_and_concurrency () =
   let cold_entry =
     match ask fd e0 with
     | Ok { Proto.source = Proto.Cold; entry; req_id; server; _ } ->
-        Alcotest.(check bool) "answers carry a request id" true (req_id <> "");
+        Alcotest.(check string) "a fresh server's first request id"
+          "r000001" req_id;
         Alcotest.(check bool) "answers carry server vitals" true
           (List.mem_assoc "uptime_s" server
           && List.mem_assoc "index_entries" server
@@ -398,7 +563,8 @@ let test_serve_cold_warm_writeback_and_concurrency () =
   in
   (* same connection, same question: warm now, same answer *)
   (match ask fd e0 with
-  | Ok { Proto.source = Proto.Warm; entry; server; _ } ->
+  | Ok { Proto.source = Proto.Warm; entry; req_id; server; _ } ->
+      Alcotest.(check string) "the second request id" "r000002" req_id;
       Alcotest.(check bool) "warm answer identical to the cold one" true
         (config_equal cold_entry.Index.e_config entry.Index.e_config
         && cold_entry.Index.e_talg = entry.Index.e_talg);
@@ -929,6 +1095,122 @@ let test_graceful_shutdown_on_sigterm () =
   Sys.remove ledger_path;
   Sys.remove access_log
 
+(* --- clients that hang up, snapshots that do not load ----------------------- *)
+
+let save_one_entry_index (e : H.Experiments.t) =
+  let index_path = fresh_path ".json" in
+  let index = Index.create () in
+  Index.add index (entry_of e);
+  (match Index.save index ~path:index_path with
+  | Ok () -> ()
+  | Error m -> Alcotest.fail m);
+  index_path
+
+(* Half the clients close right after asking, so the reply meets a closed
+   socket (EPIPE, and SIGPIPE unless the server ignores it); the other half
+   close once the reply has arrived, unread, so the server's next read of
+   that connection fails with ECONNRESET.  Neither may take the server
+   down: a client that waits gets its answer. *)
+let test_hangups_do_not_kill_the_server () =
+  let e0 = List.hd (H.Experiments.all H.Experiments.Ci) in
+  let index_path = save_one_entry_index e0 in
+  let socket_path = fresh_path ".sock" in
+  let srv =
+    Domain.spawn (fun () ->
+        Server.run ~index_path ~exec:Parsweep.serial ~socket_path ())
+  in
+  let problem = e0.H.Experiments.problem in
+  let request =
+    Proto.request_to_json
+      (Proto.Ask
+         {
+           arch = e0.H.Experiments.arch.Gpu.Arch.name;
+           stencil = problem.P.stencil.S.name;
+           space = problem.P.space;
+           time = problem.P.time;
+         })
+  in
+  let hangups = 50 in
+  for i = 1 to hangups do
+    let fd = connect socket_path in
+    Proto.write_frame fd request;
+    (if i mod 2 = 0 then
+       match Unix.select [ fd ] [] [] 10.0 with
+       | [], _, _ -> Alcotest.failf "client %d: no reply within 10 s" i
+       | _ -> ());
+    Unix.close fd
+  done;
+  let fd = connect socket_path in
+  (* a dead server would leave this read blocked forever *)
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+  (match ask fd e0 with
+  | Ok { Proto.source = Proto.Warm; _ } -> ()
+  | Ok _ -> Alcotest.fail "the waiting client was answered cold"
+  | Error m -> Alcotest.failf "the waiting client got no answer: %s" m);
+  (match Client.shutdown fd with Ok () -> () | Error m -> Alcotest.fail m);
+  Client.close fd;
+  let summary = Domain.join srv in
+  Sys.remove index_path;
+  Alcotest.(check int) "every ask answered, hung up or not" (hangups + 1)
+    summary.Server.requests;
+  Alcotest.(check int) "all warm" (hangups + 1) summary.Server.warm_hits
+
+(* A snapshot that does not load is moved aside before the server starts
+   empty, so the first write-back cannot replace it. *)
+let test_unloadable_index_moved_aside () =
+  let e0 = List.hd (H.Experiments.all H.Experiments.Ci) in
+  let stale =
+    let index = Index.create () in
+    Index.add index (entry_of e0);
+    Minijson.render (stale_index_json index)
+  in
+  List.iter
+    (fun (what, contents) ->
+      let index_path = fresh_path ".json" in
+      let oc = open_out_bin index_path in
+      output_string oc contents;
+      close_out oc;
+      let socket_path = fresh_path ".sock" in
+      let srv =
+        Domain.spawn (fun () ->
+            Server.run ~index_path ~exec:Parsweep.serial ~max_requests:1
+              ~socket_path ())
+      in
+      let fd = connect socket_path in
+      (match ask fd e0 with
+      | Ok { Proto.source = Proto.Cold; _ } -> ()
+      | Ok _ -> Alcotest.failf "%s: answered warm" what
+      | Error m -> Alcotest.failf "%s: %s" what m);
+      Client.close fd;
+      let (_ : Server.summary) = Domain.join srv in
+      let prefix = Filename.basename index_path ^ ".bad." in
+      let dir = Filename.dirname index_path in
+      (match
+         List.filter
+           (String.starts_with ~prefix)
+           (Array.to_list (Sys.readdir dir))
+       with
+      | [ name ] ->
+          let moved = Filename.concat dir name in
+          let ic = open_in_bin moved in
+          let kept = really_input_string ic (in_channel_length ic) in
+          close_in ic;
+          Sys.remove moved;
+          Alcotest.(check string) (what ^ ": moved aside intact") contents kept
+      | names ->
+          Alcotest.failf "%s: expected one %s* file, found %d" what prefix
+            (List.length names));
+      (match Index.load ~path:index_path with
+      | Ok idx ->
+          Alcotest.(check int) (what ^ ": the new snapshot") 1 (Index.size idx)
+      | Error m -> Alcotest.failf "%s: new snapshot: %s" what m);
+      Sys.remove index_path)
+    [
+      ( "garbage",
+        "{\"schema\":\"hextime-serve-index-v1\",\"entries\":[\x00 torn" );
+      ("stale code version", stale);
+    ]
+
 let suite =
   [
     Alcotest.test_case "proto frame round-trip" `Quick test_proto_roundtrip;
@@ -955,4 +1237,13 @@ let suite =
       test_drift_monitor_clean_and_injected;
     Alcotest.test_case "graceful shutdown on SIGTERM" `Quick
       test_graceful_shutdown_on_sigterm;
+    QCheck_alcotest.to_alcotest prop_answer_splice_equals_tree;
+    Alcotest.test_case "proto answer splice after re-add" `Quick
+      test_answer_splice_after_readd;
+    Alcotest.test_case "request keys and ids pinned" `Quick
+      test_request_keys_and_ids_pinned;
+    Alcotest.test_case "serve: hung-up clients do not kill it" `Quick
+      test_hangups_do_not_kill_the_server;
+    Alcotest.test_case "serve: unloadable index moved aside" `Quick
+      test_unloadable_index_moved_aside;
   ]
