@@ -60,8 +60,8 @@ let () =
           prerr_string
             (Hextime_obs.Metrics.render (Hextime_obs.Metrics.snapshot ())))
 
-(* every sweep below runs through the parallel cached engine; jobs and the
-   cache directory follow HEXTIME_JOBS / HEXTIME_CACHE_DIR *)
+(* every sweep below runs through the parallel engine; jobs follow
+   HEXTIME_JOBS *)
 let exec = Parsweep.default ()
 let sweep_points e = (H.Sweep.baseline ~exec e).H.Sweep.points
 
@@ -1015,8 +1015,7 @@ let hexabs_stats =
    Three metrics, each chosen because a PR touching the simulator core
    moves it directly:
    - cold-sweep points/sec: a full serial model-baseline sweep of
-     heat2d 512x512 T=128 with the sweep cache disabled — the paper's
-     end-to-end unit of work;
+     heat2d 512x512 T=128 — the paper's end-to-end unit of work;
    - price ns/kernel: one jitter-invariant kernel pricing
      ([Simulator.price_sequence] over a compiled config);
    - eventsim simulated cycles per wall second on a canonical chunk.
@@ -1045,8 +1044,7 @@ let () =
     done;
     !best
   in
-  (* cold sweep: serial exec carries no cache, so every iteration
-     re-prices and re-measures every point *)
+  (* cold sweep: every iteration re-prices and re-measures every point *)
   let n_points = ref 0 in
   let inv0 = Gpu.Simulator.invocations () in
   let sweep_s =
@@ -1059,7 +1057,7 @@ let () =
     float_of_int (Gpu.Simulator.invocations () - inv0)
     /. (3.0 *. float_of_int !n_points)
   in
-  (* the same cache-less workload on the parallel pool's worker domains.
+  (* the same workload on the parallel pool's worker domains.
      `hextime bench-compare` gates domains >= 0.5x serial at >= 2 jobs. *)
   let par_jobs = Parsweep.Dpool.default_jobs () in
   let domains_exec = { Parsweep.serial with jobs = par_jobs } in

@@ -108,7 +108,7 @@ let problem_of stencil space time =
   | p -> Ok p
   | exception Invalid_argument msg -> Error msg
 
-(* --- sweep execution (parallel cached engine) --------------------------- *)
+(* --- sweep execution (parallel engine) ------------------------------------ *)
 
 let jobs_arg =
   Arg.(
@@ -119,25 +119,6 @@ let jobs_arg =
           "Worker domains for sweeps (default: core count, overridable \
            with $(b,HEXTIME_JOBS)).  1 runs fully in-process; results are \
            identical either way.")
-
-let cache_dir_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "cache-dir" ] ~docv:"DIR"
-        ~doc:
-          "On-disk sweep cache directory (default: $(b,HEXTIME_CACHE_DIR), \
-           else ~/.cache/hextime).  The cache also checkpoints running \
-           sweeps: a killed sweep resumes from its last completed point.")
-
-let no_cache_arg =
-  Arg.(
-    value & flag
-    & info [ "no-cache" ] ~doc:"Disable the on-disk sweep cache entirely.")
-
-let exec_of jobs cache_dir no_cache =
-  let e = Parsweep.default ~jobs ?cache_dir () in
-  if no_cache then { e with Parsweep.cache = None } else e
 
 (* --- observability (hexscope) ------------------------------------------- *)
 
@@ -208,9 +189,6 @@ let sweep_stat_metrics ~elapsed_s (stats : Parsweep.stats) =
   let total = float_of_int stats.Parsweep.total in
   [
     ("points", total);
-    ( "cache_hit_rate",
-      if stats.Parsweep.total = 0 then 0.0
-      else float_of_int stats.Parsweep.cache_hits /. total );
     ("points_per_sec", if elapsed_s > 0.0 then total /. elapsed_s else 0.0);
     ("elapsed_s", elapsed_s);
   ]
@@ -523,15 +501,15 @@ let validate_cmd =
   let plot =
     Arg.(value & flag & info [ "plot" ] ~doc:"Render the ASCII scatter plot.")
   in
-  let run arch stencil space time csv plot jobs cache_dir no_cache profile
-      metrics ledger no_ledger =
+  let run arch stencil space time csv plot jobs profile metrics ledger
+      no_ledger =
     with_obs profile metrics @@ fun () ->
     match problem_of stencil space time with
     | Error msg -> die "%s" msg
     | Ok problem ->
         let t0 = Unix.gettimeofday () in
         let e = { H.Experiments.arch; problem } in
-        let exec = exec_of jobs cache_dir no_cache in
+        let exec = Parsweep.default ~jobs () in
         let full, stats = H.Sweep.run ~exec e in
         let elapsed_s = Unix.gettimeofday () -. t0 in
         let sweep = full.H.Sweep.points in
@@ -576,8 +554,7 @@ let validate_cmd =
     Term.(
       ret
         (const run $ arch_arg $ stencil_arg $ space_arg $ time_arg $ csv $ plot
-       $ jobs_arg $ cache_dir_arg $ no_cache_arg $ profile_arg $ metrics_arg
-       $ ledger_arg $ no_ledger_arg))
+       $ jobs_arg $ profile_arg $ metrics_arg $ ledger_arg $ no_ledger_arg))
   in
   Cmd.v
     (Cmd.info "validate"
@@ -768,15 +745,6 @@ let lint_cmd =
             "Minimum severity that makes the exit status non-zero.  The \
              default $(b,error) means warning-only reports are informational.")
   in
-  let symbolic =
-    Arg.(
-      value & flag
-      & info [ "symbolic" ]
-          ~doc:
-            "With $(b,--sweep): prove whole sub-lattices free of resources \
-             and bounds findings first (hexabs abstract domains) and skip \
-             those passes on every configuration inside a proven-clean box.")
-  in
   let fail_on_name = function `Error -> "error" | `Warning -> "warning" in
   let failing_of fail_on reports =
     List.filter
@@ -786,86 +754,46 @@ let lint_cmd =
         | `Warning -> r.Hexlint.findings <> [])
       reports
   in
-  let finish fmt fail_on reports ~linted ~skipped =
+  let finish fmt fail_on reports ~skipped ~crashed =
+    let linted = List.length reports in
     let dirty = List.filter (fun r -> r.Hexlint.findings <> []) reports in
     let failing = failing_of fail_on dirty in
+    (* stderr: keeps --format json output machine-parseable *)
+    List.iter
+      (fun (e, cfg, msg) ->
+        Format.eprintf "lint: crashed on %s %s: %s@." (H.Experiments.id e)
+          (Config.id cfg) msg)
+      crashed;
+    let n_crashed = List.length crashed in
     (match fmt with
     | `Json -> print_string (Hexlint.render_json dirty)
     | `Text ->
         print_string (Hexlint.render_sweep_text dirty);
         Printf.printf
-          "linted %d configuration(s) (%d infeasible skipped): %s\n" linted
+          "linted %d configuration(s) (%d infeasible skipped%s): %s\n" linted
           skipped
-          (if dirty = [] then "clean"
-           else
+          (if n_crashed = 0 then ""
+           else Printf.sprintf ", %d crashed" n_crashed)
+          (if dirty <> [] then
              Printf.sprintf "%d with findings, %d at or above --fail-on=%s"
                (List.length dirty) (List.length failing)
-               (fail_on_name fail_on)));
-    if failing = [] then `Ok ()
+               (fail_on_name fail_on)
+           else if n_crashed > 0 then "incomplete"
+           else "clean"));
+    if n_crashed > 0 then
+      die "lint: %d configuration(s) crashed while linting" n_crashed
+    else if failing = [] then `Ok ()
     else
       die "lint: findings at or above --fail-on=%s in %d of %d \
            configuration(s)"
         (fail_on_name fail_on) (List.length failing) linted
   in
-  let run arch stencil space time tile threads sweep scale fmt fail_on
-      symbolic jobs cache_dir no_cache profile metrics =
+  let run arch stencil space time tile threads sweep scale fmt fail_on jobs
+      profile metrics =
     with_obs profile metrics @@ fun () ->
-    if sweep then begin
-      let module Hexabs = Hextime_analysis.Hexabs in
-      let exec = exec_of jobs cache_dir no_cache in
-      let experiments = H.Experiments.all scale in
-      (* symbolic pre-pass: per experiment and per thread count, a disjoint
-         cover of the tile lattice with box-level resources/bounds verdicts.
-         Configurations inside a proven-clean box skip those two passes —
-         the proof says they cannot produce findings there. *)
-      let covers =
-        if not symbolic then None
-        else begin
-          let tbl = Hashtbl.create 16 in
-          List.iter
-            (fun (e : H.Experiments.t) ->
-              let tt, ts = Space.axes e.problem in
-              let l = Hexabs.lattice ~tt ~ts in
-              let taxis = Array.of_list Space.thread_candidates in
-              let per_thread =
-                List.mapi
-                  (fun i t ->
-                    let cover =
-                      Hexabs.prove_clean e.arch e.problem l ~threads_axis:taxis
-                        ~threads:{ Hexabs.lo = i; hi = i }
-                    in
-                    ( t,
-                      List.filter_map
-                        (function b, Hexabs.Clean -> Some b | _ -> None)
-                        cover ))
-                  Space.thread_candidates
-              in
-              Hashtbl.replace tbl (H.Experiments.id e) (l, per_thread))
-            experiments;
-          Some tbl
-        end
-      in
-      let skip_for (e : H.Experiments.t) cfg =
-        match covers with
-        | None -> []
-        | Some tbl -> (
-            match Hashtbl.find_opt tbl (H.Experiments.id e) with
-            | None -> []
-            | Some (l, per_thread) -> (
-                match
-                  List.assoc_opt (Config.total_threads cfg) per_thread
-                with
-                | None -> []
-                | Some clean ->
-                    if
-                      List.exists
-                        (fun b ->
-                          Hexabs.contains l b ~t_t:cfg.Config.t_t
-                            ~t_s:cfg.Config.t_s)
-                        clean
-                    then [ "bounds"; "resources" ]
-                    else []))
-      in
+    if sweep && tile <> None then die "pass --tile or --sweep, not both"
+    else if sweep then begin
+      let exec = Parsweep.default ~jobs () in
       (* params/citer are computed once per experiment, before the sweep
          fans its configurations out to the workers *)
       let tasks =
@@ -874,48 +802,32 @@ let lint_cmd =
             let params = H.Microbench.params e.arch in
             let citer = H.Microbench.citer e.arch e.problem.Problem.stencil in
             List.map
-              (fun cfg -> (e, params, citer, cfg, skip_for e cfg))
+              (fun cfg -> (e, params, citer, cfg))
               (Hextime_tileopt.Baseline.data_points params e.problem))
-          experiments
+          (H.Experiments.all scale)
       in
-      (if symbolic then
-         let proven =
-           List.length (List.filter (fun (_, _, _, _, s) -> s <> []) tasks)
-         in
-         Format.eprintf
-           "symbolic lint: resources+bounds proven clean box-wide for %d of \
-            %d configuration(s); per-config passes skipped there@."
-           proven (List.length tasks));
       let outcomes, stats =
         Parsweep.map exec
-          ~key:(fun ((e : H.Experiments.t), _, _, cfg, skip) ->
-            Printf.sprintf "lint|%s|%s|%s%s" H.Sweep.code_version
-              (H.Experiments.id e) (Config.id cfg)
-              (if skip = [] then "" else "|sym"))
-          ~f:(fun ((e : H.Experiments.t), params, citer, cfg, skip) ->
+          ~f:(fun ((e : H.Experiments.t), params, citer, cfg) ->
             match
-              Hexlint.lint_config ~skip params ~arch:e.arch ~citer e.problem
-                cfg
+              Hexlint.lint_config params ~arch:e.arch ~citer e.problem cfg
             with
             | Ok r -> Some r
             | Error _ -> None)
           tasks
       in
-      let linted = ref 0 and skipped = ref 0 in
-      let reports =
-        List.filter_map
-          (function
-            | Ok (Some r) ->
-                incr linted;
-                Some r
-            | Ok None | Error _ ->
-                incr skipped;
-                None)
-          outcomes
-      in
-      (* stderr: keeps --format json output machine-parseable *)
+      (* [Ok None] is a configuration the model rejected; [Error] is an
+         exception inside the linter, which must fail the gate *)
+      let reports = ref [] and skipped = ref 0 and crashed = ref [] in
+      List.iter2
+        (fun ((e : H.Experiments.t), _, _, cfg) -> function
+          | Ok (Some r) -> reports := r :: !reports
+          | Ok None -> incr skipped
+          | Error msg -> crashed := (e, cfg, msg) :: !crashed)
+        tasks outcomes;
       Format.eprintf "lint sweep: %a@." Parsweep.pp_stats stats;
-      finish fmt fail_on reports ~linted:!linted ~skipped:!skipped
+      finish fmt fail_on (List.rev !reports) ~skipped:!skipped
+        ~crashed:(List.rev !crashed)
     end
     else
       match tile with
@@ -949,8 +861,8 @@ let lint_cmd =
     Term.(
       ret
         (const run $ arch_arg $ stencil_arg $ space_arg $ time_arg $ tile
-       $ threads $ sweep $ scale_arg $ format $ fail_on $ symbolic $ jobs_arg
-       $ cache_dir_arg $ no_cache_arg $ profile_arg $ metrics_arg))
+       $ threads $ sweep $ scale_arg $ format $ fail_on $ jobs_arg
+       $ profile_arg $ metrics_arg))
   in
   Cmd.v
     (Cmd.info "lint"
@@ -961,7 +873,7 @@ let lint_cmd =
           $(b,--sweep).  Exits non-zero when findings at or above \
           $(b,--fail-on) (default: error) are present; with \
           $(b,--format)=json only configurations with findings are printed.  \
-          $(b,--symbolic) proves sub-lattices clean before linting.")
+          A configuration whose lint raises fails the sweep too.")
     term
 
 (* --- prove ------------------------------------------------------------------ *)
@@ -1663,23 +1575,6 @@ let doctor_cmd =
        metrics registry now holds a live smoke snapshot *)
     print_endline "observability:";
     print_string (Obs.Metrics.render (Obs.Metrics.snapshot ()));
-    (let cache = Hextime_parsweep.Cache.create () in
-     let dir = Hextime_parsweep.Cache.dir cache in
-     match Sys.readdir dir with
-     | entries ->
-         let bytes =
-           Array.fold_left
-             (fun acc e ->
-               match Unix.stat (Filename.concat dir e) with
-               | { Unix.st_kind = Unix.S_REG; st_size; _ } -> acc + st_size
-               | _ -> acc
-               | exception Unix.Unix_error _ -> acc)
-             0 entries
-         in
-         Printf.printf "  cache dir %s: %d entries, %d bytes\n" dir
-           (Array.length entries) bytes
-     | exception Sys_error _ ->
-         Printf.printf "  cache dir %s: unreadable\n" dir);
     if !failures = 0 then begin
       print_endline "doctor: all checks passed";
       `Ok ()
@@ -1693,9 +1588,9 @@ let doctor_cmd =
     Term.(ret (const run $ const ()))
 
 let campaign_cmd =
-  let run scale jobs cache_dir no_cache profile metrics ledger no_ledger =
+  let run scale jobs profile metrics ledger no_ledger =
     with_obs profile metrics @@ fun () ->
-    let exec = exec_of jobs cache_dir no_cache in
+    let exec = Parsweep.default ~jobs () in
     let t0 = Unix.gettimeofday () in
     let est = H.Campaign.estimate ~exec scale in
     let elapsed_s = Unix.gettimeofday () -. t0 in
@@ -1734,8 +1629,8 @@ let campaign_cmd =
           rejected configurations are counted separately.")
     Term.(
       ret
-        (const run $ scale_arg $ jobs_arg $ cache_dir_arg $ no_cache_arg
-       $ profile_arg $ metrics_arg $ ledger_arg $ no_ledger_arg))
+        (const run $ scale_arg $ jobs_arg $ profile_arg $ metrics_arg
+       $ ledger_arg $ no_ledger_arg))
 
 let report_cmd =
   let out =
@@ -2381,13 +2276,13 @@ let accuracy_compare_cmd =
   let tol_rmse_top = tol "rmse-top" 0.02 "increase" in
   let tol_correlation = tol "correlation-top" 0.05 "decrease" in
   let tol_argmin = tol "argmin-quality" 0.05 "decrease" in
-  let run scale baseline write t_all t_top t_corr t_argmin jobs cache_dir
-      no_cache profile metrics =
+  let run scale baseline write t_all t_top t_corr t_argmin jobs profile
+      metrics =
     with_obs profile metrics @@ fun () ->
     if baseline = None && write = None then
       die "accuracy-compare: --baseline and/or --write is required"
     else
-      let exec = exec_of jobs cache_dir no_cache in
+      let exec = Parsweep.default ~jobs () in
       let current = H.Accuracy.collect ~exec scale in
       if current.H.Accuracy.rows = [] then
         die "accuracy-compare: no experiment produced data at this scale"
@@ -2453,7 +2348,7 @@ let accuracy_compare_cmd =
       ret
         (const run $ scale_arg $ baseline_arg $ write_arg $ tol_rmse_all
        $ tol_rmse_top $ tol_correlation $ tol_argmin $ jobs_arg
-       $ cache_dir_arg $ no_cache_arg $ profile_arg $ metrics_arg))
+       $ profile_arg $ metrics_arg))
 
 (* --- hexserve (index / serve / ask) ------------------------------------------ *)
 
@@ -2473,15 +2368,13 @@ let index_path_arg =
     & info [ "index" ] ~docv:"FILE" ~doc:"Arg-min index snapshot file.")
 
 let index_cmd =
-  let run scale out jobs cache_dir no_cache profile metrics ledger no_ledger =
+  let run scale out jobs profile metrics ledger no_ledger =
     with_obs profile metrics @@ fun () ->
-    let exec = exec_of jobs cache_dir no_cache in
+    let exec = Parsweep.default ~jobs () in
     let t0 = Unix.gettimeofday () in
     let experiments = H.Experiments.all scale in
     let outcomes, stats =
       Parsweep.map ~label:"index build" exec
-        ~key:(fun (e : H.Experiments.t) ->
-          Serve.Advisor.request_key e.H.Experiments.arch e.H.Experiments.problem)
         ~f:(fun (e : H.Experiments.t) ->
           Serve.Advisor.solve e.H.Experiments.arch e.H.Experiments.problem)
         experiments
@@ -2535,13 +2428,13 @@ let index_cmd =
     (Cmd.info "index"
        ~doc:
          "Precompute the arg-min index: solve the tile-advisory problem \
-          for every experiment at a scale (through the parallel pool and \
-          its disk cache) and write the digest-keyed snapshot that \
+          for every experiment at a scale (through the parallel pool) and \
+          write the digest-keyed snapshot that \
           $(b,hextime serve) answers warm queries from.")
     Term.(
       ret
-        (const run $ scale_arg $ out $ jobs_arg $ cache_dir_arg $ no_cache_arg
-       $ profile_arg $ metrics_arg $ ledger_arg $ no_ledger_arg))
+        (const run $ scale_arg $ out $ jobs_arg $ profile_arg $ metrics_arg
+       $ ledger_arg $ no_ledger_arg))
 
 let serve_cmd =
   let max_requests =
@@ -2637,10 +2530,9 @@ let serve_cmd =
   in
   let run socket index_path no_index max_requests metrics_port access_log
       slow_us slo_window_s slo_p99_us slo_warm_ratio audit_rate audit_cold
-      drift_min_ratio jobs cache_dir no_cache profile metrics ledger no_ledger
-      =
+      drift_min_ratio jobs profile metrics ledger no_ledger =
     with_obs profile metrics @@ fun () ->
-    let exec = exec_of jobs cache_dir no_cache in
+    let exec = Parsweep.default ~jobs () in
     let index_path = if no_index then None else Some index_path in
     let t0 = Unix.gettimeofday () in
     let on_ready () =
@@ -2727,8 +2619,7 @@ let serve_cmd =
         (const run $ socket_arg $ index_path_arg $ no_index $ max_requests
        $ metrics_port $ access_log $ slow_us $ slo_window_s $ slo_p99_us
        $ slo_warm_ratio $ audit_rate $ audit_cold $ drift_min_ratio $ jobs_arg
-       $ cache_dir_arg $ no_cache_arg $ profile_arg $ metrics_arg $ ledger_arg
-       $ no_ledger_arg))
+       $ profile_arg $ metrics_arg $ ledger_arg $ no_ledger_arg))
 
 let ask_cmd =
   let format =

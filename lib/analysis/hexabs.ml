@@ -3,11 +3,9 @@ module Problem = Hextime_stencil.Problem
 module Stencil = Hextime_stencil.Stencil
 module Config = Hextime_tiling.Config
 module Footprint = Hextime_tiling.Footprint
-module Regalloc = Hextime_tiling.Regalloc
 module Params = Hextime_core.Params
 module Model = Hextime_core.Model
 module Arith = Hextime_core.Arith
-module Arch = Hextime_gpu.Arch
 module Metrics = Hextime_obs.Metrics
 module II = Arith.Int_interval
 module FI = Arith.Float_interval
@@ -25,17 +23,15 @@ let c_points_enumerated = Metrics.counter "hexabs.points_enumerated"
 let c_bound_evals = Metrics.counter "hexabs.bnb.evals_bound"
 let c_concrete_evals = Metrics.counter "hexabs.bnb.evals_concrete"
 let c_bnb_pruned = Metrics.counter "hexabs.bnb.boxes_pruned"
-let c_lint_clean = Metrics.counter "hexabs.lint.boxes_proven_clean"
 
 (* ------------------------------------------------------------------ *)
-(* Lattice, boxes, congruence                                         *)
+(* Lattice and boxes                                                  *)
 (* ------------------------------------------------------------------ *)
 
 type axis = int array
 type lattice = { tt_axis : axis; ts_axes : axis array }
 type slice = { lo : int; hi : int }
 type box = { b_tt : slice; b_ts : slice array }
-type congruence = { modulus : int; residue : int }
 
 let check_axis name (a : axis) =
   if Array.length a = 0 then
@@ -76,29 +72,6 @@ let slice_range (a : axis) s = (a.(s.lo), a.(s.hi))
 
 let value_ranges l b =
   (slice_range l.tt_axis b.b_tt, Array.mapi (fun d s -> slice_range l.ts_axes.(d) s) b.b_ts)
-
-let rec gcd a b = if b = 0 then a else gcd b (a mod b)
-
-(* the best congruence class covering the slice: residues of all members
-   agree modulo the gcd of their differences.  A singleton slice is the
-   constant congruence (modulus 0 by convention). *)
-let congruence_of (a : axis) s =
-  if s.lo = s.hi then { modulus = 0; residue = a.(s.lo) }
-  else begin
-    let v0 = a.(s.lo) in
-    let g = ref 0 in
-    for i = s.lo + 1 to s.hi do
-      g := gcd !g (a.(i) - v0)
-    done;
-    let m = !g in
-    { modulus = m; residue = ((v0 mod m) + m) mod m }
-  end
-
-(* does every member of the congruence class lie in residue class r mod m? *)
-let congruence_implies c ~modulus ~residue =
-  if modulus <= 0 then invalid_arg "Hexabs.congruence_implies";
-  if c.modulus = 0 then c.residue mod modulus = residue
-  else c.modulus mod modulus = 0 && c.residue mod modulus = residue
 
 (* split the widest axis (most candidate indices) at its midpoint *)
 let split b =
@@ -475,174 +448,3 @@ let minimize ?variant ?(slack = 0.25) (p : Params.t) ~citer
     in
     drain (enqueue (full_box l) [])
   end
-
-(* ------------------------------------------------------------------ *)
-(* Symbolic lint: resources + bounds passes over boxes                *)
-(* ------------------------------------------------------------------ *)
-
-type lint_verdict = Clean | Dirty of string | Unresolved of string
-
-let lint_verdict_name = function
-  | Clean -> "clean"
-  | Dirty _ -> "dirty"
-  | Unresolved _ -> "unresolved"
-
-(* The bounds pass (B2..B6) is finding-free for every Lower-generated
-   kernel on any lattice with t_s >= 1 and even t_t >= 2:
-
-   - B2: Lower allocates smem_words = 2 * word_factor * prod smem_ext by
-     the same closed form the pass recomputes — margin identically 0.
-   - B3: the widest row is t_s0 + 2*order*(t_t/2 - 1) (Green; Yellow adds
-     its extra to both sides), and smem_ext0 = t_s0 + order*t_t + 1, so
-     (smem_ext0 - 1) - (width + 2*order) = 0 — tight but never negative.
-   - B5: smem_ext_d - (t_s_d + 2*order) = order*(t_t - 2) + 1 >= 1.
-   - B4: staged words (t_s0 + 2*order*t_t) * prod_inner t_s_d * wf versus
-     the allocation 2 * prod (t_s_d + order*t_t + 1) * wf: the leading
-     factor alone satisfies 2*(t_s0 + order*t_t + 1) > t_s0 + 2*order*t_t,
-     and every inner factor dominates its counterpart.
-   - B6: clipping only shrinks rows (Hexgeom.rows_clipped filters and
-     clamps), so no clipped row exceeds the widest unclipped row + extra.
-
-   B1 (tap offsets within the order-halo) is the one stencil-dependent
-   check, decided concretely once per problem.  The parity precondition is
-   discharged with the congruence domain; the QCheck soundness suite
-   cross-checks box verdicts against per-config Hexlint runs. *)
-let bounds_clean_box (problem : Problem.t) l =
-  let stencil = problem.Problem.stencil in
-  let order = stencil.Stencil.order in
-  let tt_c = congruence_of l.tt_axis (full_slice l.tt_axis) in
-  if not (congruence_implies tt_c ~modulus:2 ~residue:0) then
-    Unresolved "bounds: t_t axis not provably even"
-  else
-    let bad_offset =
-      List.exists
-        (fun off ->
-          Array.length off <> stencil.Stencil.rank
-          || Array.exists (fun o -> abs o > order) off)
-        (Stencil.offsets stencil)
-    in
-    if bad_offset then Dirty "bounds: tap offset beyond the order halo"
-    else Clean
-
-(* Resource-pass findings over a box, at a thread-count slice of the given
-   axis.  Every quantity is evaluated with the same interval arithmetic the
-   model uses; the congruence domain discharges the warp-multiple warning
-   for the whole thread axis at once. *)
-let resources_clean_box (arch : Arch.t) (problem : Problem.t) l b
-    ~(threads_axis : axis) ~(threads : slice) =
-  let module A = Arith.Interval in
-  let stencil = problem.Problem.stencil in
-  let order = stencil.Stencil.order in
-  let word_factor = Problem.word_factor problem in
-  let t_t, t_s = interval_inputs l b in
-  let thr = II.v threads_axis.(threads.lo) threads_axis.(threads.hi) in
-  let thr_c = congruence_of threads_axis threads in
-  (* M_tile, as the resources pass sees it (Lower's allocation) *)
-  let smem =
-    A.( * )
-      (A.( * ) (A.int 2)
-         (Array.fold_left
-            (fun acc s ->
-              A.( * ) acc
-                (A.( + ) (A.( + ) s (A.( * ) (A.int order) t_t)) (A.int 1)))
-            (A.int 1) t_s))
-      (A.int word_factor)
-  in
-  (* Regalloc.per_thread at the Yellow family's widest row (the worst of
-     the two family kernels: base is wider by 2*order) *)
-  let inner =
-    Array.fold_left (fun acc s -> A.( * ) acc s) (A.int 1)
-      (Array.sub t_s 1 (Array.length t_s - 1))
-  in
-  let widest_base = A.( + ) t_s.(0) (A.int (2 * order)) in
-  let max_row_points =
-    A.imax (A.int 1)
-      (A.( * )
-         (A.( + ) widest_base
-            (A.( * ) (A.int (2 * order))
-               (A.( - ) (A.tdiv t_t (A.int 2)) (A.int 1))))
-         inner)
-  in
-  let regs =
-    A.( + )
-      (A.int (14 + (2 * stencil.Stencil.loads) + (3 * stencil.Stencil.rank)))
-      (A.( * ) (A.int 2) (A.ceil_div max_row_points thr))
-  in
-  let regs_held = A.imin regs (A.int arch.Arch.max_regs_per_thread) in
-  let regs_per_sm = A.( * ) regs_held thr in
-  let thr_lo = thr.II.ilo and thr_hi = thr.II.ihi in
-  if thr_hi > arch.Arch.max_threads_per_block then
-    if thr_lo > arch.Arch.max_threads_per_block then
-      Dirty "resources: threads exceed the per-block cap"
-    else Unresolved "resources: threads straddle the per-block cap"
-  else if not (congruence_implies thr_c ~modulus:arch.Arch.warp_size ~residue:0)
-  then Unresolved "resources: threads not provably warp multiples"
-  else if smem.II.ilo > arch.Arch.shared_mem_per_block then
-    Dirty "resources: shared allocation exceeds the per-block cap"
-  else if smem.II.ihi > arch.Arch.shared_mem_per_block then
-    Unresolved "resources: shared allocation straddles the per-block cap"
-  else if regs.II.ilo > 2 * arch.Arch.max_regs_per_thread then
-    Dirty "resources: register demand beyond twice the architectural cap"
-  else if regs.II.ihi > 2 * arch.Arch.max_regs_per_thread then
-    Unresolved "resources: register demand straddles twice the cap"
-  else if thr_hi > arch.Arch.max_threads_per_sm then
-    Unresolved "resources: threads beyond the per-SM thread slots"
-  else if smem.II.ihi > arch.Arch.shared_mem_per_sm then
-    Dirty "resources: zero occupancy (shared memory)"
-  else if regs_per_sm.II.ihi > arch.Arch.registers_per_sm then
-    Unresolved "resources: occupancy may hit the register file"
-  else Clean
-
-let lint_clean_box arch problem l b ~threads_axis ~threads =
-  match bounds_clean_box problem l with
-  | Clean -> (
-      match resources_clean_box arch problem l b ~threads_axis ~threads with
-      | Clean ->
-          Metrics.incr c_lint_clean;
-          Clean
-      | v -> v)
-  | v -> v
-
-let prove_clean ?(leaf = 4) arch problem l ~threads_axis ~threads =
-  let rec go b acc =
-    match lint_clean_box arch problem l b ~threads_axis ~threads with
-    | Clean -> (b, Clean) :: acc
-    | Dirty _ as v -> (b, v) :: acc
-    | Unresolved _ as v -> (
-        if box_points b <= leaf then (b, v) :: acc
-        else
-          match split b with
-          | None -> (b, v) :: acc
-          | Some (x, y) ->
-              Metrics.incr c_boxes_split;
-              go y (go x acc))
-  in
-  List.rev (go (full_box l) [])
-
-(* the congruence-domain bank-stride fact: the inner-dimension row stride
-   (t_s_inner + order * t_t) * word_factor + 1 of every member config.
-   With a warp-multiple inner axis and an even t_t axis the class is odd,
-   i.e. coprime to the 32 banks — the whole box is conflict-free. *)
-let stride_congruence (problem : Problem.t) l b =
-  let stencil = problem.Problem.stencil in
-  let order = stencil.Stencil.order in
-  let word_factor = Problem.word_factor problem in
-  let r = rank l in
-  let inner_c = congruence_of l.ts_axes.(r - 1) b.b_ts.(r - 1) in
-  let tt_c = congruence_of l.tt_axis b.b_tt in
-  let combine a b =
-    (* congruence of a + b *)
-    if a.modulus = 0 && b.modulus = 0 then
-      { modulus = 0; residue = a.residue + b.residue }
-    else
-      let m = gcd a.modulus b.modulus in
-      let m = if m = 0 then max a.modulus b.modulus else m in
-      { modulus = m; residue = (((a.residue + b.residue) mod m) + m) mod m }
-  in
-  let scale k c =
-    if c.modulus = 0 then { modulus = 0; residue = k * c.residue }
-    else { modulus = k * c.modulus; residue = k * c.residue mod (k * c.modulus) }
-  in
-  let base = combine inner_c (scale order tt_c) in
-  let scaled = scale word_factor base in
-  combine scaled { modulus = 0; residue = 1 }

@@ -4,10 +4,9 @@
     a time; hexabs reasons about whole {e regions}.  The abstract state is
     a box — a contiguous slice of the sorted candidate axis per coordinate
     (t_T and the tile extents), as exported by
-    [Hextime_tileopt.Space.axes] — refined by a congruence domain (warp
-    multiples on the inner axis, parity on t_T).
+    [Hextime_tileopt.Space.axes].
 
-    Three cooperating analyses:
+    Two cooperating analyses:
 
     - {!feasible_box} decides {!Hextime_core.Model.feasible} over a box.
       M_tile is strictly monotone in every coordinate, so corner
@@ -21,10 +20,6 @@
       over the box; {!minimize} is the branch-and-bound optimizer built on
       the lower bounds — exact (same arg-min value as exhaustive
       enumeration) with a fraction of the concrete evaluations.
-    - {!lint_clean_box} re-expresses the hexlint resource and bounds
-      passes over boxes, so a sweep can prove whole sub-lattices
-      finding-free and only run those passes on configurations in
-      [Unresolved] boxes.
 
     Counters ([hexabs.boxes_proven_*], [hexabs.bnb.evals_*], ...) are
     registered with {!Hextime_obs.Metrics}. *)
@@ -41,10 +36,6 @@ type slice = { lo : int; hi : int }
 
 type box = { b_tt : slice; b_ts : slice array }
 
-type congruence = { modulus : int; residue : int }
-(** The set [{ residue + k * modulus }]; [modulus = 0] means the constant
-    [residue]. *)
-
 val lattice : tt:axis -> ts:axis array -> lattice
 (** Validates and copies the axes.  Raises [Invalid_argument] on empty,
     unsorted or non-positive axes, rank outside 1..3, or odd t_t
@@ -56,12 +47,6 @@ val box_points : box -> int
 
 val value_ranges : lattice -> box -> (int * int) * (int * int) array
 (** [(t_t range, per-dimension tile-size ranges)], as values. *)
-
-val congruence_of : axis -> slice -> congruence
-(** The best congruence class covering the slice's values. *)
-
-val congruence_implies : congruence -> modulus:int -> residue:int -> bool
-(** Does every member of the class lie in [residue] mod [modulus]? *)
 
 val split : box -> (box * box) option
 (** Halve the widest axis at its index midpoint; [None] if the box is a
@@ -203,48 +188,3 @@ val minimize :
     returned Talg equals the exhaustive minimum over the feasible
     lattice; [bnb_live] collects the still-unsplit boxes whose bound is
     within [slack] (default 0.25) of the optimum. *)
-
-(** {1 Symbolic lint} *)
-
-type lint_verdict = Clean | Dirty of string | Unresolved of string
-(** [Clean]: the hexlint resource and bounds passes produce no findings
-    for {e any} member configuration (both family kernels).  [Dirty]:
-    every member produces the named finding.  [Unresolved]: the box
-    straddles a threshold — fall back to per-configuration linting. *)
-
-val lint_verdict_name : lint_verdict -> string
-
-val lint_clean_box :
-  Hextime_gpu.Arch.t ->
-  Hextime_stencil.Problem.t ->
-  lattice ->
-  box ->
-  threads_axis:axis ->
-  threads:slice ->
-  lint_verdict
-(** The resources and bounds passes over a box, for every thread count in
-    the slice at once: interval arithmetic for the capacity and occupancy
-    thresholds, the congruence domain for the warp-multiple warning and
-    the t_T parity precondition, and the closed-form margins (documented
-    in the implementation) for the window-bounds checks. *)
-
-val prove_clean :
-  ?leaf:int ->
-  Hextime_gpu.Arch.t ->
-  Hextime_stencil.Problem.t ->
-  lattice ->
-  threads_axis:axis ->
-  threads:slice ->
-  (box * lint_verdict) list
-(** Disjoint cover of the whole lattice by {!lint_clean_box} verdicts:
-    [Unresolved] boxes are split until proven or at most [leaf] points
-    (default 4).  A sweep can skip the resources and bounds passes on
-    every configuration inside a [Clean] box and fall back to
-    per-configuration linting only inside the leftover leaves. *)
-
-val stride_congruence :
-  Hextime_stencil.Problem.t -> lattice -> box -> congruence
-(** The congruence class of the inner-dimension shared-memory row stride
-    [(t_s_inner + order * t_t) * word_factor + 1] over the box.  On a
-    warp-multiple inner axis with even t_T the class is odd — coprime to
-    the 32 banks, so the whole box is provably conflict-free. *)

@@ -432,17 +432,7 @@ type report = {
   findings : finding list;
 }
 
-let pass_names =
-  [ "well-formed"; "races"; "bounds"; "banks"; "resources"; "conformance" ]
-
-let lint_config ?(skip = []) (params : Params.t) ~(arch : Arch.t) ~citer
-    problem cfg =
-  List.iter
-    (fun p ->
-      if not (List.mem p pass_names) then
-        invalid_arg (Printf.sprintf "Hexlint.lint_config: unknown pass %s" p))
-    skip;
-  let want p = not (List.mem p skip) in
+let lint_config (params : Params.t) ~(arch : Arch.t) ~citer problem cfg =
   match Lower.ir_program problem cfg with
   | Error e -> Result.Error e
   | Ok prog -> (
@@ -451,40 +441,33 @@ let lint_config ?(skip = []) (params : Params.t) ~(arch : Arch.t) ~citer
       | Ok pr ->
           let per_kernel (k : Ir.kernel) =
             let wf =
-              if not (want "well-formed") then []
-              else
-                match Ir.validate k with
-                | Ok () -> []
-                | Error msg ->
-                    [
-                      finding ~pass:"well-formed" ~severity:Error
-                        ~kernel:k.Ir.name "%s" msg;
-                    ]
+              match Ir.validate k with
+              | Ok () -> []
+              | Error msg ->
+                  [
+                    finding ~pass:"well-formed" ~severity:Error
+                      ~kernel:k.Ir.name "%s" msg;
+                  ]
             in
             let banks =
-              if not (want "banks") then []
-              else
-                match
-                  Lower.workload problem cfg ~family:(hex_family k.Ir.family)
-                with
-                | Error msg ->
-                    [
-                      finding ~pass:"banks" ~severity:Error ~kernel:k.Ir.name
-                        "no priced workload for this family: %s" msg;
-                    ]
-                | Ok wl ->
-                    check_banks arch
-                      ~priced_stride:wl.Hextime_gpu.Workload.row_stride k
+              match
+                Lower.workload problem cfg ~family:(hex_family k.Ir.family)
+              with
+              | Error msg ->
+                  [
+                    finding ~pass:"banks" ~severity:Error ~kernel:k.Ir.name
+                      "no priced workload for this family: %s" msg;
+                  ]
+              | Ok wl ->
+                  check_banks arch
+                    ~priced_stride:wl.Hextime_gpu.Workload.row_stride k
             in
-            wf
-            @ (if want "races" then check_races k else [])
-            @ (if want "bounds" then check_bounds k else [])
-            @ banks
-            @ if want "resources" then check_resources arch k else []
+            wf @ check_races k @ check_bounds k @ banks
+            @ check_resources arch k
           in
           let findings =
             List.concat_map per_kernel prog.Ir.kernels
-            @ if want "conformance" then check_conformance pr prog else []
+            @ check_conformance pr prog
           in
           Ok
             {

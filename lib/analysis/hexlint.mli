@@ -92,11 +92,7 @@ type report = {
   findings : finding list;  (** empty iff the configuration is clean *)
 }
 
-val pass_names : string list
-(** The pass identifiers accepted by [lint_config]'s [skip]. *)
-
 val lint_config :
-  ?skip:string list ->
   Hextime_core.Params.t ->
   arch:Hextime_gpu.Arch.t ->
   citer:float ->
@@ -106,12 +102,7 @@ val lint_config :
 (** Lower the configuration, evaluate the model, and run every pass on
     both family kernels plus the host loop.  [Error] only when lowering or
     the model itself fails (infeasible configuration); lint findings are
-    reported in the [Ok] case.
-
-    [skip] names passes to omit (see {!pass_names}; raises
-    [Invalid_argument] on unknown names) — the symbolic sweep uses it to
-    drop the resources and bounds passes on configurations that
-    {!Hexabs.lint_clean_box} already proved finding-free box-wide. *)
+    reported in the [Ok] case. *)
 
 val error_count : report -> int
 val warning_count : report -> int

@@ -25,8 +25,8 @@ val of_microbenchmarks :
 val mix_pricing :
   Hextime_prelude.Det_hash.t -> t -> Hextime_prelude.Det_hash.t
 (** Fold every field the model computes from — everything but [arch_name]
-    — into a digest state; the sweep cache's incremental keys are built
-    from this (see {!Hextime_gpu.Arch.mix_pricing}). *)
+    — into a digest state; the advisor's request keys are built from this
+    (see {!Hextime_gpu.Arch.mix_pricing}). *)
 
 val l_per_gb : t -> float
 (** L expressed in seconds per gigabyte, the unit of Table 3. *)

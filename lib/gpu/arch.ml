@@ -62,10 +62,10 @@ let find name =
   | None -> raise Not_found
 
 (* Every field the simulator prices from — and deliberately NOT [name].
-   The incremental sweep cache keys points by this digest, so renaming an
-   architecture (or adding an unrelated preset) re-prices nothing, while
-   touching any number a kernel's time depends on invalidates exactly the
-   affected points. *)
+   The advisor's request keys and the calibration memos are built from this
+   digest, so renaming an architecture (or adding an unrelated preset)
+   keeps them, while touching any number a kernel's time depends on
+   changes them. *)
 let mix_pricing h a =
   let module D = Hextime_prelude.Det_hash in
   let h = D.mix_int h a.n_sm in

@@ -42,8 +42,9 @@ val find : string -> t
 val mix_pricing : Hextime_prelude.Det_hash.t -> t -> Hextime_prelude.Det_hash.t
 (** Fold every pricing-relevant field — everything except [name] — into a
     digest state.  Two architectures with equal digests price every kernel
-    identically, so the sweep cache keys points by this (a renamed preset
-    is a warm cache hit; a changed clock or bandwidth is not). *)
+    identically, so the advisor's request keys and the calibration memos
+    are built from this (a renamed preset keeps its key; a changed clock
+    or bandwidth does not). *)
 
 val cycle_s : t -> float
 (** Duration of one SM cycle in seconds. *)

@@ -18,9 +18,9 @@ type run_stats = {
   kernels : kernel_stats list;
 }
 
-(* Instrumentation for the sweep-cache tests: every kernel pricing bumps
-   the counter, so "a warm cache performs zero simulator invocations" is
-   directly observable.  Since the priced-kernel refactor a pricing happens
+(* Instrumentation: every kernel pricing bumps the counter, so the number
+   of pricings per sweep point is directly observable.  Since the
+   priced-kernel refactor a pricing happens
    once per kernel, not once per measurement run: a min-of-five measurement
    is one pricing plus five jitter reapplications.  The counters live in the
    metrics registry, which a sweep's worker domains share, so the totals

@@ -39,10 +39,8 @@ type run_stats = {
 
 val invocations : unit -> int
 (** Number of kernel pricings performed by this process since start.
-    Instrumentation for the sweep-cache tests: a warm-cache sweep must
-    answer every point without touching the simulator, and a cold sweep
-    must price each kernel of a point exactly once (not once per
-    measurement run).  A parallel sweep's worker domains count into the
+    Instrumentation: a sweep must price each kernel of a point exactly
+    once (not once per measurement run).  A parallel sweep's worker domains count into the
     same total. *)
 
 val block_cost :

@@ -12,19 +12,6 @@ type estimate = {
   total_days : float;
 }
 
-(* Incremental keying, mirroring Sweep.point_key: Runner.measure reads only
-   the architecture's numbers, the problem instance and the configuration,
-   so the key digests exactly those (no model params, no citer — the
-   campaign estimator never prices through the model). *)
-let measure_key (e : Experiments.t) config =
-  let module D = Hextime_prelude.Det_hash in
-  let h = D.create "hextime-measure" in
-  let h = D.mix_string h Sweep.code_version in
-  let h = Hextime_gpu.Arch.mix_pricing h e.arch in
-  let h = Hextime_stencil.Problem.mix_pricing h e.problem in
-  Printf.sprintf "measure|%s|%016Lx|%s" Sweep.code_version (D.to_int64 h)
-    (Config.id config)
-
 let estimate ?(compile_seconds_per_point = 20.0) ?(runs_per_point = 5)
     ?(exec = Parsweep.serial) scale =
   if compile_seconds_per_point < 0.0 then
@@ -49,7 +36,6 @@ let estimate ?(compile_seconds_per_point = 20.0) ?(runs_per_point = 5)
             (Printf.sprintf "campaign %s"
                (Experiments.scale_to_string scale))
           exec
-          ~key:(fun (e, config) -> measure_key e config)
           ~f:(fun ((e : Experiments.t), config) ->
             Hextime_obs.Trace.with_span "campaign.measure"
               ~args:(fun () ->

@@ -3,8 +3,9 @@
     [hextime history] and the report's trend section both come through
     here: given ledger entries (see {!Hextime_obs.Ledger}), build a
     one-row-per-run table of the metrics that matter over time —
-    accuracy (rmse_top, arg-min quality), sweep throughput (points/sec),
-    cache effectiveness — in plain-text, markdown or JSON. *)
+    accuracy (rmse_top, arg-min quality), sweep throughput (points/sec)
+    and, for records from before the sweep cache was removed, its hit
+    rate — in plain-text, markdown or JSON. *)
 
 val default_columns : string list
 (** The metric columns shown when the caller selects none: rmse_top,

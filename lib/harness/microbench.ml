@@ -203,7 +203,7 @@ let iterations (arch : Gpu.Arch.t) (w : Gpu.Workload.t) =
 let citer_once ~precision arch stencil ~sample =
   (* seed from the pricing digests, not the names: renaming an architecture
      or a linear stencil must not reshuffle the sampled shapes, or the mean
-     shifts and a pricing-neutral rename would cold-miss the sweep cache *)
+     shifts and a pricing-neutral rename would change every answer *)
   let h =
     Det_hash.create "citer"
     |> fun h ->

@@ -16,12 +16,10 @@ type sweep = {
   infeasible_runner : int;
 }
 
-(* Bump whenever the model, the lowering, the simulator or the measurement
-   protocol changes meaning: cached entries from older code must miss.
+(* Provenance only: the ledger and the accuracy baseline record it.
    v3: priced-kernel simulator core (pricing hoisted out of the per-salt
    measurement loop) and the event simulator's steady-state fast-forward.
-   v4: incremental keying — keys digest the point's pricing inputs instead
-   of naming the architecture and experiment. *)
+   v4: sweep points keyed by a digest of their pricing inputs. *)
 let code_version = "hextime-sweep-v4"
 
 let subsample limit xs =
@@ -45,31 +43,6 @@ let subsample limit xs =
 
 type outcome =
   [ `Point of point | `Infeasible_model of string | `Infeasible_runner of string ]
-
-(* Incremental cache keying.  A point's result is a function of exactly:
-   the code version, the architecture's numeric description, the model
-   parameters, the per-stencil computational-intensity constant, and the
-   problem instance — plus the configuration.  The key digests those
-   inputs rather than naming them, so an edit that leaves pricing
-   unchanged (renaming an architecture, adding an unrelated preset,
-   reshuffling experiment ids) re-prices nothing, while any change to a
-   number the result depends on invalidates exactly the affected points.
-   The configuration stays textual in the key (and the cache verifies the
-   full key on read), so a digest collision between two pricing contexts
-   is the only collision surface — 2^-64 per pair of contexts.
-
-   Partially applied on the experiment: the context digest is computed
-   once per sweep, not once per point. *)
-let point_key params ~citer (e : Experiments.t) =
-  let module D = Hextime_prelude.Det_hash in
-  let h = D.create "hextime-point" in
-  let h = D.mix_string h code_version in
-  let h = Hextime_gpu.Arch.mix_pricing h e.arch in
-  let h = Hextime_core.Params.mix_pricing h params in
-  let h = D.mix_float h citer in
-  let h = Hextime_stencil.Problem.mix_pricing h e.problem in
-  let prefix = Printf.sprintf "point|%s|%016Lx|" code_version (D.to_int64 h) in
-  fun config -> prefix ^ Config.id config
 
 let evaluate params ~citer (e : Experiments.t) config : outcome =
   Hextime_obs.Trace.with_span "sweep.evaluate"
@@ -100,7 +73,6 @@ let run ?limit ?(exec = Parsweep.serial) (e : Experiments.t) =
         Parsweep.map
           ~label:("sweep " ^ Experiments.id e)
           exec
-          ~key:(point_key params ~citer e)
           ~f:(evaluate params ~citer e)
           configs)
   in

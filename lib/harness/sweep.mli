@@ -3,8 +3,8 @@
     simulator, producing the paired data behind Figure 3 and Section 5.3.
 
     The sweep runs through {!Hextime_parsweep.Parsweep}: pass [?exec] to
-    fan configurations out over worker domains and/or memoise completed
-    points on disk.  The default is the serial in-process path, and the
+    fan configurations out over worker domains.  Every call recomputes
+    every point.  The default is the serial in-process path, and the
     parallel path is bit-identical to it — results are collected in
     configuration order and every worker runs the same deterministic
     code. *)
@@ -24,12 +24,10 @@ type sweep = {
 }
 
 val code_version : string
-(** Cache-key namespace tag for sweep-layer results.  Bump when the model,
-    the lowering, the simulator or the measurement protocol changes: stale
-    cache entries must miss, not resurface.  Keys additionally digest the
-    point's pricing inputs (architecture numbers, model parameters, citer,
-    problem structure — names excluded), so an edit that leaves pricing
-    unchanged re-prices nothing on a warm cache. *)
+(** Provenance tag for sweep-layer results: run-ledger records and the
+    accuracy baseline carry it, so a reader can tell which generation of
+    the model, lowering, simulator and measurement protocol produced a
+    figure.  Nothing is looked up by it. *)
 
 val subsample : int option -> 'a list -> 'a list
 (** [subsample (Some n) xs] keeps [n] evenly spaced elements, always
@@ -45,7 +43,7 @@ val run :
   sweep * Hextime_parsweep.Parsweep.stats
 (** Predict and measure the experiment's baseline data points (about 850 at
     full size; [limit] deterministically subsamples for quick runs), and
-    report the engine statistics (cache hits, retries) alongside. *)
+    report the engine statistics (the point count) alongside. *)
 
 val baseline :
   ?limit:int ->

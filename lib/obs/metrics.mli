@@ -2,7 +2,7 @@
     histograms.
 
     Counters are always on — incrementing one is a single lock-free
-    [Atomic] add, so hot paths (simulator pricing, cache lookups, eventsim
+    [Atomic] add, so hot paths (simulator pricing, memo lookups, eventsim
     fast-forward) register their handles at module-load time and bump them
     unconditionally, from any domain.  The registry only pays for rendering
     when a [snapshot] is taken.

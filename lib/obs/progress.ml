@@ -86,7 +86,7 @@ let tick ?(workers_alive = 0) ?(workers_busy = 0) t ~done_ =
     if now -. t.last_emit >= interval_s || last then begin
       t.last_emit <- now;
       (* The first tick can land within the clock's granularity of [create]
-         (a warm cache answers instantly), making elapsed zero or nearly so:
+         (a tiny sweep finishes instantly), making elapsed zero or nearly so:
          done / elapsed then publishes an infinite or garbage
          sweep.points_per_sec gauge and a nonsense ETA.  Until a millisecond
          has passed there is no rate worth reporting — publish 0 and let the

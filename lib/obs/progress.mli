@@ -14,7 +14,7 @@
     - an instant trace event ([hexwatch.heartbeat]) when tracing is on.
 
     Published rates and ETAs are always finite: ticks landing within the
-    clock's granularity of the sweep start (instant warm-cache answers)
+    clock's granularity of the sweep start (instantly finished tasks)
     report a rate of 0 rather than dividing by a near-zero elapsed time,
     and an unknown total (0) renders a bare count, never a percentage.
 

@@ -11,7 +11,7 @@ let default_jobs () =
   | Some n when n >= 1 -> n
   | Some _ | None -> max 1 (Domain.recommended_domain_count ())
 
-let in_process ~on_result ~on_progress ~f (tasks : 'a array) results =
+let in_process ~on_progress ~f (tasks : 'a array) results =
   Array.iteri
     (fun i t ->
       let t0 = Unix.gettimeofday () in
@@ -19,30 +19,27 @@ let in_process ~on_result ~on_progress ~f (tasks : 'a array) results =
       Metrics.incr tasks_counter;
       Metrics.observe task_hist (Unix.gettimeofday () -. t0);
       results.(i) <- r;
-      on_result i r;
       on_progress ~done_:(i + 1) ~alive:0 ~busy:0)
     tasks;
   results
 
-let map ?jobs ?(on_result = fun _ _ -> ())
-    ?(on_progress = fun ~done_:_ ~alive:_ ~busy:_ -> ()) ~f (tasks : 'a array)
-    =
+let map ?jobs ?(on_progress = fun ~done_:_ ~alive:_ ~busy:_ -> ()) ~f
+    (tasks : 'a array) =
   let n = Array.length tasks in
   let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in
   let results : 'b outcome array =
     Array.make n (Error "parsweep: not executed")
   in
   if jobs <= 1 || n <= 1 then
-    in_process ~on_result ~on_progress ~f tasks results
+    in_process ~on_progress ~f tasks results
   else begin
     let jobs = min jobs n in
     (* Work distribution is one atomic counter: each worker claims the next
        unclaimed index.  Results land at their task index — every slot is
        written by exactly one domain, so the array needs no lock.  Only the
-       recording callbacks do: [on_result] persists to the (single) cache
-       and [on_progress] drives one progress tracker, neither of which is
-       domain-safe, so both run under [record_mutex] along with the
-       completion count they observe. *)
+       progress callback does: [on_progress] drives one progress tracker,
+       which is not domain-safe, so it runs under [record_mutex] along with
+       the completion count it observes. *)
     let next = Atomic.make 0 in
     let done_count = ref 0 in
     let record_mutex = Mutex.create () in
@@ -64,7 +61,6 @@ let map ?jobs ?(on_result = fun _ _ -> ())
           results.(i) <- r;
           Mutex.protect record_mutex (fun () ->
               incr done_count;
-              on_result i r;
               (* in-flight = claimed but not yet recorded, capped at the
                  domain count (claims past [n] are refused loop exits) *)
               let claimed = min n (Atomic.get next) in

@@ -23,9 +23,9 @@
     deterministic, so serial and parallel runs return bit-identical
     results (CI [cmp]s the CSVs).
 
-    [on_result] and [on_progress] are serialised under one internal mutex
-    (they feed the cache and the progress tracker, which are not
-    domain-safe) and may be called from any worker domain. *)
+    [on_progress] is serialised under one internal mutex (it feeds the
+    progress tracker, which is not domain-safe) and may be called from
+    any worker domain. *)
 
 type 'b outcome = ('b, string) result
 
@@ -37,7 +37,6 @@ val default_jobs : unit -> int
 
 val map :
   ?jobs:int ->
-  ?on_result:(int -> 'b outcome -> unit) ->
   ?on_progress:(done_:int -> alive:int -> busy:int -> unit) ->
   f:('a -> 'b) ->
   'a array ->
@@ -46,9 +45,7 @@ val map :
     (default {!default_jobs}; the calling domain works too, so [jobs]
     domains run in total) and returns the outcomes in task order.  Every
     task is executed exactly once.  [jobs <= 1] or fewer than two tasks
-    runs in-process with no spawning.  [on_result] is called as each
-    outcome is recorded, in completion order — the hook the cache layer
-    uses to persist points incrementally so an interrupted sweep can
-    resume.  [on_progress] follows each [on_result] with the running
-    completion count and the worker liveness ([alive] domains of which
-    [busy] have a task in flight; both 0 on the in-process path). *)
+    runs in-process with no spawning.  [on_progress] is called as each
+    outcome is recorded, in completion order, with the running completion
+    count and the worker liveness ([alive] domains of which [busy] have a
+    task in flight; both 0 on the in-process path). *)

@@ -27,11 +27,10 @@ let key_seed =
 
 let key_prefix = "ask|" ^ code_version ^ "|"
 
-(* The same digest-the-pricing-inputs scheme as Sweep.point_key, minus the
-   per-point configuration: a request's answer is a function of exactly
-   the code version, the architecture's numeric description, the derived
-   model parameters, the stencil's measured C_iter, and the problem
-   instance.  Renaming an architecture or reshuffling presets leaves the
+(* Digest the pricing inputs, not their names: a request's answer is a
+   function of exactly the code version, the architecture's numeric
+   description, the derived model parameters, the stencil's measured
+   C_iter, and the problem instance.  Renaming an architecture or reshuffling presets leaves the
    key unchanged; touching any number the recommendation depends on
    invalidates it. *)
 let request_key (arch : Arch.t) (problem : Problem.t) =

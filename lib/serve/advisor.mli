@@ -25,9 +25,9 @@ type answer = {
 val request_key : Hextime_gpu.Arch.t -> Hextime_stencil.Problem.t -> string
 (** Digest of everything the answer depends on — code version, the
     architecture's pricing numbers, the derived model parameters, the
-    measured C_iter, the problem instance — in the style of
-    [Sweep.point_key]: pricing-neutral edits (renames, preset reshuffles)
-    keep the key, pricing changes invalidate it.  Forces the (memoized)
+    measured C_iter, the problem instance: pricing-neutral edits
+    (renames, preset reshuffles) keep the key, pricing changes invalidate
+    it.  Forces the (memoized)
     micro-benchmarks for the architecture on first use.  The key reads
     [ask|<code_version>|<16 lowercase hex digits>]; saved indexes are
     keyed by these bytes. *)

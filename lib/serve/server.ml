@@ -240,10 +240,9 @@ let answer_entry st fd ~req_id ~source ~(entry : Index.entry) ~fields ~t0 =
   with Unix.Unix_error _ | Invalid_argument _ -> ()
 
 (* Solve every queued cold miss as one batch through the Parsweep pool:
-   concurrent misses from independent clients amortize pool startup and
-   land in the disk cache under their request digests, then write back
-   into the in-memory index (and its on-disk snapshot) so the next ask is
-   warm. *)
+   concurrent misses from independent clients amortize pool startup, then
+   write back into the in-memory index (and its on-disk snapshot) so the
+   next ask is warm. *)
 let solve_batch st (pending : pending list) =
   let tasks =
     List.fold_left
@@ -253,7 +252,6 @@ let solve_batch st (pending : pending list) =
   in
   let outcomes, _stats =
     Parsweep.map ~label:"serve cold batch" st.exec
-      ~key:(fun p -> p.p_key)
       ~f:(fun p -> Advisor.solve ~req_id:p.p_req_id p.p_arch p.p_problem)
       tasks
   in
@@ -366,18 +364,14 @@ let audit_ledger_record st (q : audit_task) (au : Advisor.audit) =
       | Ok () -> ()
       | Error msg -> Format.eprintf "hexserve: audit ledger: %s@." msg)
 
-(* Re-verify a batch of served answers off the request path.  The audits
-   run through the pool but uncached: the whole point is to re-derive the
-   exhaustive arg-min with the *current* model every time, so a result
-   memoised before the drift happened must not mask it. *)
+(* Re-verify a batch of served answers off the request path: each audit
+   re-derives the exhaustive arg-min with the current model. *)
 let run_audits st (queue : audit_task list) =
   match queue with
   | [] -> ()
   | queue ->
-      let exec = { st.exec with Parsweep.cache = None } in
       let outcomes, _stats =
-        Parsweep.map ~label:"serve audit" exec
-          ~key:(fun q -> "audit|" ^ q.q_req_id ^ "|" ^ q.q_entry.Index.e_key)
+        Parsweep.map ~label:"serve audit" st.exec
           ~f:(fun q ->
             Advisor.audit q.q_arch q.q_problem
               ~config:q.q_entry.Index.e_config ~talg:q.q_entry.Index.e_talg)

@@ -45,7 +45,7 @@ val mix_pricing :
   Hextime_prelude.Det_hash.t -> t -> Hextime_prelude.Det_hash.t
 (** Fold the instance's pricing inputs (stencil structure via
     {!Stencil.mix_pricing}, extents, time steps, precision) into a digest
-    state — the problem component of the sweep cache's incremental keys. *)
+    state — the problem component of the advisor's request keys. *)
 
 (** {1 The paper's problem-size grids (Section 5)} *)
 

@@ -174,53 +174,6 @@ let test_sweep_limit () =
   let limited = (H.Sweep.baseline ~limit:50 experiment).H.Sweep.points in
   Alcotest.(check bool) "limit respected" true (List.length limited <= 50)
 
-let test_sweep_cache_versioning () =
-  (* the priced-kernel refactor changed what a cached point means (v2→v3),
-     and the move to digest keys re-seeded the citer sampler (v3→v4), so
-     the key namespace was bumped: older entries must miss, not resurface *)
-  Alcotest.(check string) "namespace" "hextime-sweep-v4" H.Sweep.code_version;
-  let module Parsweep = Hextime_parsweep.Parsweep in
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "hextime-test-cache-%d-%.0f" (Unix.getpid ())
-         (Unix.gettimeofday () *. 1e6))
-  in
-  let cache = Parsweep.Cache.create ~dir () in
-  let exec = { Parsweep.serial with Parsweep.cache = Some cache } in
-  let e =
-    { H.Experiments.arch; problem = P.make S.heat2d ~space:[| 512; 512 |] ~time:128 }
-  in
-  (* cold run: populates the cache and prices kernels *)
-  let inv0 = Gpu.Simulator.invocations () in
-  let s1, st1 = H.Sweep.run ~limit:30 ~exec e in
-  Alcotest.(check bool) "cold run prices" true
-    (Gpu.Simulator.invocations () > inv0);
-  Alcotest.(check int) "cold run misses" 0 st1.Parsweep.cache_hits;
-  Alcotest.(check bool) "cold run writes" true
-    (Parsweep.Cache.writes cache > 0);
-  (* nothing was written under the old namespace: a v2-format key for a
-     surviving config must be absent from the populated cache *)
-  let cfg = (List.hd s1.H.Sweep.points).H.Sweep.config in
-  let old_key =
-    Printf.sprintf "point|hextime-sweep-v2|%s|%s" (H.Experiments.id e)
-      (Hextime_tiling.Config.id cfg)
-  in
-  (match (Parsweep.Cache.get cache ~key:old_key : string option) with
-  | None -> ()
-  | Some _ -> Alcotest.fail "sweep still populates the v2 namespace");
-  (* warm run: every point is answered from the cache without touching the
-     simulator at all *)
-  let inv1 = Gpu.Simulator.invocations () in
-  let s2, st2 = H.Sweep.run ~limit:30 ~exec e in
-  Alcotest.(check int) "warm run never prices" 0
-    (Gpu.Simulator.invocations () - inv1);
-  Alcotest.(check int) "warm run all hits" st2.Parsweep.total
-    st2.Parsweep.cache_hits;
-  Alcotest.(check int) "same survivors"
-    (List.length s1.H.Sweep.points)
-    (List.length s2.H.Sweep.points)
-
 let test_top_performing () =
   let top = H.Sweep.top_performing ~within:0.2 sweep in
   let best = H.Sweep.best_gflops sweep in
@@ -731,8 +684,6 @@ let suite =
     Alcotest.test_case "scale parsing" `Quick test_scale_parsing;
     Alcotest.test_case "sweep population" `Quick test_sweep_population;
     Alcotest.test_case "sweep limit" `Quick test_sweep_limit;
-    Alcotest.test_case "sweep cache versioning" `Quick
-      test_sweep_cache_versioning;
     Alcotest.test_case "top performing subset" `Quick test_top_performing;
     Alcotest.test_case "validation headline (Sec 5.3)" `Quick test_validation_headline;
     Alcotest.test_case "scatter (Fig 3)" `Quick test_scatter;

@@ -10,7 +10,6 @@
    descent seeding from live boxes that does not change the solution. *)
 
 module Hexabs = Hextime_analysis.Hexabs
-module Hexlint = Hextime_analysis.Hexlint
 module Space = Hextime_tileopt.Space
 module Descent = Hextime_tileopt.Descent
 module Model = Hextime_core.Model
@@ -96,62 +95,6 @@ let prop_feasibility_sound l problem =
       | Hexabs.Feasible -> concrete
       | Hexabs.Infeasible _ -> not concrete
       | Hexabs.Mixed _ -> true)
-
-let prop_lint_clean_sound l citer problem =
-  let noisy =
-    List.filter
-      (fun p -> p <> "bounds" && p <> "resources")
-      Hexlint.pass_names
-  in
-  let taxis = Array.of_list Space.thread_candidates in
-  QCheck.Test.make
-    ~name:
-      (Printf.sprintf "Clean boxes produce no resources/bounds findings (%s)"
-         (Problem.id problem))
-    ~count:80
-    (QCheck.pair (box_and_member_arb l)
-       (QCheck.int_range 0 (Array.length taxis - 1)))
-    (fun ((b, pt), ti) ->
-      match
-        Hexabs.lint_clean_box arch problem l b ~threads_axis:taxis
-          ~threads:{ Hexabs.lo = ti; hi = ti }
-      with
-      | Hexabs.Dirty _ | Hexabs.Unresolved _ -> true
-      | Hexabs.Clean -> (
-          match
-            Hextime_tiling.Config.make ~t_t:pt.Hexabs.p_tt ~t_s:pt.Hexabs.p_ts
-              ~threads:[| taxis.(ti) |]
-          with
-          | Error _ -> true
-          | Ok cfg -> (
-              match
-                Hexlint.lint_config ~skip:noisy params ~arch ~citer problem
-                  cfg
-              with
-              | Error _ -> true (* not lowerable/predictable: nothing to lint *)
-              | Ok r -> r.Hexlint.findings = [])))
-
-let prop_stride_congruence l problem =
-  let order = problem.Problem.stencil.Stencil.order in
-  let wf = Problem.word_factor problem in
-  QCheck.Test.make
-    ~name:
-      (Printf.sprintf "stride congruence contains every member stride (%s)"
-         (Problem.id problem))
-    ~count:120 (box_and_member_arb l)
-    (fun (b, pt) ->
-      let c = Hexabs.stride_congruence problem l b in
-      let r = Array.length pt.Hexabs.p_ts in
-      let stride =
-        ((pt.Hexabs.p_ts.(r - 1) + (order * pt.Hexabs.p_tt)) * wf) + 1
-      in
-      let in_class =
-        if c.Hexabs.modulus = 0 then stride = c.Hexabs.residue
-        else (stride - c.Hexabs.residue) mod c.Hexabs.modulus = 0
-      in
-      (* warp-multiple inner axis + even t_t: the class is provably odd,
-         i.e. coprime to the 32 banks *)
-      in_class && Hexabs.congruence_implies c ~modulus:2 ~residue:1)
 
 (* --- certificate exactness ----------------------------------------------- *)
 
@@ -306,9 +249,6 @@ let suite =
     QCheck_alcotest.to_alcotest (prop_talg_within_bounds l3 citer3 problem3);
     QCheck_alcotest.to_alcotest (prop_feasibility_sound l2 problem);
     QCheck_alcotest.to_alcotest (prop_feasibility_sound l3 problem3);
-    QCheck_alcotest.to_alcotest (prop_lint_clean_sound l2 citer problem);
-    QCheck_alcotest.to_alcotest (prop_stride_congruence l2 problem);
-    QCheck_alcotest.to_alcotest (prop_stride_congruence l3 problem3);
     Alcotest.test_case "certificate exact, small enumeration (2D)" `Slow
       (check_certificate l2 problem);
     Alcotest.test_case "certificate exact, small enumeration (3D)" `Slow

@@ -1,11 +1,9 @@
-(* The parallel cached sweep engine, and the sweep-layer bugfix batch:
-   subsample endpoint coverage, campaign feasible/rejected accounting, the
-   binding-kernel occupancy report, and serial/parallel/cold/warm result
-   identity. *)
+(* The parallel sweep engine, and the sweep-layer bugfix batch: subsample
+   endpoint coverage, campaign feasible/rejected accounting, the
+   binding-kernel occupancy report, and serial/parallel result identity. *)
 
 module Parsweep = Hextime_parsweep.Parsweep
 module Dpool = Hextime_parsweep.Dpool
-module Cache = Hextime_parsweep.Cache
 module Gpu = Hextime_gpu
 module S = Hextime_stencil.Stencil
 module P = Hextime_stencil.Problem
@@ -14,18 +12,6 @@ module Lower = Hextime_tiling.Lower
 module Runner = Hextime_tileopt.Runner
 module Baseline = Hextime_tileopt.Baseline
 module H = Hextime_harness
-
-let fresh_dir =
-  let counter = ref 0 in
-  fun () ->
-    incr counter;
-    let d =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "hextime-parsweep-test-%d-%d" (Unix.getpid ()) !counter)
-    in
-    (try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-    d
 
 (* --- Sweep.subsample ------------------------------------------------------ *)
 
@@ -63,27 +49,22 @@ let test_subsample_validation () =
     (Invalid_argument "Sweep.subsample: limit must be positive") (fun () ->
       ignore (H.Sweep.subsample (Some 0) [ 1; 2; 3 ]))
 
-(* --- Dpool: the in-process path and the recording hooks ------------------- *)
+(* --- Dpool: the in-process path and the progress hook ---------------------- *)
 
 let ok = Alcotest.(result int string)
 
-(* every outcome is recorded exactly once through [on_result], and the
-   progress hook ends on the full count, whichever path runs the tasks *)
+(* the progress hook ends on the full count, whichever path runs the
+   tasks *)
 let test_pool_parallel_matches_serial () =
   let tasks = Array.init 50 (fun i -> i) in
   let f i = (i * i) + 7 in
   let run jobs =
-    let recorded = Array.make 50 [] in
     let last_done = ref 0 in
     let results =
       Dpool.map ~jobs
-        ~on_result:(fun i r -> recorded.(i) <- r :: recorded.(i))
         ~on_progress:(fun ~done_ ~alive:_ ~busy:_ -> last_done := done_)
         ~f tasks
     in
-    Alcotest.(check (array (list ok))) "each outcome recorded once"
-      (Array.map (fun r -> [ r ]) results)
-      recorded;
     Alcotest.(check int) "progress reaches the task count" 50 !last_done;
     results
   in
@@ -104,60 +85,6 @@ let test_pool_exception_becomes_error () =
     results
 
 let obs_work_counter = Hextime_obs.Metrics.counter "test.parsweep.work"
-
-(* --- Cache ---------------------------------------------------------------- *)
-
-let test_cache_roundtrip () =
-  let c = Cache.create ~dir:(fresh_dir ()) () in
-  Alcotest.(check (option int)) "miss on empty" None (Cache.get c ~key:"k");
-  Cache.put c ~key:"k" 42;
-  Alcotest.(check (option int)) "hit after put" (Some 42) (Cache.get c ~key:"k");
-  Alcotest.(check (option int)) "other key misses" None (Cache.get c ~key:"k2");
-  Alcotest.(check int) "one write" 1 (Cache.writes c);
-  Alcotest.(check int) "one hit" 1 (Cache.hits c);
-  Alcotest.(check int) "two misses" 2 (Cache.misses c)
-
-let test_cache_corrupt_entry_is_a_miss () =
-  let dir = fresh_dir () in
-  let c = Cache.create ~dir () in
-  Cache.put c ~key:"k" 42;
-  Array.iter
-    (fun f ->
-      let oc = open_out_bin (Filename.concat dir f) in
-      output_string oc "not a marshalled entry";
-      close_out oc)
-    (Sys.readdir dir);
-  Alcotest.(check (option int)) "corrupt entry misses" None
-    (Cache.get c ~key:"k");
-  (* and the slot is rewritable *)
-  Cache.put c ~key:"k" 43;
-  Alcotest.(check (option int)) "recovered" (Some 43) (Cache.get c ~key:"k")
-
-let test_map_resumes_from_cache () =
-  let cache = Cache.create ~dir:(fresh_dir ()) () in
-  let exec = { Parsweep.serial with Parsweep.cache = Some cache } in
-  let calls = ref 0 in
-  let f i =
-    incr calls;
-    i * 3
-  in
-  let key i = Printf.sprintf "resume|%d" i in
-  (* a partial sweep completes five points, then "crashes" *)
-  let partial, s1 = Parsweep.map exec ~key ~f (List.init 5 Fun.id) in
-  Alcotest.(check int) "partial computed" 5 s1.Parsweep.computed;
-  Alcotest.(check (list ok)) "partial results"
-    (List.init 5 (fun i -> Ok (i * 3)))
-    partial;
-  (* the restarted full sweep only executes the remaining points *)
-  calls := 0;
-  let full, s2 = Parsweep.map exec ~key ~f (List.init 12 Fun.id) in
-  Alcotest.(check (list ok)) "full results"
-    (List.init 12 (fun i -> Ok (i * 3)))
-    full;
-  Alcotest.(check int) "first five answered from cache" 5
-    s2.Parsweep.cache_hits;
-  Alcotest.(check int) "only the rest executed" 7 s2.Parsweep.computed;
-  Alcotest.(check int) "f called once per missing point" 7 !calls
 
 (* --- the sweep through the engine ----------------------------------------- *)
 
@@ -203,25 +130,6 @@ let test_sweep_parallel_identical_to_serial () =
   Alcotest.(check bool) "sweep non-trivial" true
     (List.length serial.H.Sweep.points > 100);
   check_sweeps_equal "parallel vs serial" serial parallel
-
-let test_sweep_warm_cache_never_simulates () =
-  let cache = Cache.create ~dir:(fresh_dir ()) () in
-  let exec = { Parsweep.serial with Parsweep.cache = Some cache } in
-  let cold, cold_stats = H.Sweep.run ~limit:60 ~exec experiment in
-  Alcotest.(check int) "cold run computes everything" 0
-    cold_stats.Parsweep.cache_hits;
-  Alcotest.(check bool) "cold run executed points" true
-    (cold_stats.Parsweep.computed > 0);
-  (* warm run: every point must come from the cache, with zero simulator
-     invocations in this process (micro-benchmark memos are warm by now) *)
-  let before = Gpu.Simulator.invocations () in
-  let warm, warm_stats = H.Sweep.run ~limit:60 ~exec experiment in
-  Alcotest.(check int) "no simulator call on a warm cache" before
-    (Gpu.Simulator.invocations ());
-  Alcotest.(check int) "nothing recomputed" 0 warm_stats.Parsweep.computed;
-  Alcotest.(check int) "everything from the cache"
-    warm_stats.Parsweep.total warm_stats.Parsweep.cache_hits;
-  check_sweeps_equal "warm vs cold" cold warm
 
 (* --- campaign accounting --------------------------------------------------- *)
 
@@ -335,62 +243,54 @@ let test_sweep_domains_identical_to_serial () =
     (List.length serial.H.Sweep.points > 100);
   check_sweeps_equal "domains vs serial" serial domains
 
-(* --- incremental re-sweeps --------------------------------------------------- *)
+(* --- pricing-neutral edits ------------------------------------------------ *)
 
-(* the acceptance criterion for digest keying: an edit that leaves every
-   pricing input unchanged (here: renaming the architecture) re-evaluates
-   zero points on a warm cache *)
+(* Renaming an architecture changes no pricing input, so the recomputed
+   sweep keeps its configurations, drops and model predictions bit for bit,
+   every kernel prices to the same noise-free time and the occupancy
+   diagnosis is unchanged.  Only the measurement noise may move: the
+   simulator seeds it by architecture name (Simulator.jitter_factor). *)
 let test_pricing_neutral_rename_stays_warm () =
-  let cache = Cache.create ~dir:(fresh_dir ()) () in
-  let exec = { Parsweep.serial with Parsweep.cache = Some cache } in
-  let cold, cold_stats = H.Sweep.run ~limit:40 ~exec experiment in
-  Alcotest.(check bool) "cold run computed" true
-    (cold_stats.Parsweep.computed > 0);
+  let renamed_arch = { Gpu.Arch.gtx980 with Gpu.Arch.name = "gtx980-renamed" } in
+  let original = H.Sweep.baseline ~limit:40 experiment in
   let renamed =
-    {
-      experiment with
-      H.Experiments.arch = { Gpu.Arch.gtx980 with Gpu.Arch.name = "gtx980-renamed" };
-    }
+    H.Sweep.baseline ~limit:40
+      { experiment with H.Experiments.arch = renamed_arch }
   in
-  let warm, warm_stats = H.Sweep.run ~limit:40 ~exec renamed in
-  Alcotest.(check int) "rename re-prices nothing" 0 warm_stats.Parsweep.computed;
-  Alcotest.(check int) "every point answered warm" warm_stats.Parsweep.total
-    warm_stats.Parsweep.cache_hits;
-  check_sweeps_equal "renamed warm vs cold" cold warm
-
-(* --- cache hygiene ----------------------------------------------------------- *)
-
-let test_cache_sweeps_stale_tmp_files () =
-  let dir = fresh_dir () in
-  (* a real dead pid: run a child to completion and reap it *)
-  let dead_pid =
-    let pid =
-      Unix.create_process "true" [| "true" |] Unix.stdin Unix.stdout
-        Unix.stderr
-    in
-    ignore (Unix.waitpid [] pid);
-    pid
+  Alcotest.(check bool) "sweep non-trivial" true
+    (List.length original.H.Sweep.points > 10);
+  Alcotest.(check int) "same population"
+    (List.length original.H.Sweep.points)
+    (List.length renamed.H.Sweep.points);
+  Alcotest.(check int) "same drops" (H.Sweep.dropped original)
+    (H.Sweep.dropped renamed);
+  let quiet_time arch cfg =
+    match Lower.compile experiment.H.Experiments.problem cfg with
+    | Error e -> Alcotest.failf "compile: %s" e
+    | Ok c -> (
+        match
+          Gpu.Simulator.run_sequence ~jitter:false arch
+            (Lower.kernel_sequence c)
+        with
+        | Ok s -> s.Gpu.Simulator.total_s
+        | Error e -> Alcotest.failf "run_sequence: %s" e)
   in
-  let write name =
-    let oc = open_out_bin (Filename.concat dir name) in
-    output_string oc "half-written entry";
-    close_out oc
-  in
-  let dead_tmp = Printf.sprintf "00000000deadbeef.bin.tmp.%d" dead_pid in
-  let live_tmp = Printf.sprintf "00000000cafef00d.bin.tmp.%d" (Unix.getpid ()) in
-  write dead_tmp;
-  write live_tmp;
-  write "0000000000bad1de.bin.tmp.notapid";
-  let c = Cache.create ~dir () in
-  let files = Array.to_list (Sys.readdir dir) in
-  Alcotest.(check bool) "dead writer's temp removed" false
-    (List.mem dead_tmp files);
-  Alcotest.(check bool) "live writer's temp kept" true (List.mem live_tmp files);
-  Alcotest.(check bool) "unparseable temp removed" false
-    (List.mem "0000000000bad1de.bin.tmp.notapid" files);
-  Cache.put c ~key:"k" 1;
-  Alcotest.(check (option int)) "cache functional after the sweep" (Some 1)
-    (Cache.get c ~key:"k")
+  List.iter2
+    (fun (p : H.Sweep.point) (q : H.Sweep.point) ->
+      let cfg = p.H.Sweep.config in
+      Alcotest.(check string) "same config" (Config.id cfg)
+        (Config.id q.H.Sweep.config);
+      Alcotest.(check bool) "bit-identical prediction" true
+        (p.H.Sweep.predicted = q.H.Sweep.predicted);
+      Alcotest.(check bool) "bit-identical noise-free price" true
+        (Int64.bits_of_float (quiet_time Gpu.Arch.gtx980 cfg)
+        = Int64.bits_of_float (quiet_time renamed_arch cfg));
+      let m = p.H.Sweep.measured and n = q.H.Sweep.measured in
+      Alcotest.(check bool) "same occupancy diagnosis" true
+        (m.Runner.resident_blocks = n.Runner.resident_blocks
+        && m.Runner.spilled_regs = n.Runner.spilled_regs
+        && m.Runner.limiting = n.Runner.limiting))
+    original.H.Sweep.points renamed.H.Sweep.points
 
 let test_default_jobs_env_validation () =
   let with_env v f =
@@ -414,53 +314,25 @@ let test_default_jobs_env_validation () =
   Alcotest.(check int) "valid override honoured" 4
     (with_env "4" (fun () -> Dpool.default_jobs ()))
 
-(* --- cache round-trips under QCheck ------------------------------------------ *)
+(* --- Parsweep.map against List.map ------------------------------------------ *)
 
-let copy_file src dst =
-  let ic = open_in_bin src in
-  let n = in_channel_length ic in
-  let bytes = really_input_string ic n in
-  close_in ic;
-  let oc = open_out_bin dst in
-  output_string oc bytes;
-  close_out oc
+exception Task_failed of int
 
-let prop_cache_roundtrip_and_collision =
-  QCheck.Test.make ~name:"round-trip + fabricated filename collisions" ~count:25
-    QCheck.(pair (pair small_string small_string) (small_list small_int))
-    (fun ((k1, k2), v) ->
-      let c = Cache.create ~dir:(fresh_dir ()) () in
-      Cache.put c ~key:k1 v;
-      let roundtrip = (Cache.get c ~key:k1 : int list option) = Some v in
-      let collision_safe =
-        k1 = k2
-        || begin
-             (* simulate two keys hashing to the same filename: k1's entry
-                lands where a put of k2 would; the stored key is verified on
-                read, so the collision must read as a miss, never as k1's
-                value *)
-             copy_file (Cache.entry_path c k1) (Cache.entry_path c k2);
-             (Cache.get c ~key:k2 : int list option) = None
-           end
+let prop_map_is_list_map =
+  QCheck.Test.make ~name:"map = List.map, exceptions as Error" ~count:60
+    QCheck.(list_of_size Gen.(int_range 0 200) (pair small_int (int_bound 3)))
+    (fun tasks ->
+      let f (x, r) = if r = 0 then raise (Task_failed x) else (x * 7) - 3 in
+      let expected =
+        List.map
+          (fun t -> try Ok (f t) with e -> Error (Printexc.to_string e))
+          tasks
       in
-      roundtrip && collision_safe)
-
-let prop_cache_truncated_entry_is_a_miss =
-  QCheck.Test.make ~name:"truncated entries miss, never crash" ~count:25
-    QCheck.(pair small_string (int_bound 64))
-    (fun (k, cut) ->
-      let c = Cache.create ~dir:(fresh_dir ()) () in
-      Cache.put c ~key:k [ 1; 2; 3 ];
-      let path = Cache.entry_path c k in
-      let ic = open_in_bin path in
-      let n = in_channel_length ic in
-      let keep = min cut (max 0 (n - 1)) in
-      let bytes = really_input_string ic keep in
-      close_in ic;
-      let oc = open_out_bin path in
-      output_string oc bytes;
-      close_out oc;
-      (Cache.get c ~key:k : int list option) = None)
+      List.for_all
+        (fun jobs ->
+          let got, stats = Parsweep.map { Parsweep.serial with jobs } ~f tasks in
+          got = expected && stats.Parsweep.total = List.length tasks)
+        [ 1; 2 ])
 
 let suite =
   [
@@ -472,17 +344,8 @@ let suite =
       test_pool_parallel_matches_serial;
     Alcotest.test_case "pool exception -> Error" `Quick
       test_pool_exception_becomes_error;
-    Alcotest.test_case "cache roundtrip" `Quick test_cache_roundtrip;
-    Alcotest.test_case "cache corrupt entry" `Quick
-      test_cache_corrupt_entry_is_a_miss;
-    Alcotest.test_case "map resumes from cache" `Quick
-      test_map_resumes_from_cache;
-    Alcotest.test_case "stale write-temps swept" `Quick
-      test_cache_sweeps_stale_tmp_files;
     Alcotest.test_case "sweep parallel = serial" `Quick
       test_sweep_parallel_identical_to_serial;
-    Alcotest.test_case "warm cache never simulates" `Quick
-      test_sweep_warm_cache_never_simulates;
     Alcotest.test_case "campaign accounts every configuration" `Quick
       test_campaign_accounts_for_every_configuration;
     Alcotest.test_case "runner reports binding kernel" `Quick
@@ -498,6 +361,5 @@ let suite =
       test_pricing_neutral_rename_stays_warm;
     Alcotest.test_case "HEXTIME_JOBS validation" `Quick
       test_default_jobs_env_validation;
-    QCheck_alcotest.to_alcotest prop_cache_roundtrip_and_collision;
-    QCheck_alcotest.to_alcotest prop_cache_truncated_entry_is_a_miss;
+    QCheck_alcotest.to_alcotest prop_map_is_list_map;
   ]
