@@ -1,6 +1,7 @@
-(* The benchmark harness: regenerates every table and figure of the paper's
-   evaluation section, adds the design-choice ablations called out in
-   DESIGN.md, and micro-benchmarks the library's hot paths with Bechamel.
+(* The benchmark harness: prints the paper's evaluation through
+   [Harness.Report] (the same markdown as `hextime report`), adds the
+   Figure 3 scatter and the design-choice ablations called out in
+   DESIGN.md, and exports the throughput figures to BENCH_hextime.json.
 
    Scale is controlled by the HEXTIME_SCALE environment variable
    (ci | quick | paper, default quick).  The `paper` scale runs the paper's
@@ -10,9 +11,7 @@
 module Gpu = Hextime_gpu
 module Stencil = Hextime_stencil.Stencil
 module Problem = Hextime_stencil.Problem
-module Reference = Hextime_stencil.Reference
 module Config = Hextime_tiling.Config
-module Exec_cpu = Hextime_tiling.Exec_cpu
 module Lower = Hextime_tiling.Lower
 module Model = Hextime_core.Model
 module Runner = Hextime_tileopt.Runner
@@ -32,7 +31,7 @@ let scale =
           prerr_endline ("HEXTIME_SCALE: " ^ msg);
           exit 2)
 
-(* observability rides on env vars here (bechamel owns no CLI):
+(* observability rides on env vars here (the bench takes no arguments):
    HEXTIME_PROFILE=FILE writes a Chrome trace of the whole run,
    HEXTIME_METRICS=1 prints the metrics registry to stderr at exit *)
 let () =
@@ -73,46 +72,16 @@ let () =
     "hextime benchmark harness — PPoPP'17 reproduction (scale: %s)\n"
     (H.Experiments.scale_to_string scale)
 
-(* --- Tables ------------------------------------------------------------- *)
+(* --- Tables 1-4 and Figures 3-6 ------------------------------------------ *)
 
 let () =
-  section "Table 1: model parameters";
-  print_string (Hextime_core.Glossary.render ())
+  section "Paper evaluation: Tables 1-4 and Figures 3-6 (hextime report)";
+  print_string (H.Report.markdown scale)
+
+(* --- Figure 3: one panel as a scatter plot and a CSV --------------------- *)
 
 let () =
-  section "Table 2: GPU configuration";
-  Tabulate.print (H.Tables.table2 ());
-  section "Table 3: micro-benchmarked timing constants";
-  Tabulate.print (H.Tables.table3 ());
-  print_endline
-    "(paper, GTX 980 / Titan X: L = 7.36e-3 / 5.42e-3 s/GB; tau_sync = \
-     7.96e-10 / 6.74e-10 s; T_sync = 9.24e-7 / 9.00e-7 s)";
-  section "Table 4: C_iter per benchmark";
-  Tabulate.print (H.Tables.table4 ());
-  print_endline
-    "(paper, GTX 980: jacobi2d 3.39e-8, heat2d 3.68e-8, laplacian2d 3.11e-8, \
-     gradient2d 6.09e-8, heat3d 1.55e-7, laplacian3d 1.36e-7)"
-
-(* --- Figure 3 / Section 5.3 --------------------------------------------- *)
-
-let () =
-  section "Figure 3: model validation (predicted vs measured)";
-  let rows = H.Figures.fig3_data scale in
-  print_string (H.Figures.render_fig3 rows);
-  let tops =
-    List.map (fun r -> r.H.Figures.summary.H.Validation.rmse_top) rows
-  in
-  let alls =
-    List.map (fun r -> r.H.Figures.summary.H.Validation.rmse_all) rows
-  in
-  Printf.printf
-    "summary: RMSE(top 20%% band) %.1f%%-%.1f%% (paper: < 10%%); RMSE(all) \
-     %.0f%%-%.0f%% (paper: 45%%-200%%)\n"
-    (100.0 *. Stats.minimum tops)
-    (100.0 *. Stats.maximum tops)
-    (100.0 *. Stats.minimum alls)
-    (100.0 *. Stats.maximum alls);
-  (* one representative scatter, rendered in ASCII like Figure 3's panels *)
+  section "Figure 3: predicted vs measured, one panel";
   let experiment =
     {
       H.Experiments.arch = Gpu.Arch.gtx980;
@@ -188,58 +157,6 @@ let () =
   print_endline
     "(the top-band accuracy is stable across the size grid — the model's \
      per-wavefront structure scales with T and S by construction)"
-
-(* --- Figure 4 ------------------------------------------------------------ *)
-
-let () =
-  section "Figure 4: Talg surface, Heat2D on GTX 980 (tS1 = 8)";
-  let space, time =
-    match scale with
-    | H.Experiments.Ci -> ([| 512; 512 |], 256)
-    | H.Experiments.Quick | H.Experiments.Paper -> ([| 8192; 8192 |], 8192)
-  in
-  print_string (H.Figures.render_fig4 (H.Figures.fig4_data ~space ~time ()))
-
-(* --- Figure 5 ------------------------------------------------------------ *)
-
-let () =
-  section "Figure 5: model-guided candidates vs baseline (Gradient2D)";
-  let f = H.Figures.fig5_data ~scale () in
-  print_string (H.Figures.render_fig5 ~max_rows:12 f);
-  Printf.printf
-    "(paper: baseline best 19.8 s vs model-guided 16.5 s, a 17%% improvement)\n"
-
-(* --- Figure 6 ------------------------------------------------------------ *)
-
-let () =
-  section "Figure 6: average GFLOP/s per tile-size selection strategy";
-  let rows = H.Figures.fig6_data ~max_configs:2000 scale in
-  print_string (H.Figures.render_fig6 rows);
-  (* aggregate improvements in the paper's terms *)
-  let ratios name_a name_b =
-    List.filter_map
-      (fun r ->
-        match
-          ( List.assoc_opt name_a r.H.Figures.per_strategy,
-            List.assoc_opt name_b r.H.Figures.per_strategy )
-        with
-        | Some a, Some b when (not (Float.is_nan a)) && not (Float.is_nan b) ->
-            Some (a /. b)
-        | _ -> None)
-      rows
-  in
-  let top10 = "Within 10% of Talg_min" in
-  match
-    (ratios top10 "HHC", ratios top10 "Baseline", ratios top10 "Talg_min")
-  with
-  | (_ :: _ as vs_hhc), (_ :: _ as vs_base), (_ :: _ as vs_min) ->
-      Printf.printf
-        "model-guided vs HHC default: %+.0f%% (paper: +60%%); vs baseline: \
-         %+.1f%% (paper: +9%%); vs bare Talg_min: %+.1f%%\n"
-        (100.0 *. (Stats.geomean vs_hhc -. 1.0))
-        (100.0 *. (Stats.geomean vs_base -. 1.0))
-        (100.0 *. (Stats.geomean vs_min -. 1.0))
-  | _ -> print_endline "insufficient data for strategy aggregates"
 
 (* --- Section 6: candidate-set sizes -------------------------------------- *)
 
@@ -886,127 +803,6 @@ let () =
      instead of being closed-form factors — reproduces the block compute \
      model within ~15%, evidencing the simulator substrate is self-consistent)"
 
-(* --- Bechamel micro-benchmarks ------------------------------------------- *)
-
-let () =
-  section "Hot-path micro-benchmarks (Bechamel)";
-  let open Bechamel in
-  let arch = Gpu.Arch.gtx980 in
-  let params = H.Microbench.params arch in
-  let stencil = Stencil.heat2d in
-  let citer = 4.3e-8 in
-  let problem = Problem.make stencil ~space:[| 4096; 4096 |] ~time:1024 in
-  let cfg = Config.make_exn ~t_t:16 ~t_s:[| 16; 64 |] ~threads:[| 256 |] in
-  let compiled =
-    match Lower.compile problem cfg with Ok c -> c | Error e -> failwith e
-  in
-  let kernels = Lower.kernel_sequence compiled in
-  let small = Problem.make stencil ~space:[| 48; 32 |] ~time:8 in
-  let small_cfg = Config.make_exn ~t_t:4 ~t_s:[| 6; 32 |] ~threads:[| 64 |] in
-  let small_init = Reference.default_init small in
-  let tests =
-    Test.make_grouped ~name:"hextime"
-      [
-        Test.make ~name:"model-predict (one config)"
-          (Staged.stage (fun () ->
-               ignore (Model.predict params ~citer problem cfg)));
-        Test.make ~name:"lower (compile to kernels)"
-          (Staged.stage (fun () -> ignore (Lower.compile problem cfg)));
-        Test.make ~name:"simulate (measure, 5 runs)"
-          (Staged.stage (fun () -> ignore (Gpu.Simulator.measure arch kernels)));
-        Test.make ~name:"exec-cpu (48x32, T=8)"
-          (Staged.stage (fun () ->
-               ignore (Exec_cpu.run small small_cfg ~init:small_init)));
-        Test.make ~name:"reference (48x32, T=8)"
-          (Staged.stage (fun () ->
-               ignore (Reference.run small ~init:small_init)));
-      ]
-  in
-  let benchmark_cfg =
-    Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.4) ~kde:None ()
-  in
-  let raw =
-    Benchmark.all benchmark_cfg [ Toolkit.Instance.monotonic_clock ] tests
-  in
-  let results =
-    Analyze.all
-      (Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |])
-      Toolkit.Instance.monotonic_clock raw
-  in
-  let t =
-    Tabulate.create
-      [ ("benchmark", Tabulate.Left); ("time / run", Tabulate.Right) ]
-  in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name ols ->
-      let cell =
-        match Analyze.OLS.estimates ols with
-        | Some (est :: _) -> Tabulate.seconds_cell (est *. 1e-9)
-        | _ -> "-"
-      in
-      rows := (name, cell) :: !rows)
-    results;
-  let t =
-    List.fold_left
-      (fun t (name, cell) -> Tabulate.add_row t [ name; cell ])
-      t
-      (List.sort compare !rows)
-  in
-  Tabulate.print t
-
-(* ------------------------------------------------------------------ *)
-(* hexabs: symbolic pruning statistics.  The certificate and the
-   branch-and-bound run on the same fixed workload as the throughput
-   section (heat2d 512x512 T=128 on GTX 980), so the pruned-vs-enumerated
-   counts exported to BENCH_hextime.json stay comparable across runs. *)
-
-let hexabs_stats =
-  section "hexabs: symbolic feasibility and branch-and-bound pruning";
-  let module Hexabs = Hextime_analysis.Hexabs in
-  let module Space = Hextime_tileopt.Space in
-  let arch = Gpu.Arch.gtx980 in
-  let params = H.Microbench.params arch in
-  let problem = Problem.make Stencil.heat2d ~space:[| 512; 512 |] ~time:128 in
-  let citer = H.Microbench.citer arch Stencil.heat2d in
-  let tt, ts = Space.axes problem in
-  let l = Hexabs.lattice ~tt ~ts in
-  let cert = Hexabs.prove params problem l in
-  let exhaustive = List.length (Space.shapes params problem) in
-  let t =
-    Tabulate.create
-      [ ("metric", Tabulate.Left); ("count", Tabulate.Right) ]
-  in
-  let row t k v = Tabulate.add_row t [ k; string_of_int v ] in
-  let t = row t "lattice points" cert.Hexabs.cert_total_points in
-  let t = row t "points proven symbolically" cert.Hexabs.cert_proven_points in
-  let t = row t "points enumerated" cert.Hexabs.cert_enumerated_points in
-  let t = row t "boxes proven feasible" cert.Hexabs.cert_boxes_feasible in
-  let t = row t "boxes proven infeasible" cert.Hexabs.cert_boxes_infeasible in
-  let t = row t "boxes enumerated" cert.Hexabs.cert_boxes_enumerated in
-  let t = row t "splits" cert.Hexabs.cert_splits in
-  match Hexabs.minimize params ~citer problem l with
-  | Error msg ->
-      Tabulate.print t;
-      Printf.printf "branch-and-bound failed: %s\n" msg;
-      (cert, None, exhaustive)
-  | Ok bnb ->
-      let t = row t "exhaustive sweep evaluations" exhaustive in
-      let t = row t "b&b concrete evaluations" bnb.Hexabs.bnb_evals_concrete in
-      let t = row t "b&b interval evaluations" bnb.Hexabs.bnb_evals_bound in
-      let t = row t "b&b boxes pruned" bnb.Hexabs.bnb_boxes_pruned in
-      let t = row t "b&b live seed boxes" (List.length bnb.Hexabs.bnb_live) in
-      Tabulate.print t;
-      Printf.printf
-        "certificate decides %.1f%% of the lattice symbolically; \
-         branch-and-bound reproduces the exhaustive arg-min with %dx fewer \
-         concrete evaluations\n"
-        (100.0
-        *. float_of_int cert.Hexabs.cert_proven_points
-        /. float_of_int cert.Hexabs.cert_total_points)
-        (exhaustive / max 1 bnb.Hexabs.bnb_evals_concrete);
-      (cert, Some bnb, exhaustive)
-
 (* ------------------------------------------------------------------ *)
 (* Throughput trajectory: machine-readable hot-path numbers, exported
    to BENCH_hextime.json so CI can compare a run against the committed
@@ -1249,41 +1045,6 @@ let () =
         ( "cold_sweep_speedup_vs_pre_refactor",
           Minijson.Num (sweep_pps /. pre_refactor_pps) );
       ]
-  in
-  (* hexabs: splice the symbolic-pruning counts measured above into the
-     same exported file, so CI can watch pruned-vs-enumerated alongside
-     throughput *)
-  let hexabs_cert, hexabs_bnb, hexabs_exhaustive = hexabs_stats in
-  let module Hexabs = Hextime_analysis.Hexabs in
-  let num i = Minijson.Num (float_of_int i) in
-  let hexabs_fields =
-    [
-      ("hexabs_lattice_points", num hexabs_cert.Hexabs.cert_total_points);
-      ("hexabs_feasible_points", num hexabs_cert.Hexabs.cert_feasible_points);
-      ("hexabs_proven_points", num hexabs_cert.Hexabs.cert_proven_points);
-      ( "hexabs_enumerated_points",
-        num hexabs_cert.Hexabs.cert_enumerated_points );
-      ("hexabs_exhaustive_evals", num hexabs_exhaustive);
-    ]
-    @
-    match hexabs_bnb with
-    | None -> []
-    | Some bnb ->
-        [
-          ("hexabs_bnb_evals_concrete", num bnb.Hexabs.bnb_evals_concrete);
-          ("hexabs_bnb_evals_bound", num bnb.Hexabs.bnb_evals_bound);
-          ("hexabs_bnb_boxes_pruned", num bnb.Hexabs.bnb_boxes_pruned);
-          ("hexabs_bnb_live_boxes", num (List.length bnb.Hexabs.bnb_live));
-          ( "hexabs_eval_reduction",
-            Minijson.Num
-              (float_of_int hexabs_exhaustive
-              /. float_of_int (max 1 bnb.Hexabs.bnb_evals_concrete)) );
-        ]
-  in
-  let json =
-    match json with
-    | Minijson.Obj fields -> Minijson.Obj (fields @ hexabs_fields)
-    | other -> other
   in
   let oc = open_out "BENCH_hextime.json" in
   output_string oc (Minijson.render json);

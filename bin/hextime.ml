@@ -1,8 +1,14 @@
 (* hextime: analytical time modeling and tile-size selection for GPGPU
    stencils (PPoPP'17 reproduction).
 
-   Subcommands map one-to-one onto the paper's artifacts: the tables, the
-   figures, single-configuration prediction, and model-guided tuning. *)
+   Each subcommand does one of three jobs:
+   - reproduce a paper artifact: predict, tune, strategies, validate,
+     campaign, naive, solve, ampl, codegen, and report, which renders
+     every table and figure of the evaluation;
+   - run the tile advisor: index, serve, ask, dash;
+   - gate CI, or read the ledger the gates write: lint, prove, profile,
+     bench-compare, accuracy-compare, history, watch, explain,
+     trace-verify, metrics-verify. *)
 
 module Gpu = Hextime_gpu
 module Stencil = Hextime_stencil.Stencil
@@ -108,6 +114,30 @@ let problem_of stencil space time =
   | p -> Ok p
   | exception Invalid_argument msg -> Error msg
 
+(* --- one configuration: --tile and --threads ------------------------------ *)
+
+let tile_arg ~doc =
+  Arg.(
+    opt (some (dims_conv "tile sizes")) None
+    & info [ "tile" ] ~docv:"tTxtS1[xtS2[xtS3]]" ~doc)
+
+let threads_arg =
+  Arg.(value & opt int 256 & info [ "threads" ] ~docv:"N" ~doc:"Threads per block.")
+
+(* [tile] is tT followed by one size per space dimension *)
+let config_of tile threads =
+  if Array.length tile < 2 then Error "tile needs at least tT and tS1"
+  else
+    Config.make ~t_t:tile.(0)
+      ~t_s:(Array.sub tile 1 (Array.length tile - 1))
+      ~threads:[| threads |]
+    |> Result.map_error (( ^ ) "invalid configuration: ")
+
+(* a required --tile with --threads: the configuration, or why it is
+   rejected *)
+let config_arg ~doc =
+  Term.(const config_of $ Arg.required (tile_arg ~doc) $ threads_arg)
+
 (* --- sweep execution (parallel engine) ------------------------------------ *)
 
 let jobs_arg =
@@ -198,62 +228,45 @@ let metrics_snapshot () = Obs.Metrics.to_json (Obs.Metrics.snapshot ())
 (* --- predict ------------------------------------------------------------ *)
 
 let predict_cmd =
-  let tile =
-    Arg.(
-      required
-      & opt (some (dims_conv "tile sizes")) None
-      & info [ "tile" ] ~docv:"tTxtS1[xtS2[xtS3]]"
-          ~doc:"Tile sizes: time tile then one per space dimension.")
-  in
-  let threads =
-    Arg.(
-      value & opt int 256
-      & info [ "threads" ] ~docv:"N" ~doc:"Threads per block.")
+  let config =
+    config_arg ~doc:"Tile sizes: time tile then one per space dimension."
   in
   let explain =
     Arg.(value & flag & info [ "explain" ] ~doc:"Print the full derivation.")
   in
-  let run arch stencil space time tile threads explain_flag =
-    match problem_of stencil space time with
-    | Error msg -> die "%s" msg
-    | Ok problem -> (
-        if Array.length tile < 2 then die "tile needs at least tT and tS1"
-        else
-          let t_t = tile.(0) in
-          let t_s = Array.sub tile 1 (Array.length tile - 1) in
-          match Config.make ~t_t ~t_s ~threads:[| threads |] with
-          | Error msg -> die "invalid configuration: %s" msg
-          | Ok cfg -> (
-              let params = H.Microbench.params arch in
-              let citer = H.Microbench.citer arch stencil in
-              match Model.predict params ~citer problem cfg with
-              | Error msg -> die "model: %s" msg
-              | Ok pr ->
-                  Format.printf "problem:    %a on %s@." Problem.pp problem
-                    arch.Gpu.Arch.name;
-                  Format.printf "config:     %a@." Config.pp cfg;
-                  Format.printf "model:      %a@." Model.pp_prediction pr;
-                  (if explain_flag then
-                     match Model.explain params ~citer problem cfg with
-                     | Ok text -> print_string text
-                     | Error msg -> Format.printf "explain failed: %s@." msg);
-                  (match Runner.measure arch problem cfg with
-                  | Ok m ->
-                      Format.printf
-                        "simulated:  %.4e s (%.1f GFLOP/s, k=%d, %d regs \
-                         spilled)@."
-                        m.Runner.time_s m.Runner.gflops m.Runner.resident_blocks
-                        m.Runner.spilled_regs;
-                      Format.printf "model/simulated: %.2f@."
-                        (pr.Model.talg /. m.Runner.time_s)
-                  | Error msg ->
-                      Format.printf "simulated:  rejected (%s)@." msg);
-                  `Ok ()))
+  let run arch stencil space time config explain_flag =
+    match (problem_of stencil space time, config) with
+    | Error msg, _ | _, Error msg -> die "%s" msg
+    | Ok problem, Ok cfg -> (
+        let params = H.Microbench.params arch in
+        let citer = H.Microbench.citer arch stencil in
+        match Model.predict params ~citer problem cfg with
+        | Error msg -> die "model: %s" msg
+        | Ok pr ->
+            Format.printf "problem:    %a on %s@." Problem.pp problem
+              arch.Gpu.Arch.name;
+            Format.printf "config:     %a@." Config.pp cfg;
+            Format.printf "model:      %a@." Model.pp_prediction pr;
+            (if explain_flag then
+               match Model.explain params ~citer problem cfg with
+               | Ok text -> print_string text
+               | Error msg -> Format.printf "explain failed: %s@." msg);
+            (match Runner.measure arch problem cfg with
+            | Ok m ->
+                Format.printf
+                  "simulated:  %.4e s (%.1f GFLOP/s, k=%d, %d regs \
+                   spilled)@."
+                  m.Runner.time_s m.Runner.gflops m.Runner.resident_blocks
+                  m.Runner.spilled_regs;
+                Format.printf "model/simulated: %.2f@."
+                  (pr.Model.talg /. m.Runner.time_s)
+            | Error msg -> Format.printf "simulated:  rejected (%s)@." msg);
+            `Ok ())
   in
   let term =
     Term.(
-      ret (const run $ arch_arg $ stencil_arg $ space_arg $ time_arg $ tile
-           $ threads $ explain))
+      ret (const run $ arch_arg $ stencil_arg $ space_arg $ time_arg $ config
+           $ explain))
   in
   Cmd.v
     (Cmd.info "predict"
@@ -415,81 +428,6 @@ let strategies_cmd =
        ~doc:"Compare the tile-size selection strategies of Figure 6 on one instance.")
     term
 
-(* --- tables / figures ---------------------------------------------------- *)
-
-let tables_cmd =
-  let run () =
-    print_string (Hextime_core.Glossary.render ());
-    print_newline ();
-    Tabulate.print (H.Tables.table2 ());
-    print_newline ();
-    Tabulate.print (H.Tables.table3 ());
-    print_newline ();
-    Tabulate.print (H.Tables.table4 ());
-    `Ok ()
-  in
-  Cmd.v
-    (Cmd.info "tables" ~doc:"Print the reproductions of Tables 2, 3 and 4.")
-    Term.(ret (const run $ const ()))
-
-let fig3_cmd =
-  let limit =
-    Arg.(
-      value & opt (some int) None
-      & info [ "limit" ] ~docv:"N" ~doc:"Subsample each sweep to N points.")
-  in
-  let run scale limit =
-    print_string (H.Figures.render_fig3 (H.Figures.fig3_data ?limit scale));
-    `Ok ()
-  in
-  Cmd.v
-    (Cmd.info "fig3" ~doc:"Model validation (Figure 3 / Section 5.3).")
-    Term.(ret (const run $ scale_arg $ limit))
-
-let fig4_cmd =
-  let run space time =
-    print_string (H.Figures.render_fig4 (H.Figures.fig4_data ~space ~time ()));
-    `Ok ()
-  in
-  let space =
-    Arg.(
-      value
-      & opt (dims_conv "space size") [| 8192; 8192 |]
-      & info [ "S"; "space" ] ~docv:"S1xS2" ~doc:"Space extents.")
-  in
-  let time =
-    Arg.(value & opt int 8192 & info [ "T"; "time" ] ~docv:"T" ~doc:"Time steps.")
-  in
-  Cmd.v
-    (Cmd.info "fig4" ~doc:"Talg surface for Heat2D on GTX 980 (Figure 4).")
-    Term.(ret (const run $ space $ time))
-
-let fig5_cmd =
-  let run scale =
-    print_string (H.Figures.render_fig5 (H.Figures.fig5_data ~scale ()));
-    `Ok ()
-  in
-  Cmd.v
-    (Cmd.info "fig5"
-       ~doc:"Model-guided candidates vs the baseline for Gradient2D (Figure 5).")
-    Term.(ret (const run $ scale_arg))
-
-let fig6_cmd =
-  let max_configs =
-    Arg.(
-      value & opt int 2000
-      & info [ "max-configs" ] ~docv:"N"
-          ~doc:"Stride-sample cap for the exhaustive strategy.")
-  in
-  let run scale max_configs =
-    print_string (H.Figures.render_fig6 (H.Figures.fig6_data ~max_configs scale));
-    `Ok ()
-  in
-  Cmd.v
-    (Cmd.info "fig6"
-       ~doc:"Average GFLOP/s per tile-size selection strategy (Figure 6).")
-    Term.(ret (const run $ scale_arg $ max_configs))
-
 (* --- validate ------------------------------------------------------------ *)
 
 let validate_cmd =
@@ -562,145 +500,24 @@ let validate_cmd =
              the RMSE bands of Section 5.3.")
     term
 
-(* --- sensitivity -------------------------------------------------------------- *)
-
-let sensitivity_cmd =
-  let tile =
-    Arg.(
-      required
-      & opt (some (dims_conv "tile sizes")) None
-      & info [ "tile" ] ~docv:"tTxtS1[xtS2[xtS3]]" ~doc:"Tile sizes.")
-  in
-  let threads =
-    Arg.(value & opt int 256 & info [ "threads" ] ~docv:"N" ~doc:"Threads per block.")
-  in
-  let run arch stencil space time tile threads =
-    match problem_of stencil space time with
-    | Error msg -> die "%s" msg
-    | Ok problem ->
-        if Array.length tile < 2 then die "tile needs at least tT and tS1"
-        else
-          let t_t = tile.(0) in
-          let t_s = Array.sub tile 1 (Array.length tile - 1) in
-          (match Config.make ~t_t ~t_s ~threads:[| threads |] with
-          | Error msg -> die "invalid configuration: %s" msg
-          | Ok cfg -> (
-              let params = H.Microbench.params arch in
-              let citer = H.Microbench.citer arch stencil in
-              match Hextime_core.Sensitivity.analyze params ~citer problem cfg with
-              | Error msg -> die "sensitivity: %s" msg
-              | Ok rows ->
-                  let t =
-                    Tabulate.create
-                      ~title:
-                        (Printf.sprintf "Talg sensitivity for %s / %s"
-                           (Problem.id problem) (Config.id cfg))
-                      [ ("parameter", Tabulate.Left); ("elasticity", Tabulate.Right) ]
-                  in
-                  Tabulate.print
-                    (List.fold_left
-                       (fun t (r : Hextime_core.Sensitivity.row) ->
-                         Tabulate.add_row t
-                           [
-                             Hextime_core.Sensitivity.factor_name
-                               r.Hextime_core.Sensitivity.factor;
-                             Printf.sprintf "%+.2f"
-                               r.Hextime_core.Sensitivity.elasticity;
-                           ])
-                       t rows);
-                  `Ok ()))
-  in
-  let term =
-    Term.(
-      ret (const run $ arch_arg $ stencil_arg $ space_arg $ time_arg $ tile
-           $ threads))
-  in
-  Cmd.v
-    (Cmd.info "sensitivity"
-       ~doc:"Which model parameter the prediction hinges on for a \
-             configuration (elasticities of Talg).")
-    term
-
-(* --- trace ------------------------------------------------------------------ *)
-
-let trace_cmd =
-  let tile =
-    Arg.(
-      required
-      & opt (some (dims_conv "tile sizes")) None
-      & info [ "tile" ] ~docv:"tTxtS1[xtS2[xtS3]]" ~doc:"Tile sizes.")
-  in
-  let threads =
-    Arg.(value & opt int 256 & info [ "threads" ] ~docv:"N" ~doc:"Threads per block.")
-  in
-  let run arch stencil space time tile threads =
-    match problem_of stencil space time with
-    | Error msg -> die "%s" msg
-    | Ok problem ->
-        if Array.length tile < 2 then die "tile needs at least tT and tS1"
-        else
-          let t_t = tile.(0) in
-          let t_s = Array.sub tile 1 (Array.length tile - 1) in
-          (match Config.make ~t_t ~t_s ~threads:[| threads |] with
-          | Error msg -> die "invalid configuration: %s" msg
-          | Ok cfg -> (
-              match Hextime_tiling.Lower.compile problem cfg with
-              | Error msg -> die "compile: %s" msg
-              | Ok compiled -> (
-                  match
-                    Gpu.Timeline.of_kernel arch
-                      compiled.Hextime_tiling.Lower.green
-                  with
-                  | Error msg -> die "trace: %s" msg
-                  | Ok timeline ->
-                      Format.printf
-                        "one green wavefront kernel (%d blocks) on %s:@."
-                        compiled.Hextime_tiling.Lower.blocks_per_wavefront
-                        arch.Gpu.Arch.name;
-                      print_string (Gpu.Timeline.render timeline);
-                      `Ok ())))
-  in
-  let term =
-    Term.(
-      ret (const run $ arch_arg $ stencil_arg $ space_arg $ time_arg $ tile
-           $ threads))
-  in
-  Cmd.v
-    (Cmd.info "trace"
-       ~doc:"Render the per-SM execution timeline of one wavefront kernel.")
-    term
-
 (* --- codegen --------------------------------------------------------------- *)
 
 let codegen_cmd =
-  let tile =
-    Arg.(
-      required
-      & opt (some (dims_conv "tile sizes")) None
-      & info [ "tile" ] ~docv:"tTxtS1[xtS2[xtS3]]" ~doc:"Tile sizes.")
-  in
-  let threads =
-    Arg.(value & opt int 256 & info [ "threads" ] ~docv:"N" ~doc:"Threads per block.")
-  in
-  let run stencil space time tile threads =
-    match problem_of stencil space time with
-    | Error msg -> die "%s" msg
-    | Ok problem ->
-        if Array.length tile < 2 then die "tile needs at least tT and tS1"
-        else
-          let t_t = tile.(0) in
-          let t_s = Array.sub tile 1 (Array.length tile - 1) in
-          (match Config.make ~t_t ~t_s ~threads:[| threads |] with
-          | Error msg -> die "invalid configuration: %s" msg
-          | Ok cfg -> (
-              match Hextime_tiling.Codegen.program problem cfg with
-              | Ok text ->
-                  print_string text;
-                  `Ok ()
-              | Error msg -> die "codegen: %s" msg))
+  let run stencil space time config =
+    match (problem_of stencil space time, config) with
+    | Error msg, _ | _, Error msg -> die "%s" msg
+    | Ok problem, Ok cfg -> (
+        match Hextime_tiling.Codegen.program problem cfg with
+        | Ok text ->
+            print_string text;
+            `Ok ()
+        | Error msg -> die "codegen: %s" msg)
   in
   let term =
-    Term.(ret (const run $ stencil_arg $ space_arg $ time_arg $ tile $ threads))
+    Term.(
+      ret
+        (const run $ stencil_arg $ space_arg $ time_arg
+       $ config_arg ~doc:"Tile sizes."))
   in
   Cmd.v
     (Cmd.info "codegen"
@@ -713,14 +530,7 @@ let codegen_cmd =
 let lint_cmd =
   let module Hexlint = Hextime_analysis.Hexlint in
   let tile =
-    Arg.(
-      value
-      & opt (some (dims_conv "tile sizes")) None
-      & info [ "tile" ] ~docv:"tTxtS1[xtS2[xtS3]]"
-          ~doc:"Tile sizes of the single configuration to lint.")
-  in
-  let threads =
-    Arg.(value & opt int 256 & info [ "threads" ] ~docv:"N" ~doc:"Threads per block.")
+    Arg.value (tile_arg ~doc:"Tile sizes of the single configuration to lint.")
   in
   let sweep =
     Arg.(
@@ -833,35 +643,28 @@ let lint_cmd =
       match tile with
       | None -> die "either --tile or --sweep is required"
       | Some tile -> (
-          match problem_of stencil space time with
-          | Error msg -> die "%s" msg
-          | Ok problem ->
-              if Array.length tile < 2 then die "tile needs at least tT and tS1"
-              else
-                let t_t = tile.(0) in
-                let t_s = Array.sub tile 1 (Array.length tile - 1) in
-                (match Config.make ~t_t ~t_s ~threads:[| threads |] with
-                | Error msg -> die "invalid configuration: %s" msg
-                | Ok cfg -> (
-                    let params = H.Microbench.params arch in
-                    let citer = H.Microbench.citer arch stencil in
-                    match Hexlint.lint_config params ~arch ~citer problem cfg with
-                    | Error msg -> die "lint: %s" msg
-                    | Ok r ->
-                        (match fmt with
-                        | `Json -> print_string (Hexlint.render_json [ r ])
-                        | `Text -> print_string (Hexlint.render_text r));
-                        if failing_of fail_on [ r ] = [] then `Ok ()
-                        else
-                          die "lint: %d finding(s) at or above --fail-on=%s"
-                            (List.length r.Hexlint.findings)
-                            (fail_on_name fail_on))))
+          match (problem_of stencil space time, config_of tile threads) with
+          | Error msg, _ | _, Error msg -> die "%s" msg
+          | Ok problem, Ok cfg -> (
+              let params = H.Microbench.params arch in
+              let citer = H.Microbench.citer arch stencil in
+              match Hexlint.lint_config params ~arch ~citer problem cfg with
+              | Error msg -> die "lint: %s" msg
+              | Ok r ->
+                  (match fmt with
+                  | `Json -> print_string (Hexlint.render_json [ r ])
+                  | `Text -> print_string (Hexlint.render_text r));
+                  if failing_of fail_on [ r ] = [] then `Ok ()
+                  else
+                    die "lint: %d finding(s) at or above --fail-on=%s"
+                      (List.length r.Hexlint.findings)
+                      (fail_on_name fail_on)))
   in
   let term =
     Term.(
       ret
         (const run $ arch_arg $ stencil_arg $ space_arg $ time_arg $ tile
-       $ threads $ sweep $ scale_arg $ format $ fail_on $ jobs_arg
+       $ threads_arg $ sweep $ scale_arg $ format $ fail_on $ jobs_arg
        $ profile_arg $ metrics_arg))
   in
   Cmd.v
@@ -1254,19 +1057,14 @@ let ampl_cmd =
 (* --- profile (hexscope attribution) ------------------------------------- *)
 
 let profile_cmd =
+  (* the bound the attribution tests hold both reconstructions to *)
+  let reconstruction_bound = 1e-9 in
   let tile =
-    Arg.(
-      value
-      & opt (some (dims_conv "tile sizes")) None
-      & info [ "tile" ] ~docv:"tTxtS1[xtS2[xtS3]]"
-          ~doc:
-            "Tile sizes to profile (default: the model-optimal shape for \
-             this instance).")
-  in
-  let threads =
-    Arg.(
-      value & opt int 256
-      & info [ "threads" ] ~docv:"N" ~doc:"Threads per block.")
+    Arg.value
+      (tile_arg
+         ~doc:
+           "Tile sizes to profile (default: the model-optimal shape for \
+            this instance).")
   in
   let run arch stencil space time tile threads profile metrics =
     with_obs profile metrics @@ fun () ->
@@ -1277,12 +1075,7 @@ let profile_cmd =
         let citer = H.Microbench.citer arch stencil in
         let cfg_result =
           match tile with
-          | Some tile ->
-              if Array.length tile < 2 then Error "tile needs at least tT and tS1"
-              else
-                Config.make ~t_t:tile.(0)
-                  ~t_s:(Array.sub tile 1 (Array.length tile - 1))
-                  ~threads:[| threads |]
+          | Some tile -> config_of tile threads
           | None -> (
               match Optimizer.evaluate_space params ~citer problem with
               | [] -> Error "empty feasible space"
@@ -1348,18 +1141,30 @@ let profile_cmd =
                           (Gpu.Simulator.replay ~salt:0 arch priced)
                             .Gpu.Simulator.total_s
                         in
+                        let sim_rel =
+                          Float.abs (sim_total -. replay) /. replay
+                        in
                         Printf.printf
                           "\nsimulator attribution sum %.17g s vs replay \
                            %.17g s (relative error %.3e)\n"
-                          sim_total replay
-                          (Float.abs (sim_total -. replay) /. replay);
-                        `Ok ()))))
+                          sim_total replay sim_rel;
+                        (* written so that a NaN error fails too *)
+                        if
+                          not (rel <= reconstruction_bound
+                              && sim_rel <= reconstruction_bound)
+                        then
+                          die
+                            "profile: attribution does not reconstruct the \
+                             prediction (model %.3e, simulator %.3e relative \
+                             error; bound %.0e)"
+                            rel sim_rel reconstruction_bound
+                        else `Ok ()))))
   in
   let term =
     Term.(
       ret
         (const run $ arch_arg $ stencil_arg $ space_arg $ time_arg $ tile
-       $ threads $ profile_arg $ metrics_arg))
+       $ threads_arg $ profile_arg $ metrics_arg))
   in
   Cmd.v
     (Cmd.info "profile"
@@ -1368,7 +1173,8 @@ let profile_cmd =
           Section 5 components (compute, global memory, sync, launch) from \
           the analytical model, plus the per-kernel breakdown of the \
           simulator's priced run.  The component sums reconstruct the \
-          predicted totals; the printed relative errors show how exactly.")
+          predicted totals; the printed relative errors show how exactly, \
+          and either one above 1e-9 makes the exit status non-zero.")
     term
 
 (* --- trace-verify ----------------------------------------------------------- *)
@@ -1480,113 +1286,6 @@ let trace_verify_cmd =
           artifact.")
     Term.(ret (const run $ file $ min_events $ min_lanes $ require_counters))
 
-let doctor_cmd =
-  let run () =
-    let checks = ref [] in
-    let check name f =
-      let outcome = try f () with e -> Error (Printexc.to_string e) in
-      checks := (name, outcome) :: !checks
-    in
-    check "hexagonal lattice partitions the plane" (fun () ->
-        Hextime_tiling.Exec_cpu.coverage_check ~order:1 ~t_s:5 ~t_t:6
-          ~space:64 ~time:13);
-    check "hexagonal schedule is exact (heat2d)" (fun () ->
-        let p = Problem.make Stencil.heat2d ~space:[| 24; 32 |] ~time:6 in
-        Hextime_tiling.Exec_cpu.verify p
-          (Config.make_exn ~t_t:2 ~t_s:[| 4; 32 |] ~threads:[| 32 |])
-          ~init:(Hextime_stencil.Reference.default_init p));
-    check "skewed schedule is exact" (fun () ->
-        let p = Problem.make Stencil.heat2d ~space:[| 24; 32 |] ~time:6 in
-        Hextime_tiling.Skewed.verify p
-          (Config.make_exn ~t_t:2 ~t_s:[| 4; 32 |] ~threads:[| 32 |])
-          ~init:(Hextime_stencil.Reference.default_init p));
-    check "overtile schedule is exact" (fun () ->
-        let p = Problem.make Stencil.heat2d ~space:[| 24; 32 |] ~time:6 in
-        Hextime_tiling.Overtile.verify p
-          (Config.make_exn ~t_t:2 ~t_s:[| 4; 32 |] ~threads:[| 32 |])
-          ~init:(Hextime_stencil.Reference.default_init p));
-    check "micro-benchmarks in range" (fun () ->
-        let p = H.Microbench.params Gpu.Arch.gtx980 in
-        if
-          Hextime_core.Params.l_per_gb p > 1e-3
-          && Hextime_core.Params.l_per_gb p < 5e-2
-        then Ok ()
-        else Error "L out of expected range");
-    check "event simulation agrees with closed form" (fun () ->
-        let body =
-          {
-            Gpu.Pointcost.flops = 10; loads = 5; transcendentals = 0;
-            rank = 2; double = false;
-          }
-        in
-        let w =
-          Gpu.Workload.v ~label:"doctor" ~threads:256 ~shared_words:4000
-            ~regs_per_thread:32 ~body
-            ~rows:[ { Gpu.Workload.points = 1024; repeats = 4 } ]
-            ~input:{ Gpu.Memory.words = 0; run_length = 32 }
-            ~output:{ Gpu.Memory.words = 0; run_length = 32 }
-            ~row_stride:73 ~chunks:1
-        in
-        let r = Gpu.Eventsim.agreement Gpu.Arch.gtx980 w in
-        if r > 0.7 && r < 1.5 then Ok ()
-        else Error (Printf.sprintf "agreement ratio %.2f" r));
-    check "model/simulator top-band coherence" (fun () ->
-        let p = Problem.make Stencil.heat2d ~space:[| 2048; 2048 |] ~time:256 in
-        let params = H.Microbench.params Gpu.Arch.gtx980 in
-        let citer = H.Microbench.citer Gpu.Arch.gtx980 Stencil.heat2d in
-        let cfg = Config.make_exn ~t_t:16 ~t_s:[| 16; 64 |] ~threads:[| 256 |] in
-        match
-          ( Model.predict params ~citer p cfg,
-            Runner.measure Gpu.Arch.gtx980 p cfg )
-        with
-        | Ok pr, Ok m ->
-            let ratio = pr.Model.talg /. m.Runner.time_s in
-            if ratio > 0.7 && ratio < 1.4 then Ok ()
-            else Error (Printf.sprintf "model/simulated = %.2f" ratio)
-        | Error e, _ | _, Error e -> Error e);
-    check "trace exporter round-trips" (fun () ->
-        let ev =
-          Obs.Trace.make ~cat:"doctor" ~ph:"X" ~dur_us:12.5 ~ts_us:1.0
-            ~args:[ ("check", "round-trip") ]
-            "doctor.span"
-        in
-        let rendered = Minijson.render (Obs.Trace.to_json [ ev ]) in
-        match Minijson.parse rendered with
-        | Error e -> Error ("re-parse failed: " ^ e)
-        | Ok json -> (
-            match Minijson.member "traceEvents" json with
-            | Some (Minijson.List [ parsed ]) -> (
-                match
-                  Option.bind (Minijson.member "name" parsed) Minijson.string
-                with
-                | Some "doctor.span" -> Ok ()
-                | _ -> Error "event name lost in round-trip")
-            | _ -> Error "traceEvents not a singleton list"));
-    let failures = ref 0 in
-    List.iter
-      (fun (name, outcome) ->
-        match outcome with
-        | Ok () -> Printf.printf "  [ok]   %s\n" name
-        | Error e ->
-            incr failures;
-            Printf.printf "  [FAIL] %s: %s\n" name e)
-      (List.rev !checks);
-    (* the checks above exercised the model and the simulator, so the
-       metrics registry now holds a live smoke snapshot *)
-    print_endline "observability:";
-    print_string (Obs.Metrics.render (Obs.Metrics.snapshot ()));
-    if !failures = 0 then begin
-      print_endline "doctor: all checks passed";
-      `Ok ()
-    end
-    else die "doctor: %d check(s) failed" !failures
-  in
-  Cmd.v
-    (Cmd.info "doctor"
-       ~doc:"Run fast end-to-end self-checks of the geometry, executors, \
-             micro-benchmarks, event simulation and model coherence.")
-    Term.(ret (const run $ const ()))
-
 let campaign_cmd =
   let run scale jobs profile metrics ledger no_ledger =
     with_obs profile metrics @@ fun () ->
@@ -1654,9 +1353,11 @@ let report_cmd =
   Cmd.v
     (Cmd.info "report"
        ~doc:
-         "Generate the markdown paper-vs-measured reproduction report, \
-          ending with a trend section over the hexwatch ledger when one is \
-          present ($(b,--no-ledger) omits it).")
+         "Reproduce the paper's evaluation as one markdown report: Tables \
+          1-4 and Figures 3-6 in paper order, each with its measured \
+          summary and the paper's values, ending with a trend section over \
+          the hexwatch ledger when one is present ($(b,--no-ledger) omits \
+          it).  $(b,--scale) sets the problem grid of Figures 3, 5 and 6.")
     Term.(ret (const run $ scale_arg $ out $ ledger_arg $ no_ledger_arg))
 
 (* --- bench-compare ---------------------------------------------------------- *)
@@ -3101,21 +2802,13 @@ let main_cmd =
       trace_verify_cmd;
       tune_cmd;
       strategies_cmd;
-      sensitivity_cmd;
-      trace_cmd;
       codegen_cmd;
       lint_cmd;
       prove_cmd;
       naive_cmd;
       solve_cmd;
-      tables_cmd;
-      fig3_cmd;
-      fig4_cmd;
-      fig5_cmd;
-      fig6_cmd;
       validate_cmd;
       campaign_cmd;
-      doctor_cmd;
       report_cmd;
       ampl_cmd;
       bench_compare_cmd;

@@ -216,7 +216,9 @@ let attribute_priced ?(jitter = true) ~salt (arch : Arch.t) p =
     else
       let tio = io *. float_of_int (chunks * j) in
       let tcomp = comp *. float_of_int (chunks * j) in
-      if resident = 1 then (tio, tcomp)
+      (* a round of one block per SM serialises, as [queue_time] prices
+         it, even when more blocks could be resident *)
+      if j = 1 then (tio, tcomp)
       else
         let fill = min io comp in
         let fio, fcomp = if io <= comp then (fill, 0.0) else (0.0, fill) in

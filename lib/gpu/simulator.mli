@@ -82,7 +82,8 @@ val attribute_priced :
   Hextime_obs.Attribution.components
 (** Breakdown of one salted execution of a priced kernel: per round the
     dominant max(io, compute) term is credited to its own side and the
-    pipeline-fill term to the smaller side, so the component sum equals
+    pipeline-fill term to the smaller side (a round of one block per SM
+    runs serially, so both phases count in full), so the component sum equals
     {!priced_time} for the same salt up to float rounding.  [shared_mem]
     and [sync] are zero here — the simulator's cost model folds both into
     compute cycles; the analytical model's attribution splits them out.

@@ -1,8 +1,9 @@
 (** hexwatch: the accuracy regression gate.
 
-    The paper's headline claims are accuracy claims (Section 5.3: RMSE
-    45-200% over full sweeps, <10% on the top band; Section 6: the
-    predicted arg-min lands in that band).  [hextime bench-compare] already
+    The paper's headline claims are accuracy claims (Section 5.3: a large
+    RMSE over full sweeps, a small one on the top band, with the paper's
+    values printed by {!Report}; Section 6: the predicted arg-min lands
+    in that band).  [hextime bench-compare] already
     fails CI when sweep {e throughput} regresses; this module does the same
     for sweep {e accuracy}: a committed [ACCURACY_baseline.json] plus
     [hextime accuracy-compare], so a model or simulator change that quietly

@@ -28,22 +28,6 @@ let sweep_csv points =
         p.Sweep.predicted.Model.k p.Sweep.measured.Runner.resident_blocks
         p.Sweep.measured.Runner.spilled_regs)
 
-let fig4_csv (f : Figures.fig4) =
-  buffer_csv "t_t,t_s2,talg_s" f.Figures.cells (fun (tt, ts2, v) ->
-      Printf.sprintf "%d,%d,%.6e" tt ts2 v)
-
-let fig6_csv rows =
-  let flat =
-    List.concat_map
-      (fun (r : Figures.fig6_row) ->
-        List.map
-          (fun (strategy, gflops) -> (r.Figures.stencil, r.Figures.arch, strategy, gflops))
-          r.Figures.per_strategy)
-      rows
-  in
-  buffer_csv "stencil,arch,strategy,gflops" flat (fun (s, a, st, g) ->
-      Printf.sprintf "%s,%s,%s,%.2f" s a st g)
-
 let scatter_csv pairs =
   buffer_csv "predicted_s,measured_s" pairs (fun (p, m) ->
       Printf.sprintf "%.6e,%.6e" p m)

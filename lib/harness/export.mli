@@ -1,15 +1,10 @@
-(** CSV export of experiment data, for replotting the figures with external
-    tooling.  Columns are stable and documented per function. *)
+(** CSV export of sweep data ([hextime validate --csv] and the bench's
+    Figure 3 scatter), and the file writer behind [hextime report -o].
+    Columns are stable and documented per function. *)
 
 val sweep_csv : Sweep.point list -> string
 (** One row per data point:
     [config,t_t,t_s...,threads,predicted_s,measured_s,gflops,k_model,k_measured,spilled]. *)
-
-val fig4_csv : Figures.fig4 -> string
-(** [t_t,t_s2,talg_s] rows for the surface. *)
-
-val fig6_csv : Figures.fig6_row list -> string
-(** [stencil,arch,strategy,gflops] rows. *)
 
 val scatter_csv : (float * float) list -> string
 (** [predicted_s,measured_s] rows (Figure 3 coordinates). *)

@@ -15,7 +15,7 @@ module Strategies = Hextime_tileopt.Strategies
 
 type fig3_row = { experiment : string; summary : Validation.summary }
 
-let fig3_data ?limit ?exec scale =
+let fig3_data scale =
   let groups =
     (* merge problem sizes per (stencil, arch) pair, keeping panel order *)
     let tagged =
@@ -37,7 +37,7 @@ let fig3_data ?limit ?exec scale =
     (fun ((stencil, arch), exps) ->
       let points =
         List.concat_map
-          (fun e -> (Sweep.baseline ?limit ?exec e).Sweep.points)
+          (fun e -> (Sweep.baseline e).Sweep.points)
           exps
       in
       if points = [] then None
@@ -232,16 +232,11 @@ let fig5_data ?(scale = Experiments.Quick) () =
     improvement_pct = 100.0 *. (baseline -. best_candidate_s) /. baseline;
   }
 
-let render_fig5 ?max_rows f =
+let render_fig5 f =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
     (Printf.sprintf "Figure 5: predicted tile-size performance, %s\n"
        f.experiment);
-  let shown =
-    match max_rows with
-    | None -> f.candidates
-    | Some n -> List.filteri (fun i _ -> i < n) f.candidates
-  in
   let open Tabulate in
   let t =
     create
@@ -255,13 +250,9 @@ let render_fig5 ?max_rows f =
     add_rows t
       (List.map
          (fun (id, p, m) -> [ id; seconds_cell p; seconds_cell m ])
-         shown)
+         f.candidates)
   in
   Buffer.add_string buf (render t);
-  if List.length shown < List.length f.candidates then
-    Buffer.add_string buf
-      (Printf.sprintf "... (%d further candidates omitted)\n"
-         (List.length f.candidates - List.length shown));
   Buffer.add_string buf
     (Printf.sprintf
        "baseline best = %.3f s; model-guided best = %.3f s; improvement = \
@@ -278,7 +269,7 @@ type fig6_row = {
   per_strategy : (string * float) list;
 }
 
-let fig6_data ?max_configs scale =
+let fig6_data scale =
   List.concat_map
     (fun arch ->
       List.map
@@ -290,7 +281,7 @@ let fig6_data ?max_configs scale =
               (fun (space, time) ->
                 let problem = Problem.make stencil ~space ~time in
                 let ctx = { Strategies.arch; params; citer; problem } in
-                Strategies.all ?max_configs ctx
+                Strategies.all ~max_configs:2000 ctx
                 |> List.filter_map (fun (name, outcome) ->
                        match outcome with
                        | Ok o ->

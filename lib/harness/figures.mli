@@ -1,8 +1,8 @@
 (** Reproductions of the paper's evaluation figures.
 
     Each figure has a [*_data] function returning the raw series (used by
-    tests and by anyone re-plotting) and a [render_*] function producing the
-    plain-text report printed by the bench executable. *)
+    tests and by anyone re-plotting) and a [render_*] function producing
+    the pipe table that {!Report.markdown} prints. *)
 
 (** {1 Figure 3 — observed vs model-predicted time} *)
 
@@ -11,14 +11,10 @@ type fig3_row = {
   summary : Validation.summary;
 }
 
-val fig3_data :
-  ?limit:int ->
-  ?exec:Hextime_parsweep.Parsweep.exec ->
-  Experiments.scale ->
-  fig3_row list
+val fig3_data : Experiments.scale -> fig3_row list
 (** One validation summary per (benchmark, machine): sweeps are merged over
     the scale's problem sizes, exactly as Figure 3 merges sizes per panel.
-    [exec] selects the sweep execution strategy (serial by default). *)
+    The sweeps run serially. *)
 
 val render_fig3 : fig3_row list -> string
 
@@ -51,9 +47,8 @@ val fig5_data : ?scale:Experiments.scale -> unit -> fig5
     GTX 980) at [Quick]-compatible cost; [scale] only affects the problem
     size used. *)
 
-val render_fig5 : ?max_rows:int -> fig5 -> string
-(** [max_rows] truncates the candidate table (the totals always reflect the
-    full set). *)
+val render_fig5 : fig5 -> string
+(** The full candidate table, then the baseline-vs-model-guided totals. *)
 
 (** {1 Figure 6 — average GFLOP/s per tile-size selection strategy} *)
 
@@ -63,9 +58,9 @@ type fig6_row = {
   per_strategy : (string * float) list;  (** average GFLOP/s over sizes *)
 }
 
-val fig6_data :
-  ?max_configs:int -> Experiments.scale -> fig6_row list
+val fig6_data : Experiments.scale -> fig6_row list
 (** 2D stencils on both machines, averaged over the scale's problem sizes
-    (ten sizes at [Paper] scale, as in the figure). *)
+    (ten sizes at [Paper] scale, as in the figure).  The exhaustive
+    strategy is stride-sampled to 2000 configurations. *)
 
 val render_fig6 : fig6_row list -> string

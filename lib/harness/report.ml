@@ -1,20 +1,67 @@
-module Gpu = Hextime_gpu
 module Stats = Hextime_prelude.Stats
-module Params = Hextime_core.Params
+module Tabulate = Hextime_prelude.Tabulate
 
-let paper_table3 = [ ("gtx980", (7.36e-3, 7.96e-10, 9.24e-7)); ("titanx", (5.42e-3, 6.74e-10, 9.00e-7)) ]
-
-let paper_table4 =
+(* The paper's reference values, keyed by artifact; each is printed under
+   the reproduced artifact it belongs to. *)
+let paper =
   [
-    ("jacobi2d", (3.39e-8, 3.83e-8));
-    ("heat2d", (3.68e-8, 4.23e-8));
-    ("laplacian2d", (3.11e-8, 3.81e-8));
-    ("gradient2d", (6.09e-8, 7.60e-8));
-    ("heat3d", (1.55e-7, 1.64e-7));
-    ("laplacian3d", (1.36e-7, 1.44e-7));
+    ( "Table 3",
+      "GTX 980 / Titan X: L = 7.36e-03 / 5.42e-03 s/GB; tau_sync = 7.96e-10 \
+       / 6.74e-10 s; T_sync = 9.24e-07 / 9.00e-07 s" );
+    ( "Table 4",
+      "GTX 980 / Titan X: jacobi2d 3.39e-08 / 3.83e-08, heat2d 3.68e-08 / \
+       4.23e-08, laplacian2d 3.11e-08 / 3.81e-08, gradient2d 6.09e-08 / \
+       7.60e-08, heat3d 1.55e-07 / 1.64e-07, laplacian3d 1.36e-07 / 1.44e-07" );
+    ( "Figure 3",
+      "RMSE 45-200% over full sweeps; below 10% on the subset within 20% of \
+       the best throughput" );
+    ("Figure 5", "19.8 s baseline vs 16.5 s model-guided (+17%)");
+    ( "Figure 6",
+      "model-guided +60% over the HHC default, +9% over the baseline" );
   ]
 
-let sci = Printf.sprintf "%.2e"
+let fig3_summary (rows : Figures.fig3_row list) =
+  match rows with
+  | [] -> []
+  | _ ->
+      let pcts f = List.map (fun r -> 100.0 *. f r.Figures.summary) rows in
+      let tops = pcts (fun s -> s.Validation.rmse_top)
+      and alls = pcts (fun s -> s.Validation.rmse_all) in
+      [
+        Printf.sprintf
+          "Top-band RMSE range: %.1f%%-%.1f%%; all-points RMSE range: \
+           %.0f%%-%.0f%%."
+          (Stats.minimum tops) (Stats.maximum tops) (Stats.minimum alls)
+          (Stats.maximum alls);
+      ]
+
+(* Geometric-mean gain of the within-10% strategy over each other one,
+   across the figure's (stencil, machine) rows. *)
+let fig6_summary (rows : Figures.fig6_row list) =
+  let gain other =
+    let rs =
+      List.filter_map
+        (fun (r : Figures.fig6_row) ->
+          match
+            ( List.assoc_opt "Within 10% of Talg_min" r.Figures.per_strategy,
+              List.assoc_opt other r.Figures.per_strategy )
+          with
+          | Some a, Some o when o > 0.0 && not (Float.is_nan a) ->
+              Some (a /. o)
+          | _ -> None)
+        rows
+    in
+    if rs = [] then None else Some (100.0 *. (Stats.geomean rs -. 1.0))
+  in
+  match (gain "HHC", gain "Baseline", gain "Talg_min") with
+  | Some h, Some b, Some m ->
+      [
+        Printf.sprintf
+          "Model-guided vs HHC default: %+.0f%%; vs baseline: %+.1f%%; vs \
+           bare Talg_min: %+.1f%%."
+          h b m;
+      ]
+  | _ -> []
 
 (* hexwatch trend section: the last few ledger entries as a markdown
    table, or nothing when the ledger is absent/empty — the report must
@@ -29,7 +76,7 @@ let trend_section ledger =
       | Ok { Hextime_obs.Ledger.entries; _ } ->
           let recent = Hextime_obs.Ledger.latest 10 entries in
           Printf.sprintf
-            "## Trend — recent runs (hexwatch ledger)\n\n\
+            "\n## Trend — recent runs (hexwatch ledger)\n\n\
              Last %d of %d ledger entries from `%s`; regenerate or widen \
              with `hextime history`.\n\n\
              %s\n"
@@ -37,124 +84,30 @@ let trend_section ledger =
             (History.markdown recent))
 
 let markdown ?ledger scale =
-  let b = Buffer.create 16384 in
+  let b = Buffer.create 32768 in
   let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   pf "# hextime reproduction report (scale: %s)\n\n"
     (Experiments.scale_to_string scale);
   pf
-    "Generated by `Hextime_harness.Report`; every number on the \"measured\" \
-     side comes from a live run against the GPU simulator substrate.\n\n";
-
-  (* Table 3 *)
-  pf "## Table 3 — micro-benchmarked constants\n\n";
-  pf "| Machine | L [s/GB] paper / here | tau_sync [s] paper / here | T_sync [s] paper / here |\n";
-  pf "|---|---|---|---|\n";
-  List.iter
-    (fun arch ->
-      let p = Microbench.params arch in
-      let pl, ptau, pts =
-        List.assoc arch.Gpu.Arch.name paper_table3
-      in
-      pf "| %s | %s / %s | %s / %s | %s / %s |\n" arch.Gpu.Arch.name (sci pl)
-        (sci (Params.l_per_gb p))
-        (sci ptau)
-        (sci p.Params.tau_sync)
-        (sci pts)
-        (sci p.Params.t_sync))
-    Gpu.Arch.presets;
-  pf "\n";
-
-  (* Table 4 *)
-  pf "## Table 4 — C_iter per benchmark [s]\n\n";
-  pf "| Benchmark | GTX 980 paper / here | Titan X paper / here |\n|---|---|---|\n";
-  List.iter
-    (fun (name, per_arch) ->
-      match List.assoc_opt name paper_table4 with
-      | None -> ()
-      | Some (pg, pt) ->
-          let get a = List.assoc a per_arch in
-          pf "| %s | %s / %s | %s / %s |\n" name (sci pg) (sci (get "gtx980"))
-            (sci pt)
-            (sci (get "titanx")))
-    (Tables.table4_data ());
-  pf "\n";
-
-  (* Figure 3 *)
-  pf "## Figure 3 / Section 5.3 — model validation\n\n";
-  pf
-    "Paper: RMSE 45-200%% over full sweeps; below 10%% on the subset within \
-     20%% of the best throughput.\n\n";
-  pf "| Benchmark / machine | points | RMSE all | RMSE top 20%% | r (top) |\n";
-  pf "|---|---|---|---|---|\n";
-  let rows = Figures.fig3_data scale in
-  List.iter
-    (fun (r : Figures.fig3_row) ->
-      let s = r.Figures.summary in
-      pf "| %s | %d | %.0f%% | %.1f%% | %.3f |\n" r.Figures.experiment
-        s.Validation.points
-        (100.0 *. s.Validation.rmse_all)
-        (100.0 *. s.Validation.rmse_top)
-        s.Validation.correlation_top)
-    rows;
-  let tops = List.map (fun r -> r.Figures.summary.Validation.rmse_top) rows in
-  if tops <> [] then
-    pf "\nTop-band RMSE range: %.1f%%-%.1f%% (paper: < 10%%).\n\n"
-      (100.0 *. Stats.minimum tops)
-      (100.0 *. Stats.maximum tops);
-
-  (* Figure 5 *)
-  pf "## Figure 5 — model-guided candidates vs baseline (Gradient2D)\n\n";
-  let f5 = Figures.fig5_data ~scale () in
-  pf
-    "Paper: 19.8 s baseline vs 16.5 s model-guided (+17%%). Here: %.3f s \
-     baseline vs %.3f s model-guided (%+.1f%%) over %d explored candidates.\n\n"
-    f5.Figures.baseline_best_s f5.Figures.best_candidate_s
-    f5.Figures.improvement_pct
-    (List.length f5.Figures.candidates);
-
-  (* Figure 6 *)
-  pf "## Figure 6 — strategy comparison (average GFLOP/s)\n\n";
-  let rows6 = Figures.fig6_data ~max_configs:2000 scale in
-  (match rows6 with
-  | [] -> pf "(no data at this scale)\n"
-  | first :: _ ->
-      let strategies = List.map fst first.Figures.per_strategy in
-      pf "| Benchmark / machine | %s |\n" (String.concat " | " strategies);
-      pf "|---|%s\n" (String.concat "" (List.map (fun _ -> "---|") strategies));
-      List.iter
-        (fun (r : Figures.fig6_row) ->
-          pf "| %s on %s | %s |\n" r.Figures.stencil r.Figures.arch
-            (String.concat " | "
-               (List.map
-                  (fun s ->
-                    match List.assoc_opt s r.Figures.per_strategy with
-                    | Some v when not (Float.is_nan v) ->
-                        Printf.sprintf "%.1f" v
-                    | _ -> "-")
-                  strategies)))
-        rows6;
-      let top10 = "Within 10% of Talg_min" in
-      let ratio other =
-        let rs =
-          List.filter_map
-            (fun (r : Figures.fig6_row) ->
-              match
-                ( List.assoc_opt top10 r.Figures.per_strategy,
-                  List.assoc_opt other r.Figures.per_strategy )
-              with
-              | Some a, Some o when o > 0.0 -> Some (a /. o)
-              | _ -> None)
-            rows6
-        in
-        if rs = [] then None else Some (100.0 *. (Stats.geomean rs -. 1.0))
-      in
-      (match (ratio "HHC", ratio "Baseline") with
-      | Some h, Some base ->
-          pf
-            "\nModel-guided vs HHC default: %+.0f%% (paper +60%%); vs \
-             baseline: %+.1f%% (paper +9%%).\n"
-            h base
-      | _ -> ()));
+    "Every table and figure below is regenerated from live runs against \
+     the GPU simulator substrate; the paper's own values follow each one.\n";
+  let artifact name body summary =
+    pf "\n## %s\n\n%s" name body;
+    List.iter (pf "\n%s\n") summary;
+    match List.assoc_opt name paper with
+    | Some v -> pf "\nPaper: %s.\n" v
+    | None -> ()
+  in
+  artifact "Table 1" (Hextime_core.Glossary.render ()) [];
+  artifact "Table 2" (Tabulate.render (Tables.table2 ())) [];
+  artifact "Table 3" (Tabulate.render (Tables.table3 ())) [];
+  artifact "Table 4" (Tabulate.render (Tables.table4 ())) [];
+  let rows3 = Figures.fig3_data scale in
+  artifact "Figure 3" (Figures.render_fig3 rows3) (fig3_summary rows3);
+  artifact "Figure 4" (Figures.render_fig4 (Figures.fig4_data ())) [];
+  artifact "Figure 5" (Figures.render_fig5 (Figures.fig5_data ~scale ())) [];
+  let rows6 = Figures.fig6_data scale in
+  artifact "Figure 6" (Figures.render_fig6 rows6) (fig6_summary rows6);
   Buffer.add_string b (trend_section ledger);
   Buffer.contents b
 

@@ -1,10 +1,12 @@
-(** Markdown reproduction report: the paper-vs-measured comparison of
-    EXPERIMENTS.md, regenerated from live runs.
+(** Markdown reproduction report: the one renderer of the paper's whole
+    evaluation, regenerated from live runs.
 
-    [markdown scale] runs the micro-benchmarks, the validation sweeps and
-    the strategy comparison at the given scale and renders one document
-    with the paper's reference numbers inlined next to the measured ones —
-    the artifact a reader needs to audit the reproduction. *)
+    [markdown scale] prints, in paper order, Table 1 (the parameter
+    glossary), Tables 2–4 and Figures 3–6 through the {!Tables} and
+    {!Figures} renderers, each followed by its measured summary line and
+    the paper's reference values.  [scale] sets the problem grid of
+    Figures 3, 5 and 6; Figure 4 is always the paper's 8192^2, T = 8192
+    instance. *)
 
 val markdown : ?ledger:string -> Experiments.scale -> string
 (** [?ledger] names a hexwatch run-ledger file (see

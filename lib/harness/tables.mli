@@ -1,4 +1,5 @@
-(** Reproductions of the paper's tables as plain-text reports.
+(** Reproductions of the paper's tables as pipe tables, printed by
+    {!Report.markdown} (Table 1 is {!Hextime_core.Glossary.render}).
 
     - Table 2: GPU configuration (architecture presets);
     - Table 3: micro-benchmarked timing constants L, tau_sync, T_sync;

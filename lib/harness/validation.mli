@@ -1,8 +1,9 @@
 (** Model validation analysis (Section 5.3 and Figure 3).
 
-    The paper's headline numbers: RMSE of 45-200% over a whole sweep, but
-    below 10% when restricted to the data points whose measured throughput
-    is within 20% of the best.  [analyze] computes both, plus the
+    The paper's headline (its numbers are printed beside Figure 3 by
+    {!Report}): a large RMSE over a whole sweep, but a small one when
+    restricted to the data points whose measured throughput is within 20%
+    of the best.  [analyze] computes both, plus the
     predicted/measured correlation of the top band and the Section 6
     selection claim — whether the model's predicted arg-min actually lands
     in that top band. *)

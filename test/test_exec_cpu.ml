@@ -9,13 +9,17 @@ module P = Hextime_stencil.Problem
 module G = Hextime_stencil.Grid
 module R = Hextime_stencil.Reference
 
-let verify_ok name stencil space time cfg =
+(* [more] lists further space extents checked by the same test *)
+let verify_ok ?(more = []) name stencil space time cfg =
   Alcotest.test_case name `Quick (fun () ->
-      let problem = P.make stencil ~space ~time in
-      let init = R.default_init problem in
-      match E.verify problem cfg ~init with
-      | Ok () -> ()
-      | Error e -> Alcotest.failf "%s: %s" name e)
+      List.iter
+        (fun space ->
+          let problem = P.make stencil ~space ~time in
+          let init = R.default_init problem in
+          match E.verify problem cfg ~init with
+          | Ok () -> ()
+          | Error e -> Alcotest.failf "%s: %s" name e)
+        (space :: more))
 
 let cfg = C.make_exn
 
@@ -92,7 +96,7 @@ let suite =
       (cfg ~t_t:6 ~t_s:[| 5 |] ~threads:[| 32 |]);
     verify_ok "jacobi2d" S.jacobi2d [| 24; 64 |] 8
       (cfg ~t_t:4 ~t_s:[| 5; 32 |] ~threads:[| 64 |]);
-    verify_ok "heat2d minimal tT" S.heat2d [| 20; 32 |] 6
+    verify_ok "heat2d minimal tT" ~more:[ [| 24; 32 |] ] S.heat2d [| 20; 32 |] 6
       (cfg ~t_t:2 ~t_s:[| 4; 32 |] ~threads:[| 32 |]);
     verify_ok "laplacian2d" S.laplacian2d [| 18; 32 |] 5
       (cfg ~t_t:4 ~t_s:[| 6; 32 |] ~threads:[| 32 |]);

@@ -1,5 +1,6 @@
 (* The extension modules: pseudo-code emission, the naive (non-time-tiled)
-   lowering, the local solver, CSV export and the ASCII scatter plot. *)
+   lowering, the local solver, CSV export, the ASCII scatter plot, and the
+   Table 1 and Figure 5 renderers the reproduction report prints. *)
 
 module Gpu = Hextime_gpu
 module S = Hextime_stencil.Stencil
@@ -210,6 +211,7 @@ let test_skewed_correctness () =
       (S.gradient2d, [| 20; 32 |], 6, C.make_exn ~t_t:2 ~t_s:[| 4; 32 |] ~threads:[| 32 |]);
       (S.heat3d, [| 12; 10; 32 |], 5, C.make_exn ~t_t:2 ~t_s:[| 4; 4; 32 |] ~threads:[| 32 |]);
       (S.jacobi2d_order2, [| 22; 32 |], 5, C.make_exn ~t_t:2 ~t_s:[| 5; 32 |] ~threads:[| 32 |]);
+      (S.heat2d, [| 24; 32 |], 6, C.make_exn ~t_t:2 ~t_s:[| 4; 32 |] ~threads:[| 32 |]);
     ]
 
 let test_skewed_wavefront_structure () =
@@ -273,6 +275,7 @@ let test_overtile_correctness () =
       (S.gradient2d, [| 20; 32 |], 5, C.make_exn ~t_t:4 ~t_s:[| 5; 32 |] ~threads:[| 32 |]);
       (S.heat3d, [| 12; 10; 32 |], 4, C.make_exn ~t_t:2 ~t_s:[| 4; 5; 32 |] ~threads:[| 32 |]);
       (S.jacobi2d_order2, [| 20; 32 |], 4, C.make_exn ~t_t:2 ~t_s:[| 5; 32 |] ~threads:[| 32 |]);
+      (S.heat2d, [| 24; 32 |], 6, C.make_exn ~t_t:2 ~t_s:[| 4; 32 |] ~threads:[| 32 |]);
     ]
 
 let test_overtile_redundancy () =
@@ -433,37 +436,51 @@ let test_glossary_complete () =
   let text = Hextime_core.Glossary.render () in
   Alcotest.(check bool) "renders" true (Test_util.contains text "tau_sync")
 
-(* --- timeline -------------------------------------------------------------- *)
-
-let test_timeline () =
-  let compiled =
-    ok (Hextime_tiling.Lower.compile problem cfg)
+let test_glossary_render_rows () =
+  (* Table 1 as the report prints it: one pipe-table row per entry, in the
+     paper's order, each led by the entry's symbol *)
+  let lines = String.split_on_char '\n' (Hextime_core.Glossary.render ()) in
+  let rows =
+    List.filter (fun l -> String.length l > 2 && String.sub l 0 2 = "| ") lines
   in
-  let tl = ok (Gpu.Timeline.of_kernel arch compiled.Hextime_tiling.Lower.green) in
-  Alcotest.(check bool) "positive makespan" true (tl.Gpu.Timeline.makespan_s > 0.0);
-  Alcotest.(check bool) "idle fraction in [0,1)" true
-    (tl.Gpu.Timeline.idle_fraction >= 0.0 && tl.Gpu.Timeline.idle_fraction < 1.0);
-  Alcotest.(check bool) "spans exist" true (tl.Gpu.Timeline.spans <> []);
-  (* every span within the makespan *)
+  let g = Hextime_core.Glossary.table1 in
+  (* the first pipe row is the header *)
+  Alcotest.(check int) "one row per entry" (List.length g) (List.length rows - 1);
+  List.iter2
+    (fun (e : Hextime_core.Glossary.entry) row ->
+      let lead = "| " ^ e.Hextime_core.Glossary.name ^ " " in
+      Alcotest.(check bool) (Printf.sprintf "row for %s" e.Hextime_core.Glossary.name)
+        true
+        (String.length row >= String.length lead
+        && String.sub row 0 (String.length lead) = lead))
+    g (List.tl rows)
+
+(* --- Figure 5 candidate table --------------------------------------------- *)
+
+let test_fig5_full_candidate_table () =
+  (* the report prints every within-10% candidate, however many there are *)
+  let candidates =
+    List.init 40 (fun i ->
+        let p = 1.0 +. (0.002 *. float_of_int i) in
+        (Printf.sprintf "shape%02d" i, p, p +. 0.05))
+  in
+  let f =
+    {
+      H.Figures.experiment = "synthetic";
+      baseline_best_s = 2.0;
+      candidates;
+      best_candidate_s = 1.05;
+      improvement_pct = 47.5;
+    }
+  in
+  let text = H.Figures.render_fig5 f in
   List.iter
-    (fun (s : Gpu.Timeline.span) ->
-      Alcotest.(check bool) "span bounds" true
-        (s.Gpu.Timeline.start_s >= 0.0
-        && s.Gpu.Timeline.finish_s <= tl.Gpu.Timeline.makespan_s +. 1e-12))
-    tl.Gpu.Timeline.spans;
-  let text = Gpu.Timeline.render ~width:32 tl in
-  Alcotest.(check bool) "gantt renders" true (Test_util.contains text "SM0")
-
-let test_timeline_block_conservation () =
-  let compiled = ok (Hextime_tiling.Lower.compile problem cfg) in
-  let kernel = compiled.Hextime_tiling.Lower.green in
-  let tl = ok (Gpu.Timeline.of_kernel arch kernel) in
-  let scheduled =
-    List.fold_left (fun a (s : Gpu.Timeline.span) -> a + s.Gpu.Timeline.blocks) 0
-      tl.Gpu.Timeline.spans
-  in
-  Alcotest.(check int) "every block scheduled exactly once"
-    (Gpu.Kernel.total_blocks kernel) scheduled
+    (fun (id, _, _) ->
+      Alcotest.(check bool) (Printf.sprintf "row for %s" id) true
+        (Test_util.contains text ("| " ^ id ^ " ")))
+    candidates;
+  Alcotest.(check bool) "summary counts every candidate" true
+    (Test_util.contains text "over 40 candidates")
 
 (* --- scatter plot --------------------------------------------------------- *)
 
@@ -556,8 +573,9 @@ let suite =
     Alcotest.test_case "f64 feasible space" `Quick test_f64_shrinks_feasible_space;
     Alcotest.test_case "f64 id" `Quick test_f64_id_suffix;
     Alcotest.test_case "glossary (Table 1)" `Quick test_glossary_complete;
-    Alcotest.test_case "timeline" `Quick test_timeline;
-    Alcotest.test_case "timeline conservation" `Quick test_timeline_block_conservation;
+    Alcotest.test_case "glossary render rows" `Quick test_glossary_render_rows;
+    Alcotest.test_case "fig5 full candidate table" `Quick
+      test_fig5_full_candidate_table;
     Alcotest.test_case "scatter render" `Quick test_scatter_render;
     Alcotest.test_case "scatter validation" `Quick test_scatter_validation;
     QCheck_alcotest.to_alcotest prop_skewed_equals_reference;

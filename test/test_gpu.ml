@@ -257,7 +257,7 @@ let test_eventsim_agreement () =
         true
         (ratio > 0.7 && ratio < 1.5))
     [ (256, 1024, 8); (256, 4096, 4); (128, 1024, 8); (64, 1024, 8);
-      (512, 2048, 8); (32, 512, 6) ]
+      (512, 2048, 8); (32, 512, 6); (256, 1024, 4) ]
 
 let test_eventsim_latency_emerges () =
   (* few warps leave schedulers idle; many warps saturate them *)

@@ -231,6 +231,27 @@ let test_fig4_surface () =
       Alcotest.(check bool) "minimum is minimal" true (v >= minv))
     f.H.Figures.cells
 
+let test_model_simulator_coherence () =
+  (* a top-band configuration: the model and the simulator agree on its
+     time within the paper's accuracy regime *)
+  let problem = P.make S.heat2d ~space:[| 2048; 2048 |] ~time:256 in
+  let params = H.Microbench.params arch in
+  let citer = H.Microbench.citer arch S.heat2d in
+  let cfg =
+    Hextime_tiling.Config.make_exn ~t_t:16 ~t_s:[| 16; 64 |] ~threads:[| 256 |]
+  in
+  match
+    ( Hextime_core.Model.predict params ~citer problem cfg,
+      Runner.measure arch problem cfg )
+  with
+  | Ok pr, Ok m ->
+      let ratio = pr.Hextime_core.Model.talg /. m.Runner.time_s in
+      Alcotest.(check bool)
+        (Printf.sprintf "model/simulated = %.2f in (0.7, 1.4)" ratio)
+        true
+        (ratio > 0.7 && ratio < 1.4)
+  | Error e, _ | _, Error e -> Alcotest.fail e
+
 let test_report_markdown () =
   let md = H.Report.markdown H.Experiments.Ci in
   List.iter
@@ -240,9 +261,12 @@ let test_report_markdown () =
       Alcotest.(check bool) (Printf.sprintf "report has %S" needle) true (go 0))
     [
       "# hextime reproduction report";
+      "## Table 1";
+      "## Table 2";
       "## Table 3";
       "## Table 4";
       "## Figure 3";
+      "## Figure 4";
       "## Figure 5";
       "## Figure 6";
       "7.36e-03";
@@ -690,6 +714,8 @@ let suite =
     Alcotest.test_case "tables render" `Quick test_tables_render;
     Alcotest.test_case "fig4 surface" `Quick test_fig4_surface;
     Alcotest.test_case "report markdown" `Slow test_report_markdown;
+    Alcotest.test_case "model/simulator coherence" `Quick
+      test_model_simulator_coherence;
     Alcotest.test_case "argmin quality (hand-built sweeps)" `Quick
       test_argmin_quality;
     Alcotest.test_case "validation metrics shape" `Quick

@@ -93,6 +93,7 @@ let test_coverage_exact_cases () =
       (2, 2, 2, 25, 7);
       (1, 32, 2, 64, 3);
       (3, 4, 4, 50, 8);
+      (1, 5, 6, 64, 13);
     ]
 
 let prop_coverage =

@@ -207,51 +207,6 @@ let prop_talg_positive =
               pr.Model.talg > 0.0 && pr.Model.k >= 1
               && pr.Model.sm_rounds >= 1))
 
-module Sens = Hextime_core.Sensitivity
-
-let test_sensitivity_compute_bound () =
-  let problem = P.make S.heat2d ~space:[| 4096; 4096 |] ~time:512 in
-  let cfg = C.make_exn ~t_t:16 ~t_s:[| 16; 64 |] ~threads:[| 256 |] in
-  match Sens.analyze params ~citer problem cfg with
-  | Error e -> Alcotest.failf "sensitivity: %s" e
-  | Ok rows ->
-      let get f =
-        match List.find_opt (fun (r : Sens.row) -> r.Sens.factor = f) rows with
-        | Some r -> r.Sens.elasticity
-        | None -> Alcotest.fail "missing factor"
-      in
-      (* compute-bound tiles: Talg ~ C_iter, insensitive to L and T_sync *)
-      Alcotest.(check bool) "C_iter elasticity near 1" true
-        (abs_float (get Sens.C_iter -. 1.0) < 0.2);
-      Alcotest.(check bool) "L negligible" true (abs_float (get Sens.L) < 0.1);
-      Alcotest.(check bool) "T_sync negligible" true
-        (abs_float (get Sens.T_sync) < 0.1)
-
-let test_sensitivity_sorted_and_dominant () =
-  let problem = P.make S.heat2d ~space:[| 4096; 4096 |] ~time:512 in
-  let cfg = C.make_exn ~t_t:16 ~t_s:[| 16; 64 |] ~threads:[| 256 |] in
-  match Sens.analyze params ~citer problem cfg with
-  | Error e -> Alcotest.failf "sensitivity: %s" e
-  | Ok rows ->
-      let magnitudes =
-        List.map (fun (r : Sens.row) -> abs_float r.Sens.elasticity) rows
-      in
-      let rec sorted = function
-        | a :: (b :: _ as rest) -> a >= b && sorted rest
-        | _ -> true
-      in
-      Alcotest.(check bool) "sorted by magnitude" true (sorted magnitudes);
-      Alcotest.(check bool) "dominant is head" true
-        (Sens.dominant rows
-        = (List.hd rows : Sens.row).Sens.factor)
-
-let test_sensitivity_validation () =
-  let problem = P.make S.heat2d ~space:[| 4096; 4096 |] ~time:512 in
-  let cfg = C.make_exn ~t_t:16 ~t_s:[| 16; 64 |] ~threads:[| 256 |] in
-  match Sens.analyze ~epsilon:0.9 params ~citer problem cfg with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "bad epsilon accepted"
-
 let test_explain () =
   let problem = P.make S.heat2d ~space:[| 4096; 4096 |] ~time:512 in
   let cfg = C.make_exn ~t_t:16 ~t_s:[| 16; 64 |] ~threads:[| 256 |] in
@@ -328,9 +283,6 @@ let suite =
     Alcotest.test_case "variant: realistic agreement" `Quick test_variant_agreement_realistic;
     Alcotest.test_case "invalid inputs" `Quick test_invalid_inputs;
     Alcotest.test_case "explain derivation" `Quick test_explain;
-    Alcotest.test_case "sensitivity compute-bound" `Quick test_sensitivity_compute_bound;
-    Alcotest.test_case "sensitivity sorted" `Quick test_sensitivity_sorted_and_dominant;
-    Alcotest.test_case "sensitivity validation" `Quick test_sensitivity_validation;
     QCheck_alcotest.to_alcotest prop_model_ignores_threads;
     QCheck_alcotest.to_alcotest prop_talg_monotone_in_time;
     QCheck_alcotest.to_alcotest prop_talg_positive;

@@ -104,6 +104,13 @@ let test_trace_records_and_exports () =
       (match Minijson.member "traceEvents" json with
       | Some (Minijson.List evs) ->
           Alcotest.(check int) "both events exported" 2 (List.length evs);
+          Alcotest.(check (list (option string)))
+            "event names survive the round-trip"
+            [ Some "test.obs.span"; Some "test.obs.instant" ]
+            (List.map
+               (fun ev ->
+                 Option.bind (Minijson.member "name" ev) Minijson.string)
+               evs);
           List.iter
             (fun ev ->
               Alcotest.(check bool) "every event carries name/ph/ts/pid" true
@@ -230,42 +237,49 @@ let test_model_attribution_matches_predict () =
 
 let test_simulator_attribution_sums () =
   let cfg = Config.make_exn ~t_t:16 ~t_s:[| 16; 64 |] ~threads:[| 256 |] in
-  match Lower.compile heat2d_problem cfg with
-  | Error e -> Alcotest.fail ("compile: " ^ e)
-  | Ok compiled -> (
-      match
-        Gpu.Simulator.price_sequence Gpu.Arch.gtx980
-          (Lower.kernel_sequence compiled)
-      with
-      | Error e -> Alcotest.fail ("price: " ^ e)
-      | Ok priced ->
-          Alcotest.(check bool) "both kernel families priced" true
-            (List.length priced = 2);
-          List.iter
-            (fun ((p : Gpu.Simulator.priced), _count) ->
+  (* the 512x512 instance ends each kernel with a round of one block per
+     SM, which prices serially although four blocks could be resident *)
+  List.iter
+    (fun problem ->
+      match Lower.compile problem cfg with
+      | Error e -> Alcotest.fail ("compile: " ^ e)
+      | Ok compiled -> (
+          match
+            Gpu.Simulator.price_sequence Gpu.Arch.gtx980
+              (Lower.kernel_sequence compiled)
+          with
+          | Error e -> Alcotest.fail ("price: " ^ e)
+          | Ok priced ->
+              Alcotest.(check bool) "both kernel families priced" true
+                (List.length priced = 2);
               List.iter
-                (fun salt ->
-                  let t = Gpu.Simulator.priced_time ~salt Gpu.Arch.gtx980 p in
-                  let comps =
-                    Gpu.Simulator.attribute_priced ~salt Gpu.Arch.gtx980 p
+                (fun ((p : Gpu.Simulator.priced), _count) ->
+                  List.iter
+                    (fun salt ->
+                      let t =
+                        Gpu.Simulator.priced_time ~salt Gpu.Arch.gtx980 p
+                      in
+                      let comps =
+                        Gpu.Simulator.attribute_priced ~salt Gpu.Arch.gtx980 p
+                      in
+                      let sum = Attribution.total comps in
+                      let rel = Float.abs (sum -. t) /. t in
+                      if rel > 1e-9 then
+                        Alcotest.fail
+                          (Printf.sprintf
+                             "salt %d: components sum %.17g but priced_time \
+                              %.17g (rel %.3e)"
+                             salt sum t rel))
+                    [ 0; 1; 2; 3; 4 ];
+                  (* jitter off: the jitter component must vanish exactly *)
+                  let plain =
+                    Gpu.Simulator.attribute_priced ~jitter:false ~salt:0
+                      Gpu.Arch.gtx980 p
                   in
-                  let sum = Attribution.total comps in
-                  let rel = Float.abs (sum -. t) /. t in
-                  if rel > 1e-9 then
-                    Alcotest.fail
-                      (Printf.sprintf
-                         "salt %d: components sum %.17g but priced_time %.17g \
-                          (rel %.3e)"
-                         salt sum t rel))
-                [ 0; 1; 2; 3; 4 ];
-              (* jitter off: the jitter component must vanish exactly *)
-              let plain =
-                Gpu.Simulator.attribute_priced ~jitter:false ~salt:0
-                  Gpu.Arch.gtx980 p
-              in
-              Alcotest.(check (float 0.0)) "no jitter term when disabled" 0.0
-                plain.Attribution.jitter)
-            priced)
+                  Alcotest.(check (float 0.0)) "no jitter term when disabled"
+                    0.0 plain.Attribution.jitter)
+                priced))
+    [ heat2d_problem; P.make S.heat2d ~space:[| 512; 512 |] ~time:64 ]
 
 let test_attribution_accumulator () =
   let acc = Attribution.create () in
