@@ -117,18 +117,7 @@ let of_json json =
   | _ -> Error "not a hexwatch ledger record"
 
 let append ~path e =
-  let line = Minijson.render_compact (to_json e) ^ "\n" in
-  match open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 path with
-  | exception Sys_error msg -> Error msg
-  | oc ->
-      let r =
-        try
-          output_string oc line;
-          Ok ()
-        with Sys_error msg -> Error msg
-      in
-      close_out_noerr oc;
-      r
+  Durable.append ~path (Minijson.render_compact (to_json e) ^ "\n")
 
 type loaded = {
   entries : entry list;
@@ -302,34 +291,17 @@ let compact ~path ?drop_labels () =
                     end))
         lines;
       let kept = ref 0 in
-      let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
-      (match open_out_gen [ Open_wronly; Open_creat; Open_trunc; Open_binary ]
-               0o644 tmp
-       with
-      | exception Sys_error msg -> Error msg
-      | oc ->
-          let r =
-            try
-              Array.iteri
-                (fun i line ->
-                  if keep.(i) then begin
-                    incr kept;
-                    output_string oc (line ^ "\n")
-                  end)
-                lines;
-              Ok ()
-            with Sys_error msg -> Error msg
-          in
-          close_out_noerr oc;
-          (match r with
-          | Error _ as e ->
-              (try Sys.remove tmp with Sys_error _ -> ());
-              e
-          | Ok () -> (
-              (* atomic swap: readers see the old or the new ledger,
-                 never a half-written one *)
-              match Sys.rename tmp path with
-              | () -> Ok (!kept, !dropped)
-              | exception Sys_error msg ->
-                  (try Sys.remove tmp with Sys_error _ -> ());
-                  Error msg)))
+      let out = Buffer.create 4096 in
+      Array.iteri
+        (fun i line ->
+          if keep.(i) then begin
+            incr kept;
+            Buffer.add_string out line;
+            Buffer.add_char out '\n'
+          end)
+        lines;
+      (* atomic swap: readers see the old or the new ledger, never a
+         half-written one *)
+      Result.map
+        (fun () -> (!kept, !dropped))
+        (Durable.replace ~path (Buffer.contents out))

@@ -61,9 +61,12 @@ val of_json : Hextime_prelude.Minijson.t -> (entry, string) result
     skips them). *)
 
 val append : path:string -> entry -> (unit, string) result
-(** Append one line; creates the file (and nothing else) if missing.  The
-    line is written with a single [output_string] after the record is fully
-    rendered, so concurrent appenders interleave at line granularity. *)
+(** Append one line through {!Durable.append}; creates the file (and
+    nothing else) if missing.  The line is written with a single [write]
+    after the record is fully rendered, so concurrent appenders interleave
+    at line granularity.  A failed write (a full disk, a file-size limit)
+    is an [Error].  If the file ends in a torn line, a newline goes first:
+    the torn line loads as one corrupt line and this record loads whole. *)
 
 type loaded = {
   entries : entry list;  (** oldest first, in file order *)
@@ -111,8 +114,10 @@ val rotate :
 val compact :
   path:string -> ?drop_labels:string list -> unit -> (int * int, string) result
 (** Rewrite the ledger keeping only the {e latest} record per (kind,
-    label-set) identity, atomically (tmp file + rename).  [drop_labels]
-    (default [["req_id"]]) names labels excluded from the identity —
+    label-set) identity, atomically and durably ({!Durable.replace}: a
+    compaction stopped before its rename leaves the ledger untouched).
+    [drop_labels] (default [["req_id"]]) names labels excluded from the
+    identity —
     per-request ids would otherwise make every audit record unique.
     Records with an unknown schema version are kept verbatim (their
     identity cannot be judged); corrupt lines are dropped.  Returns

@@ -4,8 +4,11 @@ module Problem = Hextime_stencil.Problem
 module Config = Hextime_tiling.Config
 module Attribution = Hextime_obs.Attribution
 module Minijson = Hextime_prelude.Minijson
+module Durable = Hextime_obs.Durable
 
 let schema = "hextime-serve-index-v1"
+let journal_schema = "hextime-serve-journal-v1"
+let journal_path path = path ^ ".journal"
 
 type entry = {
   e_key : string;
@@ -190,36 +193,126 @@ let of_json j =
       go es
   | _ -> Error "index: missing schema, code_version or entries"
 
-let save (t : t) ~path =
-  let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
-  match open_out tmp with
-  | exception Sys_error e -> Error e
-  | oc -> (
-      let ok =
-        try
-          output_string oc (Minijson.render (to_json t));
-          true
-        with Sys_error _ -> false
-      in
-      close_out_noerr oc;
-      if not ok then begin
-        (try Sys.remove tmp with Sys_error _ -> ());
-        Error (Printf.sprintf "index: short write to %s" tmp)
-      end
-      else
-        match Sys.rename tmp path with
-        | () -> Ok ()
-        | exception Sys_error e ->
-            (try Sys.remove tmp with Sys_error _ -> ());
-            Error e)
+let save (t : t) ~path = Durable.replace ~path (Minijson.render (to_json t))
 
-let load ~path =
-  match open_in path with
+(* --- the journal ---------------------------------------------------------- *)
+
+let journal_header =
+  Minijson.render_compact
+    (Minijson.Obj
+       [
+         ("schema", Minijson.Str journal_schema);
+         ("code_version", Minijson.Str Advisor.code_version);
+       ])
+  ^ "\n"
+
+let append (t : t) ~path entries =
+  let journal = journal_path path in
+  let b = Buffer.create 1024 in
+  (match Unix.stat journal with
+  | { Unix.st_size = 0; _ } | (exception Unix.Unix_error _) ->
+      Buffer.add_string b journal_header
+  | _ -> ());
+  List.iter
+    (fun e ->
+      let fields =
+        match Hashtbl.find_opt t e.e_key with
+        | Some (_, fields) -> fields
+        | None -> render_fields e
+      in
+      Buffer.add_char b '{';
+      Buffer.add_string b fields;
+      Buffer.add_string b "}\n")
+    entries;
+  Durable.append ~path:journal (Buffer.contents b)
+
+let check_header j =
+  match (str "schema" j, str "code_version" j) with
+  | Some s, _ when s <> journal_schema ->
+      Error
+        (Printf.sprintf "index journal: unknown schema %S (expected %S)" s
+           journal_schema)
+  | _, Some v when v <> Advisor.code_version ->
+      Error
+        (Printf.sprintf "index journal: stale code version %S (current %S)" v
+           Advisor.code_version)
+  | Some _, Some _ -> Ok ()
+  | _ -> Error "index journal: the first line names no schema and code version"
+
+(* The first line is the header unless it is torn; every other line is one
+   entry, applied with [add], so a key journaled twice keeps its last
+   answer and replaying lines the snapshot holds changes nothing. *)
+let replay (t : t) text =
+  let replayed = ref 0 and bad = ref 0 in
+  let entry line =
+    if line <> "" then
+      match Result.bind (Minijson.parse line) entry_of_json with
+      | Ok e ->
+          add t e;
+          incr replayed
+      | Error _ -> incr bad
+  in
+  match String.split_on_char '\n' text with
+  | [] -> Ok (0, 0)
+  | first :: rest ->
+      let header =
+        match Minijson.parse first with
+        | Ok j -> check_header j
+        | Error _ ->
+            if first <> "" then incr bad;
+            Ok ()
+      in
+      Result.map
+        (fun () ->
+          List.iter entry rest;
+          (!replayed, !bad))
+        header
+
+(* --- load and fold -------------------------------------------------------- *)
+
+type loaded = { snapshot_entries : int; journal_entries : int; bad_lines : int }
+
+let read_file path =
+  match open_in_bin path with
   | exception Sys_error e -> Error e
-  | ic -> (
-      let n = in_channel_length ic in
-      let text = really_input_string ic n in
+  | ic ->
+      (* a directory opens, then fails to read; a file cut shorter while
+         it is read ends early *)
+      let text =
+        match really_input_string ic (in_channel_length ic) with
+        | text -> Ok text
+        | exception Sys_error e -> Error e
+        | exception End_of_file -> Error (path ^ ": shorter than its length")
+      in
       close_in_noerr ic;
+      text
+
+let load_snapshot path =
+  Result.bind (read_file path) (fun text ->
       match Minijson.parse text with
       | Error e -> Error (Printf.sprintf "index %s: %s" path e)
       | Ok j -> of_json j)
+
+let load ~path =
+  let journal = journal_path path in
+  match if Sys.file_exists path then load_snapshot path else Ok (create ()) with
+  | Error msg -> Error (`Snapshot msg)
+  | Ok t -> (
+      let snapshot_entries = size t in
+      let replayed =
+        if Sys.file_exists journal then
+          Result.bind (read_file journal) (replay t)
+        else Ok (0, 0)
+      in
+      match replayed with
+      | Error msg -> Error (`Journal msg)
+      | Ok (journal_entries, bad_lines) ->
+          Ok (t, { snapshot_entries; journal_entries; bad_lines }))
+
+let fold_journal (t : t) ~path =
+  Result.bind (save t ~path) (fun () ->
+      let journal = journal_path path in
+      match Sys.remove journal with
+      | () -> Ok ()
+      | exception Sys_error _ when not (Sys.file_exists journal) -> Ok ()
+      | exception Sys_error e -> Error e)

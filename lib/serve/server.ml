@@ -62,7 +62,7 @@ type state = {
   audit_cold : bool;
   drift_min_ratio : float;
   ledger_path : string option;
-  mutable dirty : bool;
+  mutable dirty : bool;  (** the snapshot lacks answers the index holds *)
   mutable requests : int;
   mutable warm_hits : int;
   mutable cold_misses : int;
@@ -151,10 +151,24 @@ let warm_memos index =
       | Ok (arch, problem) -> ignore (Advisor.request_key arch problem : string))
     (Index.entries index)
 
+(* A cold batch's answers are appended to the journal, in one write and
+   before any reply goes out; the snapshot is rewritten only when the
+   journal is folded into it, at shutdown. *)
+let write_back st entries =
+  if entries <> [] then begin
+    st.dirty <- true;
+    match st.index_path with
+    | Some path -> (
+        match Index.append st.index ~path entries with
+        | Ok () -> ()
+        | Error msg -> Format.eprintf "hexserve: index journal: %s@." msg)
+    | None -> ()
+  end
+
 let persist st =
   match st.index_path with
   | Some path when st.dirty -> (
-      match Index.save st.index ~path with
+      match Index.fold_journal st.index ~path with
       | Ok () -> st.dirty <- false
       | Error msg -> Format.eprintf "hexserve: index save: %s@." msg)
   | _ -> ()
@@ -241,7 +255,7 @@ let answer_entry st fd ~req_id ~source ~(entry : Index.entry) ~fields ~t0 =
 
 (* Solve every queued cold miss as one batch through the Parsweep pool:
    concurrent misses from independent clients amortize pool startup, then
-   write back into the in-memory index (and its on-disk snapshot) so the
+   write back into the in-memory index (and its on-disk journal) so the
    next ask is warm. *)
 let solve_batch st (pending : pending list) =
   let tasks =
@@ -256,16 +270,20 @@ let solve_batch st (pending : pending list) =
       tasks
   in
   let failed = Hashtbl.create 4 in
-  List.iter2
-    (fun (p : pending) outcome ->
-      match outcome with
-      | Ok (Ok answer) ->
-          Index.add st.index
-            (Index.entry_of_answer p.p_arch p.p_problem answer);
-          st.dirty <- true
-      | Ok (Error msg) | Error msg -> Hashtbl.replace failed p.p_key msg)
-    tasks outcomes;
-  persist st;
+  let solved =
+    List.fold_left2
+      (fun solved (p : pending) outcome ->
+        match outcome with
+        | Ok (Ok answer) ->
+            let entry = Index.entry_of_answer p.p_arch p.p_problem answer in
+            Index.add st.index entry;
+            entry :: solved
+        | Ok (Error msg) | Error msg ->
+            Hashtbl.replace failed p.p_key msg;
+            solved)
+      [] tasks outcomes
+  in
+  write_back st (List.rev solved);
   (* every queued key missed the index, so a key found there now is one
      this batch solved *)
   List.filter_map
@@ -454,32 +472,41 @@ let serve_http_client st fd =
 
 let stats_json st ~now = Metrics.to_json (refreshed_snapshot st ~now)
 
-(* A snapshot that does not load (damaged, or from another code version)
-   is moved to [<path>.bad.<unix time>] before the server starts empty, so
-   the first write-back cannot replace it.  If it cannot be moved, nothing
-   is written back. *)
-let load_index path =
+let move_aside file msg =
+  let base = Printf.sprintf "%s.bad.%.0f" file (Unix.time ()) in
+  let rec free i =
+    let p = if i = 0 then base else Printf.sprintf "%s.%d" base i in
+    if Sys.file_exists p then free (i + 1) else p
+  in
+  let aside = free 0 in
+  match Sys.rename file aside with
+  | () ->
+      Format.eprintf "hexserve: %s — moved to %s@." msg aside;
+      true
+  | exception Sys_error e ->
+      Format.eprintf
+        "hexserve: %s — cannot move it aside (%s), starting with an empty \
+         index and no write-back@."
+        msg e;
+      false
+
+(* A snapshot or journal that does not load (damaged, or from another
+   code version) is moved to [<file>.bad.<unix time>] and the load is
+   retried without it, so the first write-back cannot replace it.  If it
+   cannot be moved, the server starts empty and writes nothing back. *)
+let rec load_index path =
   match Index.load ~path with
-  | Ok idx -> (idx, Some path)
-  | Error msg -> (
-      let base = Printf.sprintf "%s.bad.%.0f" path (Unix.time ()) in
-      let rec free i =
-        let p = if i = 0 then base else Printf.sprintf "%s.%d" base i in
-        if Sys.file_exists p then free (i + 1) else p
-      in
-      let aside = free 0 in
-      match Sys.rename path aside with
-      | () ->
-          Format.eprintf
-            "hexserve: %s — moved to %s, starting with an empty index@." msg
-            aside;
-          (Index.create (), Some path)
-      | exception Sys_error e ->
-          Format.eprintf
-            "hexserve: %s — cannot move it aside (%s), starting with an \
-             empty index and no write-back@."
-            msg e;
-          (Index.create (), None))
+  | Ok (idx, r) ->
+      Format.eprintf
+        "hexserve: index %s: %d snapshot entries, %d journal entries \
+         replayed, %d bad journal lines skipped@."
+        path r.Index.snapshot_entries r.Index.journal_entries r.Index.bad_lines;
+      (idx, Some path)
+  | Error (`Snapshot msg) ->
+      if move_aside path msg then load_index path else (Index.create (), None)
+  | Error (`Journal msg) ->
+      if move_aside (Index.journal_path path) msg then load_index path
+      else (Index.create (), None)
 
 let run ?index_path ?(exec = Parsweep.serial) ?max_requests
     ?(on_ready = fun () -> ()) ?http_port ?on_http_port ?access_log_path
@@ -488,8 +515,8 @@ let run ?index_path ?(exec = Parsweep.serial) ?max_requests
   let t_start = Unix.gettimeofday () in
   let index, index_path =
     match index_path with
-    | Some path when Sys.file_exists path -> load_index path
-    | _ -> (Index.create (), index_path)
+    | Some path -> load_index path
+    | None -> (Index.create (), None)
   in
   warm_memos index;
   let alog =
@@ -515,7 +542,11 @@ let run ?index_path ?(exec = Parsweep.serial) ?max_requests
       audit_cold;
       drift_min_ratio;
       ledger_path;
-      dirty = false;
+      (* a journal left by an earlier server is folded at shutdown *)
+      dirty =
+        (match index_path with
+        | Some path -> Sys.file_exists (Index.journal_path path)
+        | None -> false);
       requests = 0;
       warm_hits = 0;
       cold_misses = 0;

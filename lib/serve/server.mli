@@ -6,9 +6,10 @@
     The request loop is a single-threaded [select] multiplexer.  Warm hits
     are answered inside the drain round; cold misses accumulated during a
     round are solved as {e one} pool batch ({!Advisor.solve} per unique
-    digest), written back into the in-memory index, persisted atomically
-    to [index_path] and only then answered — so the next ask for any of
-    them is warm.
+    digest), written back into the in-memory index, appended to the
+    journal beside [index_path] in one write ({!Index.append}) and only
+    then answered — so the next ask for any of them is warm, in this
+    server and in the next one.
 
     {b hexpulse} — the serving telemetry stack layered on
     {!Hextime_obs.Metrics}:
@@ -65,23 +66,30 @@ val run :
   summary
 (** Serve until a [shutdown] request arrives, until [max_requests] ask
     requests have been answered, or until SIGINT/SIGTERM.  All exits take
-    the same graceful path: persist the index, flush and close the access
-    log, close clients, unlink the socket.  A signal-driven exit
+    the same graceful path: fold the journal into the snapshot
+    ({!Index.fold_journal}, if anything was appended or a journal was
+    found at start-up), flush and close the access log, close clients,
+    unlink the socket.  A signal-driven exit
     additionally appends one [kind = "serve"] record to [ledger_path]
     (label [shutdown = sigint|sigterm]) carrying the final vitals and the
     full metrics snapshot; the previous signal dispositions are restored
     before [run] returns.  SIGPIPE is ignored while [run] serves, so a
     client that hangs up before its reply costs that reply only.
-    [index_path] is loaded if it exists and is the write-back target for
-    cold-miss answers; without it the index lives only in memory.  A
-    snapshot that does not load (malformed, or from another code
+    [index_path] and its journal are loaded ({!Index.load}) and are the
+    write-back target for cold-miss answers; one stderr line reports the
+    snapshot entries, the journal entries replayed and the bad journal
+    lines skipped.  Without [index_path] the index lives only in memory.
+    A snapshot that does not load (malformed, or from another code
     version) is moved to [<index_path>.bad.<unix time>] with a warning,
-    and the server starts empty; if it cannot be moved, nothing is
-    written back.  [exec] drives the cold-path batch and the audit
-    batches (default {!Hextime_parsweep.Parsweep.serial}).  [on_ready] fires
-    after the sockets are bound and listening, before the first accept:
-    tests use it to release clients.  The socket file is unlinked on
-    exit.
+    a journal whose header names another schema or code version to
+    [<index_path>.journal.bad.<unix time>], and the load is retried
+    without it; if it cannot be moved, the server starts empty and
+    nothing is written back.  A failed append or fold is reported on
+    stderr and the server keeps serving.  [exec] drives the cold-path
+    batch and the audit batches (default
+    {!Hextime_parsweep.Parsweep.serial}).  [on_ready] fires after the
+    sockets are bound and listening, before the first accept: tests use
+    it to release clients.  The socket file is unlinked on exit.
 
     hexpulse knobs: [http_port] additionally binds a loopback TCP socket
     answering [GET /metrics] ([0] picks an ephemeral port, reported via

@@ -400,6 +400,36 @@ let test_ledger_corrupt_tolerance () =
   Alcotest.(check int) "corrupt lines counted" 3 l.Ledger.corrupt_lines;
   Alcotest.(check int) "no unknown-schema records" 0 l.Ledger.unknown_schema
 
+(* A write that fails is an error, not a record the caller believes was
+   kept: /dev/full takes the open and refuses every byte. *)
+let test_ledger_append_reports_write_errors () =
+  match Ledger.append ~path:"/dev/full" (mk_entry ()) with
+  | Ok () -> Alcotest.fail "an append to /dev/full reported success"
+  | Error msg ->
+      Alcotest.(check bool) "the error names the file" true
+        (Test_util.contains msg "/dev/full")
+
+(* Two records, then 100 bytes of a third (an append cut short): the next
+   append starts on a line of its own, so the torn line is the only loss. *)
+let test_ledger_append_after_torn_tail () =
+  with_ledger_file @@ fun path ->
+  append_exn path (mk_entry ~kind:"validate" ());
+  append_exn path (mk_entry ~kind:"bench" ());
+  let line =
+    Minijson.render_compact (Ledger.to_json (mk_entry ~kind:"torn" ()))
+  in
+  let oc = open_out_gen [ Open_append; Open_binary ] 0o644 path in
+  output_string oc (String.sub line 0 100);
+  close_out oc;
+  append_exn path (mk_entry ~kind:"index" ());
+  let l = load_exn path in
+  Alcotest.(check (list string))
+    "the record appended after the torn line loads"
+    [ "validate"; "bench"; "index" ]
+    (List.map (fun (e : Ledger.entry) -> e.Ledger.kind) l.Ledger.entries);
+  Alcotest.(check int) "the torn line is one corrupt line" 1
+    l.Ledger.corrupt_lines
+
 let test_ledger_unknown_schema () =
   with_ledger_file @@ fun path ->
   append_exn path (mk_entry ());
@@ -1174,6 +1204,10 @@ let suite =
     Alcotest.test_case "ledger round-trip" `Quick test_ledger_roundtrip;
     Alcotest.test_case "ledger corrupt-line tolerance" `Quick
       test_ledger_corrupt_tolerance;
+    Alcotest.test_case "ledger append reports write errors" `Quick
+      test_ledger_append_reports_write_errors;
+    Alcotest.test_case "ledger append after a torn tail" `Quick
+      test_ledger_append_after_torn_tail;
     Alcotest.test_case "ledger unknown schema skipped" `Quick
       test_ledger_unknown_schema;
     Alcotest.test_case "ledger filter and latest" `Quick

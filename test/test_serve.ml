@@ -34,14 +34,22 @@ let config_equal (a : Config.t) (b : Config.t) =
   a.Config.t_t = b.Config.t_t && a.Config.t_s = b.Config.t_s
   && a.Config.threads = b.Config.threads
 
-let components_equal (a : Attribution.components) (b : Attribution.components)
-    =
-  a.Attribution.compute = b.Attribution.compute
-  && a.Attribution.global_mem = b.Attribution.global_mem
-  && a.Attribution.shared_mem = b.Attribution.shared_mem
-  && a.Attribution.sync = b.Attribution.sync
-  && a.Attribution.launch = b.Attribution.launch
-  && a.Attribution.jitter = b.Attribution.jitter
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
+  really_input_string ic (in_channel_length ic)
+
+let write_file path contents =
+  let oc = open_out_bin path in
+  output_string oc contents;
+  close_out oc
+
+let load_counted path =
+  match Index.load ~path with
+  | Ok r -> r
+  | Error (`Snapshot m | `Journal m) -> Alcotest.fail m
+
+let load_exn path = fst (load_counted path)
 
 let entry_of (e : H.Experiments.t) =
   match Advisor.solve e.H.Experiments.arch e.H.Experiments.problem with
@@ -376,6 +384,44 @@ let test_answer_splice_after_readd () =
 
 (* --- index round-trip ------------------------------------------------------- *)
 
+let bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let check_same_entries what (expected : Index.t) (loaded : Index.t) =
+  Alcotest.(check int) (what ^ ": loaded size") (Index.size expected)
+    (Index.size loaded);
+  List.iter
+    (fun (e : Index.entry) ->
+      match Index.find loaded e.Index.e_key with
+      | None -> Alcotest.failf "%s: entry %s lost" what e.Index.e_key
+      | Some e' ->
+          let c = e.Index.e_components and c' = e'.Index.e_components in
+          Alcotest.(check bool) (what ^ ": problem identical") true
+            (e.Index.e_arch = e'.Index.e_arch
+            && e.Index.e_stencil = e'.Index.e_stencil
+            && e.Index.e_space = e'.Index.e_space
+            && e.Index.e_time = e'.Index.e_time);
+          Alcotest.(check bool) (what ^ ": config identical") true
+            (config_equal e.Index.e_config e'.Index.e_config);
+          Alcotest.(check bool) (what ^ ": talg bit-identical") true
+            (bits_equal e.Index.e_talg e'.Index.e_talg);
+          Alcotest.(check bool) (what ^ ": attribution bit-identical") true
+            (List.for_all2 bits_equal
+               Attribution.
+                 [ c.compute; c.global_mem; c.shared_mem; c.sync; c.launch;
+                   c.jitter ]
+               Attribution.
+                 [ c'.compute; c'.global_mem; c'.shared_mem; c'.sync;
+                   c'.launch; c'.jitter ]))
+    (Index.entries expected)
+
+let named arch stencil space time =
+  {
+    H.Experiments.arch = Gpu.Arch.find arch;
+    problem = P.make (S.find stencil) ~space ~time;
+  }
+
+(* The snapshot, the journal alone (ranks 1-3, two appends) and the
+   journal folded into a snapshot all reload every entry bit for bit. *)
 let test_index_roundtrip () =
   let experiments = H.Experiments.all H.Experiments.Ci in
   let index = Index.create () in
@@ -386,23 +432,46 @@ let test_index_roundtrip () =
   (match Index.save index ~path with
   | Ok () -> ()
   | Error m -> Alcotest.fail m);
-  let loaded =
-    match Index.load ~path with Ok t -> t | Error m -> Alcotest.fail m
-  in
+  let loaded = load_exn path in
   Sys.remove path;
-  Alcotest.(check int) "loaded size" (Index.size index) (Index.size loaded);
+  check_same_entries "snapshot" index loaded;
+  let jacobi1d = entry_of (named "gtx980" "jacobi1d" [| 4096 |] 512) in
+  Index.add index jacobi1d;
+  let first, rest =
+    List.partition
+      (fun (e : Index.entry) -> Array.length e.Index.e_space <> 2)
+      (Index.entries index)
+  in
+  Alcotest.(check bool) "ranks 1-3 journaled" true
+    (List.exists (fun (e : Index.entry) -> Array.length e.Index.e_space = 1)
+       first
+    && List.exists (fun (e : Index.entry) -> Array.length e.Index.e_space = 3)
+         first
+    && rest <> []);
+  let path = fresh_path ".json" in
   List.iter
-    (fun (e : Index.entry) ->
-      match Index.find loaded e.Index.e_key with
-      | None -> Alcotest.failf "entry %s lost in round-trip" e.Index.e_key
-      | Some e' ->
-          Alcotest.(check bool) "config identical" true
-            (config_equal e.Index.e_config e'.Index.e_config);
-          Alcotest.(check (float 0.0)) "talg bit-identical" e.Index.e_talg
-            e'.Index.e_talg;
-          Alcotest.(check bool) "attribution bit-identical" true
-            (components_equal e.Index.e_components e'.Index.e_components))
-    (Index.entries index)
+    (fun batch ->
+      match Index.append index ~path batch with
+      | Ok () -> ()
+      | Error m -> Alcotest.fail m)
+    [ first; rest ];
+  Alcotest.(check string) "a journal line is the entry's compact JSON"
+    (String.concat ""
+       (List.map
+          (fun e -> Minijson.render_compact (Index.entry_to_json e) ^ "\n")
+          (first @ rest)))
+    (let text = read_file (Index.journal_path path) in
+     let body = String.index text '\n' + 1 in
+     String.sub text body (String.length text - body));
+  let journaled = load_exn path in
+  check_same_entries "journal" index journaled;
+  (match Index.fold_journal journaled ~path with
+  | Ok () -> ()
+  | Error m -> Alcotest.fail m);
+  Alcotest.(check bool) "the fold removes the journal" false
+    (Sys.file_exists (Index.journal_path path));
+  check_same_entries "folded snapshot" index (load_exn path);
+  Sys.remove path
 
 let stale_index_json index =
   match Index.to_json index with
@@ -511,12 +580,6 @@ let test_cold_path_matches_exhaustive_argmin_paper () =
   let experiments = H.Experiments.all H.Experiments.Paper in
   Alcotest.(check int) "paper-scale experiment count" 128
     (List.length experiments);
-  let named arch stencil space time =
-    {
-      H.Experiments.arch = Gpu.Arch.find arch;
-      problem = P.make (S.find stencil) ~space ~time;
-    }
-  in
   check_cold_path_is_exhaustive_argmin
     (named "gtx980" "laplacian3d" [| 88; 112; 104 |] 36
     :: named "titanx" "gradient2d" [| 544; 512 |] 112
@@ -561,6 +624,9 @@ let test_serve_cold_warm_writeback_and_concurrency () =
         Alcotest.fail "first ask answered warm from an empty index"
     | Error msg -> Alcotest.failf "first ask failed: %s" msg
   in
+  (* the write-back reached the disk before the reply did *)
+  Alcotest.(check bool) "the cold answer loads before shutdown" true
+    (Index.find (load_exn index_path) cold_entry.Index.e_key <> None);
   (* same connection, same question: warm now, same answer *)
   (match ask fd e0 with
   | Ok { Proto.source = Proto.Warm; entry; req_id; server; _ } ->
@@ -619,13 +685,11 @@ let test_serve_cold_warm_writeback_and_concurrency () =
     (summary.Server.warm_hits >= 1);
   Alcotest.(check bool) "server saw cold misses" true
     (summary.Server.cold_misses >= 1);
-  let written =
-    match Index.load ~path:index_path with
-    | Ok t -> t
-    | Error m -> Alcotest.fail m
-  in
+  let written = load_exn index_path in
   Alcotest.(check int) "write-back persisted every distinct problem"
     (List.length experiments) (Index.size written);
+  Alcotest.(check bool) "the journal was folded at shutdown" false
+    (Sys.file_exists (Index.journal_path index_path));
   (* a fresh server over the written index answers warm immediately *)
   let srv2 =
     Domain.spawn (fun () ->
@@ -1155,21 +1219,36 @@ let test_hangups_do_not_kill_the_server () =
     summary.Server.requests;
   Alcotest.(check int) "all warm" (hangups + 1) summary.Server.warm_hits
 
-(* A snapshot that does not load is moved aside before the server starts
-   empty, so the first write-back cannot replace it. *)
+(* A snapshot or journal that does not load is moved aside before the
+   server starts without it, so the first write-back cannot replace it;
+   a good snapshot beside a stale journal still loads. *)
 let test_unloadable_index_moved_aside () =
-  let e0 = List.hd (H.Experiments.all H.Experiments.Ci) in
-  let stale =
-    let index = Index.create () in
-    Index.add index (entry_of e0);
-    Minijson.render (stale_index_json index)
+  let e0, e1 =
+    match H.Experiments.all H.Experiments.Ci with
+    | e0 :: e1 :: _ -> (e0, e1)
+    | _ -> Alcotest.fail "fewer than two CI experiments"
+  in
+  let index = Index.create () in
+  Index.add index (entry_of e0);
+  let stale = Minijson.render (stale_index_json index) in
+  let good = Minijson.render (Index.to_json index) in
+  let stale_journal =
+    Minijson.render_compact
+      (Minijson.Obj
+         [
+           ("schema", Minijson.Str Index.journal_schema);
+           ("code_version", Minijson.Str "hextime-serve-v0");
+         ])
+    ^ "\n"
+    ^ Minijson.render_compact (Index.entry_to_json (entry_of e1))
+    ^ "\n"
   in
   List.iter
-    (fun (what, contents) ->
+    (fun (what, snapshot, journal, source) ->
       let index_path = fresh_path ".json" in
-      let oc = open_out_bin index_path in
-      output_string oc contents;
-      close_out oc;
+      let journal_path = Index.journal_path index_path in
+      write_file index_path snapshot;
+      Option.iter (write_file journal_path) journal;
       let socket_path = fresh_path ".sock" in
       let srv =
         Domain.spawn (fun () ->
@@ -1178,12 +1257,17 @@ let test_unloadable_index_moved_aside () =
       in
       let fd = connect socket_path in
       (match ask fd e0 with
-      | Ok { Proto.source = Proto.Cold; _ } -> ()
-      | Ok _ -> Alcotest.failf "%s: answered warm" what
+      | Ok { Proto.source = s; _ } when s = source -> ()
+      | Ok _ -> Alcotest.failf "%s: answered from the wrong path" what
       | Error m -> Alcotest.failf "%s: %s" what m);
       Client.close fd;
       let (_ : Server.summary) = Domain.join srv in
-      let prefix = Filename.basename index_path ^ ".bad." in
+      let bad, contents =
+        match journal with
+        | Some j -> (journal_path, j)
+        | None -> (index_path, snapshot)
+      in
+      let prefix = Filename.basename bad ^ ".bad." in
       let dir = Filename.dirname index_path in
       (match
          List.filter
@@ -1192,24 +1276,234 @@ let test_unloadable_index_moved_aside () =
        with
       | [ name ] ->
           let moved = Filename.concat dir name in
-          let ic = open_in_bin moved in
-          let kept = really_input_string ic (in_channel_length ic) in
-          close_in ic;
+          let kept = read_file moved in
           Sys.remove moved;
           Alcotest.(check string) (what ^ ": moved aside intact") contents kept
       | names ->
           Alcotest.failf "%s: expected one %s* file, found %d" what prefix
             (List.length names));
       (match Index.load ~path:index_path with
-      | Ok idx ->
-          Alcotest.(check int) (what ^ ": the new snapshot") 1 (Index.size idx)
-      | Error m -> Alcotest.failf "%s: new snapshot: %s" what m);
+      | Ok (idx, _) ->
+          Alcotest.(check int) (what ^ ": the snapshot") 1 (Index.size idx)
+      | Error (`Snapshot m | `Journal m) ->
+          Alcotest.failf "%s: new snapshot: %s" what m);
+      Alcotest.(check bool) (what ^ ": no journal left") false
+        (Sys.file_exists journal_path);
       Sys.remove index_path)
     [
       ( "garbage",
-        "{\"schema\":\"hextime-serve-index-v1\",\"entries\":[\x00 torn" );
-      ("stale code version", stale);
-    ]
+        "{\"schema\":\"hextime-serve-index-v1\",\"entries\":[\x00 torn",
+        None,
+        Proto.Cold );
+      ("stale code version", stale, None, Proto.Cold);
+      ("stale journal", good, Some stale_journal, Proto.Warm);
+    ];
+  (* a directory at the index path opens, then fails to read *)
+  let dir = fresh_path ".json" in
+  Unix.mkdir dir 0o755;
+  (match Index.load ~path:dir with
+  | Error (`Snapshot _) -> ()
+  | Ok _ | Error (`Journal _) -> Alcotest.fail "a directory loaded as an index");
+  Unix.rmdir dir
+
+(* --- fault injection: the index and the ledger cut mid-write -------------- *)
+
+(* Each cut state is built from the bytes the writers produce: a prefix of
+   the journal or the ledger as [Index.append] and [Ledger.append] wrote
+   them, a tmp file beside a snapshot, a snapshot beside its journal.  A
+   write that really fails goes to a tmp file that is a symlink to
+   /dev/full. *)
+
+let synthetic_entry i =
+  let f k = float_of_int (i + 1) /. float_of_int (k + 7) in
+  {
+    Index.e_key = Printf.sprintf "ask|cut|%016x" (i * 0x9e3779b9);
+    e_arch = "gtx980";
+    e_stencil = "heat2d";
+    e_space = [| 512 + i; 512 |];
+    e_time = 128;
+    e_config =
+      Config.make_exn ~t_t:(2 * (i + 1)) ~t_s:[| 3; 64 |] ~threads:[| 128 |];
+    e_talg = f 0 *. 1e-3;
+    e_components =
+      {
+        Attribution.compute = f 1;
+        global_mem = f 2;
+        shared_mem = f 3;
+        sync = f 4;
+        launch = f 5;
+        jitter = -0.0;
+      };
+  }
+
+let keys (t : Index.t) =
+  List.map (fun (e : Index.entry) -> e.Index.e_key) (Index.entries t)
+
+let sorted_keys es =
+  List.sort String.compare
+    (List.map (fun (e : Index.entry) -> e.Index.e_key) es)
+
+let tmp_of path = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ())
+
+let with_full_tmp path f =
+  let tmp = tmp_of path in
+  Unix.symlink "/dev/full" tmp;
+  Fun.protect f ~finally:(fun () ->
+      try Unix.unlink tmp with Unix.Unix_error _ -> ())
+
+let test_cut_index_journal_and_fold () =
+  let snap = List.init 3 synthetic_entry in
+  let jour = List.init 3 (fun i -> synthetic_entry (3 + i)) in
+  let extra = synthetic_entry 6 in
+  let all = Index.create () in
+  List.iter (Index.add all) (snap @ jour @ [ extra ]);
+  let path = fresh_path ".json" in
+  let journal_path = Index.journal_path path in
+  let snapshot = Index.create () in
+  List.iter (Index.add snapshot) snap;
+  (match Index.save snapshot ~path with
+  | Ok () -> ()
+  | Error m -> Alcotest.fail m);
+  (match Index.append all ~path jour with
+  | Ok () -> ()
+  | Error m -> Alcotest.fail m);
+  let journal = read_file journal_path in
+  (* the offset of each line's newline: the header's, then one per entry *)
+  let newlines =
+    List.filter_map
+      (fun i -> if journal.[i] = '\n' then Some i else None)
+      (List.init (String.length journal) Fun.id)
+  in
+  Alcotest.(check int) "a header and three entry lines" 4
+    (List.length newlines);
+  let entry_ends = List.tl newlines in
+  for cut = 0 to String.length journal do
+    write_file journal_path (String.sub journal 0 cut);
+    (* a line is complete once its closing brace is in, newline or not *)
+    let complete =
+      List.filteri (fun k _ -> List.nth entry_ends k <= cut) jour
+    in
+    let torn =
+      if cut = 0 || List.mem (cut - 1) newlines || List.mem cut newlines then 0
+      else 1
+    in
+    let t, r = load_counted path in
+    let what = Printf.sprintf "cut at %d" cut in
+    Alcotest.(check (list string)) (what ^ ": snapshot + complete lines")
+      (sorted_keys (snap @ complete)) (keys t);
+    Alcotest.(check int) (what ^ ": replayed") (List.length complete)
+      r.Index.journal_entries;
+    Alcotest.(check int) (what ^ ": torn lines counted") torn r.Index.bad_lines;
+    (match Index.append all ~path [ extra ] with
+    | Ok () -> ()
+    | Error m -> Alcotest.failf "%s: append: %s" what m);
+    let t, r = load_counted path in
+    Alcotest.(check (list string)) (what ^ ": then one more append")
+      (sorted_keys (snap @ complete @ [ extra ])) (keys t);
+    Alcotest.(check int) (what ^ ": the torn line stays one bad line") torn
+      r.Index.bad_lines
+  done;
+  (* the fold, stopped after a tmp of some length is written and before the
+     rename: the snapshot and the journal still hold every entry, once *)
+  let whole = Index.create () in
+  List.iter (Index.add whole) (snap @ jour);
+  let folded =
+    let p = fresh_path ".json" in
+    (match Index.save whole ~path:p with
+    | Ok () -> ()
+    | Error m -> Alcotest.fail m);
+    let text = read_file p in
+    Sys.remove p;
+    text
+  in
+  let snapshot_bytes = read_file path in
+  write_file journal_path journal;
+  List.iter
+    (fun len ->
+      write_file (tmp_of path) (String.sub folded 0 len);
+      check_same_entries
+        (Printf.sprintf "fold stopped with a %d-byte tmp" len)
+        whole
+        (load_exn path))
+    [ 0; 1; String.length folded / 2; String.length folded ];
+  Sys.remove (tmp_of path);
+  (match with_full_tmp path (fun () -> Index.fold_journal whole ~path) with
+  | Ok () -> Alcotest.fail "a fold onto a full disk reported success"
+  | Error _ -> ());
+  Alcotest.(check bool) "a failed fold leaves no tmp" false
+    (Sys.file_exists (tmp_of path));
+  Alcotest.(check string) "a failed fold leaves the snapshot" snapshot_bytes
+    (read_file path);
+  Alcotest.(check string) "a failed fold leaves the journal" journal
+    (read_file journal_path);
+  check_same_entries "after a failed fold" whole (load_exn path);
+  (* stopped after the rename, before the journal is removed *)
+  write_file path folded;
+  check_same_entries "fold stopped before the journal went" whole
+    (load_exn path);
+  (match Index.fold_journal whole ~path with
+  | Ok () -> ()
+  | Error m -> Alcotest.fail m);
+  Alcotest.(check string) "the fold writes what save writes" folded
+    (read_file path);
+  Alcotest.(check bool) "the fold removes the journal" false
+    (Sys.file_exists journal_path);
+  Sys.remove path
+
+let test_cut_ledger_append_and_compaction () =
+  let record kind =
+    Ledger.make ~kind ~code_version:"test-v1"
+      ~labels:[ ("arch", "gtx980") ]
+      ~metrics:[ ("rmse_top", 1.0 /. 3.0) ]
+      ()
+  in
+  let append path e =
+    match Ledger.append ~path e with Ok () -> () | Error m -> Alcotest.fail m
+  in
+  let kinds path =
+    match Ledger.load ~path with
+    | Ok l ->
+        ( List.map (fun (e : Ledger.entry) -> e.Ledger.kind) l.Ledger.entries,
+          l.Ledger.corrupt_lines )
+    | Error m -> Alcotest.fail m
+  in
+  let path = fresh_path ".jsonl" in
+  List.iter (fun k -> append path (record k)) [ "a"; "b"; "a" ];
+  let base = read_file path in
+  append path (record "cut");
+  let line =
+    let text = read_file path in
+    let n = String.length base in
+    String.sub text n (String.length text - n)
+  in
+  for cut = 0 to String.length line do
+    write_file path (base ^ String.sub line 0 cut);
+    let what = Printf.sprintf "ledger cut at %d" cut in
+    let whole = cut >= String.length line - 1 in
+    let earlier = [ "a"; "b"; "a" ] @ if whole then [ "cut" ] else [] in
+    let torn = if cut = 0 || whole then 0 else 1 in
+    Alcotest.(check (pair (list string) int)) (what ^ ": earlier records load")
+      (earlier, torn) (kinds path);
+    append path (record "after");
+    Alcotest.(check (pair (list string) int)) (what ^ ": then one more append")
+      (earlier @ [ "after" ], torn) (kinds path)
+  done;
+  (* a compaction stopped before its rename leaves the ledger as it was *)
+  write_file path base;
+  (match with_full_tmp path (fun () -> Ledger.compact ~path ()) with
+  | Ok _ -> Alcotest.fail "a compaction onto a full disk reported success"
+  | Error _ -> ());
+  Alcotest.(check string) "the ledger is byte-identical" base (read_file path);
+  Alcotest.(check bool) "no tmp left behind" false
+    (Sys.file_exists (tmp_of path));
+  (match Ledger.compact ~path () with
+  | Ok (kept, dropped) ->
+      Alcotest.(check (pair int int)) "then a compaction succeeds" (2, 1)
+        (kept, dropped)
+  | Error m -> Alcotest.fail m);
+  Alcotest.(check (pair (list string) int)) "latest per identity"
+    ([ "b"; "a" ], 0) (kinds path);
+  Sys.remove path
 
 let suite =
   [
@@ -1246,4 +1540,8 @@ let suite =
       test_hangups_do_not_kill_the_server;
     Alcotest.test_case "serve: unloadable index moved aside" `Quick
       test_unloadable_index_moved_aside;
+    Alcotest.test_case "cut: index journal and fold at every byte" `Quick
+      test_cut_index_journal_and_fold;
+    Alcotest.test_case "cut: ledger append and compaction" `Quick
+      test_cut_ledger_append_and_compaction;
   ]
