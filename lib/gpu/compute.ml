@@ -57,7 +57,7 @@ let row_seconds arch (w : Workload.t) ~spilled_regs ~resident ~points =
    of once per row.  The per-row expression is kept verbatim from
    [row_seconds] so the sum is bit-identical to folding it directly. *)
 let chunk_seconds arch (w : Workload.t) ~spilled_regs ~resident =
-  if resident < 1 then invalid_arg "Compute.row_seconds: resident < 1";
+  if resident < 1 then invalid_arg "Compute.chunk_seconds: resident < 1";
   let per_point = per_point_seconds arch w ~spilled_regs in
   let stretch =
     latency_hiding_factor arch ~threads:w.threads

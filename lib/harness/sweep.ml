@@ -2,6 +2,7 @@ module Model = Hextime_core.Model
 module Runner = Hextime_tileopt.Runner
 module Baseline = Hextime_tileopt.Baseline
 module Config = Hextime_tiling.Config
+module Lower = Hextime_tiling.Lower
 module Parsweep = Hextime_parsweep.Parsweep
 
 type point = {
@@ -44,15 +45,53 @@ let subsample limit xs =
 type outcome =
   [ `Point of point | `Infeasible_model of string | `Infeasible_runner of string ]
 
-let evaluate params ~citer (e : Experiments.t) config : outcome =
+(* What one tile shape's configurations share.  The model has no thread
+   term (Section 7), so a shape's prediction is every thread count's
+   prediction; the lowering's thread-independent half is shared too. *)
+type prepared =
+  [ `Shape of Model.prediction * Lower.shape
+  | `Infeasible_model of string
+  | `Infeasible_runner of string ]
+
+let prepare params ~citer (e : Experiments.t) config : prepared =
+  try
+    match Model.predict params ~citer e.problem config with
+    | Error msg -> `Infeasible_model msg
+    | Ok predicted -> (
+        match Lower.shape_half e.problem config with
+        | Error msg -> `Infeasible_runner msg
+        | Ok shape -> `Shape (predicted, shape))
+  with
+  (* dropped like a point whose evaluation raises: every configuration of
+     the shape counts as a runner rejection *)
+  | exn -> `Infeasible_runner (Printexc.to_string exn)
+
+(* Pair each configuration with its shape's [prepared], preparing each run
+   of consecutive configurations of one shape once. *)
+let by_shape prepare configs =
+  let rec go prev acc = function
+    | [] -> List.rev acc
+    | config :: rest ->
+        let prepared =
+          match prev with
+          | Some (c, p) when Config.same_shape c config -> p
+          | _ -> prepare config
+        in
+        go (Some (config, prepared)) ((prepared, config) :: acc) rest
+  in
+  go None [] configs
+
+let evaluate (e : Experiments.t) ((prepared : prepared), config) : outcome =
   Hextime_obs.Trace.with_span "sweep.evaluate"
     ~args:(fun () ->
       [ ("experiment", Experiments.id e); ("config", Config.id config) ])
   @@ fun () ->
-  match Model.predict params ~citer e.problem config with
-  | Error msg -> `Infeasible_model msg
-  | Ok predicted -> (
-      match Runner.measure e.arch e.problem config with
+  match prepared with
+  | (`Infeasible_model _ | `Infeasible_runner _) as drop -> drop
+  | `Shape (predicted, shape) -> (
+      match
+        Runner.measure_lowered e.arch e.problem (Lower.thread_half shape config)
+      with
       | Error msg -> `Infeasible_runner msg
       | Ok measured -> `Point { config; predicted; measured })
 
@@ -72,9 +111,8 @@ let run ?limit ?(exec = Parsweep.serial) (e : Experiments.t) =
       (fun () ->
         Parsweep.map
           ~label:("sweep " ^ Experiments.id e)
-          exec
-          ~f:(evaluate params ~citer e)
-          configs)
+          exec ~f:(evaluate e)
+          (by_shape (prepare params ~citer e) configs))
   in
   let points, infeasible_model, infeasible_runner =
     List.fold_right

@@ -43,7 +43,22 @@ val run :
   sweep * Hextime_parsweep.Parsweep.stats
 (** Predict and measure the experiment's baseline data points (about 850 at
     full size; [limit] deterministically subsamples for quick runs), and
-    report the engine statistics (the point count) alongside. *)
+    report the engine statistics (the point count) alongside.
+
+    The sweep works shape by shape.  The baseline crosses each tile shape
+    with ten thread counts, and T_alg has no thread term (Section 7), so
+    for each run of consecutive configurations that share (t_T, t_S) a
+    serial pass runs {!Hextime_core.Model.predict} and
+    {!Hextime_tiling.Lower.shape_half} once.  The engine then runs one
+    task per configuration, which pays only for what its thread count
+    changes: {!Hextime_tiling.Lower.thread_half},
+    {!Hextime_tileopt.Runner.measure_lowered} (two kernels priced, five
+    replays) and the bookkeeping.  A shape the model rejects drops all its
+    configurations as model-infeasible; one the lowering rejects, or whose
+    preparation raises, drops them as runner-rejected.  The result is the
+    one {!Hextime_core.Model.predict} and {!Hextime_tileopt.Runner.measure}
+    per configuration would give, bit for bit, and nothing is kept past
+    the call. *)
 
 val baseline :
   ?limit:int ->

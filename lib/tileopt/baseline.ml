@@ -22,17 +22,19 @@ let spread n xs =
 
 let tile_shapes (p : Params.t) (problem : Problem.t) =
   let cap = p.Params.shared_mem_per_block in
-  let with_fp =
+  (* (position, shape, footprint), largest footprint first *)
+  let ranked =
     Space.shapes p problem
     |> List.map (fun s -> (s, footprint_words problem s))
     |> List.sort (fun (_, a) (_, b) -> compare b a)
+    |> List.mapi (fun i (s, fp) -> (i, s, fp))
   in
   let band lo hi =
-    List.filter_map
-      (fun (s, fp) ->
+    List.filter
+      (fun (_, _, fp) ->
         let frac = float_of_int fp /. float_of_int cap in
-        if frac > lo && frac <= hi then Some s else None)
-      with_fp
+        frac > lo && frac <= hi)
+      ranked
   in
   (* Section 5.1: predominantly footprint-maximising shapes (the 48 KB
      per-block cap leaves hyper-threading factor two), plus a smaller set
@@ -41,15 +43,18 @@ let tile_shapes (p : Params.t) (problem : Problem.t) =
   let mid = spread 10 (band 0.5 0.8) in
   let small = spread 5 (band 0.0 0.5) in
   let chosen = large @ mid @ small in
-  (* backfill from the full ranking if a band was sparse *)
+  let shapes = List.map (fun (_, s, _) -> s) in
+  (* backfill from the full ranking if a band was sparse (every 3D problem:
+     its top band holds fewer than 70 shapes); the chosen shapes are
+     marked by position, so this is one pass *)
   let missing = 85 - List.length chosen in
-  if missing <= 0 then chosen
+  if missing <= 0 then shapes chosen
   else
-    let rest =
-      List.filter (fun (s, _) -> not (List.mem s chosen)) with_fp
-      |> List.map fst
-    in
-    chosen @ spread missing rest
+    let taken = Array.make (List.length ranked) false in
+    List.iter (fun (i, _, _) -> taken.(i) <- true) chosen;
+    shapes
+      (chosen
+      @ spread missing (List.filter (fun (i, _, _) -> not taken.(i)) ranked))
 
 let data_points p problem =
   tile_shapes p problem

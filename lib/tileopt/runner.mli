@@ -19,7 +19,19 @@ val measure :
   Hextime_stencil.Problem.t ->
   Hextime_tiling.Config.t ->
   (measurement, string) result
-(** [Error] for configurations the compiler or the device rejects. *)
+(** [Error] for configurations the compiler or the device rejects.
+    {!Hextime_tiling.Lower.compile} followed by {!measure_lowered}. *)
+
+val measure_lowered :
+  Hextime_gpu.Arch.t ->
+  Hextime_stencil.Problem.t ->
+  Hextime_tiling.Lower.t ->
+  (measurement, string) result
+(** Price and measure an already lowered program of the problem: each of
+    its two kernels is priced once, then replayed for the min-of-five
+    protocol.  [Error] when the device rejects a kernel.  The sweep lowers
+    a shape's thread-independent half once and calls this once per
+    configuration. *)
 
 val gflops_of_time : Hextime_stencil.Problem.t -> float -> float
 (** Useful throughput for the problem at a given execution time. *)

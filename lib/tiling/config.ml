@@ -1,3 +1,5 @@
+module Ints = Hextime_prelude.Ints
+
 type t = { t_t : int; t_s : int array; threads : int array }
 
 let make ~t_t ~t_s ~threads =
@@ -22,13 +24,15 @@ let make_exn ~t_t ~t_s ~threads =
 let rank c = Array.length c.t_s
 let total_threads c = Array.fold_left ( * ) 1 c.threads
 
-let add_id buf c =
-  let module Ints = Hextime_prelude.Ints in
+let add_id_prefix buf c =
   Buffer.add_string buf "tT";
   Ints.add_decimal buf c.t_t;
   Buffer.add_string buf "-tS";
   Ints.add_dims buf c.t_s;
-  Buffer.add_string buf "-thr";
+  Buffer.add_string buf "-thr"
+
+let add_id buf c =
+  add_id_prefix buf c;
   Ints.add_dims buf c.threads
 
 let id c =
@@ -39,3 +43,8 @@ let id c =
 let pp ppf c = Format.pp_print_string ppf (id c)
 let equal a b = a.t_t = b.t_t && a.t_s = b.t_s && a.threads = b.threads
 let compare = Stdlib.compare
+
+let same_shape a b =
+  a.t_t = b.t_t
+  && Array.length a.t_s = Array.length b.t_s
+  && Array.for_all2 Int.equal a.t_s b.t_s

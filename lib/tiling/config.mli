@@ -30,6 +30,14 @@ val add_id : Buffer.t -> t -> unit
 (** [add_id buf c] appends [id c] to [buf]; every priced kernel's label
     carries it, so it is written without [Printf]. *)
 
+val add_id_prefix : Buffer.t -> t -> unit
+(** [add_id_prefix buf c] appends the part of [id c] before the thread
+    counts (e.g. ["tT8-tS24x64-thr"]), which every thread count of one
+    tile shape shares; [add_id] is it followed by the thread counts. *)
+
 val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool
 val compare : t -> t -> int
+
+val same_shape : t -> t -> bool
+(** Equal tile sizes ([t_t] and [t_s]), whatever the thread counts. *)

@@ -33,104 +33,127 @@ let rows_of ~order ~base (cfg : Config.t) =
       { Gpu.Workload.points = (base + (2 * order * d)) * inner; repeats = 2 })
     (Ints.range 0 ((cfg.t_t / 2) - 1))
 
-(* [workload] with the validation already done and the footprint and the
-   label prefix — both family-invariant — computed by the caller, so
-   [compile] pays for them once, not per family *)
-let workload_checked (problem : Problem.t) (cfg : Config.t) ~fp ~label_prefix
-    ~family =
-  let stencil = problem.stencil in
-  let order = stencil.Stencil.order in
-  let rank = stencil.Stencil.rank in
-  let base =
-    match family with
-    | Hexgeom.Green -> cfg.t_s.(0)
-    | Hexgeom.Yellow -> cfg.t_s.(0) + (2 * order)
-  in
-  let rows = rows_of ~order ~base cfg in
-  let threads = Config.total_threads cfg in
-  let max_row_points =
-    List.fold_left
-      (fun acc (r : Gpu.Workload.row) -> max acc r.points)
-      1 rows
-  in
-  let regs =
-    Regalloc.per_thread ~stencil_loads:stencil.Stencil.loads ~rank
-      ~max_row_points ~threads
-  in
-  let body =
-    {
-      Gpu.Pointcost.flops = stencil.Stencil.flops;
-      loads = stencil.Stencil.loads;
-      transcendentals = stencil.Stencil.transcendentals;
-      rank;
-      double = problem.Problem.precision = Hextime_stencil.Problem.F64;
-    }
-  in
-  let run_length = cfg.t_s.(rank - 1) in
-  let family_name =
-    match family with Hexgeom.Green -> "green" | Hexgeom.Yellow -> "yellow"
-  in
-  Gpu.Workload.v
-    ~label:(label_prefix ^ family_name)
-    ~threads ~shared_words:fp.Footprint.shared_words ~regs_per_thread:regs
-    ~body ~rows
-    ~input:{ Gpu.Memory.words = fp.Footprint.input_words; run_length }
-    ~output:{ Gpu.Memory.words = fp.Footprint.output_words; run_length }
-    ~row_stride:fp.Footprint.inner_stride ~chunks:fp.Footprint.chunks
+(* one family's rows, its widest row (the register estimate's input) and
+   its label suffix *)
+type family_rows = {
+  rows : Gpu.Workload.row list;
+  widest : int;
+  name : string;
+}
 
-let label_prefix_of (problem : Problem.t) (cfg : Config.t) =
-  let buf = Buffer.create 64 in
-  Problem.add_id buf problem;
-  Buffer.add_char buf '/';
-  Config.add_id buf cfg;
-  Buffer.add_char buf '/';
-  Buffer.contents buf
+type shape = {
+  origin : Config.t;  (* the configuration the shape was lowered from *)
+  footprint : Footprint.t;
+  green_rows : family_rows;
+  yellow_rows : family_rows;
+  body : Gpu.Pointcost.body;
+  input : Gpu.Memory.transfer;
+  output : Gpu.Memory.transfer;
+  blocks : int;
+  launches : int;
+  label_prefix : string;  (* ["<problem id>/tT..-tS..-thr"] *)
+}
 
-let workload (problem : Problem.t) (cfg : Config.t) ~family =
+let shape_half (problem : Problem.t) (cfg : Config.t) =
   match validate problem cfg with
   | Error _ as e -> e
   | Ok () ->
-      let fp = Footprint.of_problem problem cfg in
-      Ok
-        (workload_checked problem cfg ~fp
-           ~label_prefix:(label_prefix_of problem cfg)
-           ~family)
-
-let compile (problem : Problem.t) (cfg : Config.t) =
-  match validate problem cfg with
-  | Error _ as e -> e
-  | Ok () ->
-      let fp = Footprint.of_problem problem cfg in
-      let label_prefix = label_prefix_of problem cfg in
-      let wg =
-        workload_checked problem cfg ~fp ~label_prefix ~family:Hexgeom.Green
-      in
-      let wy =
-        workload_checked problem cfg ~fp ~label_prefix ~family:Hexgeom.Yellow
-      in
       let stencil = problem.stencil in
       let order = stencil.Stencil.order in
-      let blocks =
-        Hexgeom.wavefront_width ~order ~t_s:cfg.t_s.(0) ~t_t:cfg.t_t
-          ~space:problem.space.(0)
+      let rank = stencil.Stencil.rank in
+      let family base name =
+        let rows = rows_of ~order ~base cfg in
+        let widest =
+          List.fold_left
+            (fun acc (r : Gpu.Workload.row) -> max acc r.points)
+            1 rows
+        in
+        { rows; widest; name }
       in
-      let launches = Ints.ceil_div problem.time cfg.t_t in
-      let green =
-        Gpu.Kernel.v ~label:(Gpu.Workload.(wg.label)) ~blocks:[ (wg, blocks) ]
-      in
-      let yellow =
-        Gpu.Kernel.v ~label:(Gpu.Workload.(wy.label)) ~blocks:[ (wy, blocks) ]
+      let fp = Footprint.of_problem problem cfg in
+      let run_length = cfg.t_s.(rank - 1) in
+      let label_prefix =
+        let buf = Buffer.create 64 in
+        Problem.add_id buf problem;
+        Buffer.add_char buf '/';
+        Config.add_id_prefix buf cfg;
+        Buffer.contents buf
       in
       Ok
         {
-          green;
-          yellow;
-          green_launches = launches;
-          yellow_launches = launches;
+          origin = cfg;
           footprint = fp;
-          regs_per_thread = Gpu.Workload.(wg.regs_per_thread);
-          blocks_per_wavefront = blocks;
+          green_rows = family cfg.t_s.(0) "green";
+          yellow_rows = family (cfg.t_s.(0) + (2 * order)) "yellow";
+          body =
+            {
+              Gpu.Pointcost.flops = stencil.Stencil.flops;
+              loads = stencil.Stencil.loads;
+              transcendentals = stencil.Stencil.transcendentals;
+              rank;
+              double = problem.Problem.precision = Problem.F64;
+            };
+          input = { Gpu.Memory.words = fp.Footprint.input_words; run_length };
+          output = { Gpu.Memory.words = fp.Footprint.output_words; run_length };
+          blocks =
+            Hexgeom.wavefront_width ~order ~t_s:cfg.t_s.(0) ~t_t:cfg.t_t
+              ~space:problem.space.(0);
+          launches = Ints.ceil_div problem.time cfg.t_t;
+          label_prefix;
         }
+
+(* The per-block workload of one family: the register estimate and the
+   label are all a thread count changes. *)
+let family_workload sh ~threads ~thr_label (f : family_rows) =
+  let fp = sh.footprint in
+  Gpu.Workload.v ~label:(thr_label ^ f.name) ~threads
+    ~shared_words:fp.Footprint.shared_words
+    ~regs_per_thread:
+      (Regalloc.per_thread ~stencil_loads:sh.body.Gpu.Pointcost.loads
+         ~rank:sh.body.Gpu.Pointcost.rank ~max_row_points:f.widest ~threads)
+    ~body:sh.body ~rows:f.rows ~input:sh.input ~output:sh.output
+    ~row_stride:fp.Footprint.inner_stride ~chunks:fp.Footprint.chunks
+
+(* ["<problem id>/<config id>/"], the labels' common part *)
+let thr_label sh (cfg : Config.t) =
+  let buf = Buffer.create (String.length sh.label_prefix + 16) in
+  Buffer.add_string buf sh.label_prefix;
+  Ints.add_dims buf cfg.threads;
+  Buffer.add_char buf '/';
+  Buffer.contents buf
+
+let thread_half sh (cfg : Config.t) =
+  if not (Config.same_shape cfg sh.origin) then
+    invalid_arg "Lower.thread_half: configuration of another tile shape";
+  let thr_label = thr_label sh cfg in
+  let threads = Config.total_threads cfg in
+  let wg = family_workload sh ~threads ~thr_label sh.green_rows in
+  let wy = family_workload sh ~threads ~thr_label sh.yellow_rows in
+  let kernel (w : Gpu.Workload.t) =
+    Gpu.Kernel.v ~label:w.label ~blocks:[ (w, sh.blocks) ]
+  in
+  {
+    green = kernel wg;
+    yellow = kernel wy;
+    green_launches = sh.launches;
+    yellow_launches = sh.launches;
+    footprint = sh.footprint;
+    regs_per_thread = wg.regs_per_thread;
+    blocks_per_wavefront = sh.blocks;
+  }
+
+let compile problem cfg =
+  Result.map (fun sh -> thread_half sh cfg) (shape_half problem cfg)
+
+let workload_of sh (cfg : Config.t) ~family =
+  family_workload sh ~threads:(Config.total_threads cfg)
+    ~thr_label:(thr_label sh cfg)
+    (match family with
+    | Hexgeom.Green -> sh.green_rows
+    | Hexgeom.Yellow -> sh.yellow_rows)
+
+let workload problem cfg ~family =
+  Result.map (fun sh -> workload_of sh cfg ~family) (shape_half problem cfg)
 
 let kernel_sequence t =
   [ (t.yellow, t.yellow_launches); (t.green, t.green_launches) ]
@@ -167,13 +190,14 @@ let ir_rule (stencil : Stencil.t) =
 let read_half r = if r mod 2 = 0 then Ir.Ping else Ir.Pong
 
 let ir_kernel (problem : Problem.t) (cfg : Config.t) ~family =
-  match workload problem cfg ~family with
+  match shape_half problem cfg with
   | Error _ as e -> e
-  | Ok w ->
+  | Ok sh ->
+      let w = workload_of sh cfg ~family in
       let stencil = problem.Problem.stencil in
       let rank = stencil.Stencil.rank in
       let order = stencil.Stencil.order in
-      let fp = Footprint.of_problem problem cfg in
+      let fp = sh.footprint in
       let inner = Array.fold_left ( * ) 1 (Array.sub cfg.t_s 1 (rank - 1)) in
       let extra = match family with Hexgeom.Green -> 0 | Hexgeom.Yellow -> 2 * order in
       let widths = Hexgeom.row_widths ~order ~t_s:cfg.t_s.(0) ~t_t:cfg.t_t in

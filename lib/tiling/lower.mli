@@ -20,7 +20,34 @@ type t = private {
 val compile :
   Hextime_stencil.Problem.t -> Config.t -> (t, string) result
 (** Fails when the configuration's rank does not match the problem, or a
-    tile exceeds the problem extent. *)
+    tile exceeds the problem extent.  [compile problem cfg] is
+    [thread_half] applied to [shape_half problem cfg]. *)
+
+(** {1 The two halves of [compile]}
+
+    The thread counts of a configuration change only the register
+    estimate and the kernels' labels; everything else a lowered program
+    holds follows from the problem and the tile shape (t_T, t_S).  A sweep
+    crosses every tile shape with ten thread counts (Section 5.1), so it
+    lowers the shape half once per shape and the thread half once per
+    configuration. *)
+
+type shape
+(** The thread-independent half of a lowered program. *)
+
+val shape_half :
+  Hextime_stencil.Problem.t -> Config.t -> (shape, string) result
+(** Validates the configuration against the problem (failing as
+    {!compile} does), then derives what the tile shape fixes: the
+    footprint, both families' compute rows and their widest row, the
+    per-point body, the global transfers, the wavefront width, the launch
+    count and the kernels' label prefix.  The configuration's thread
+    counts are ignored. *)
+
+val thread_half : shape -> Config.t -> t
+(** The register estimate, both families' workloads and kernels and their
+    labels for one thread count.  Raises [Invalid_argument] when the
+    configuration's (t_T, t_S) differ from the shape's. *)
 
 val kernel_sequence : t -> (Hextime_gpu.Kernel.t * int) list
 (** The launch sequence to hand to {!Hextime_gpu.Simulator.run_sequence}. *)

@@ -150,6 +150,19 @@ let test_compute_penalties () =
   let s = Cmp.row_seconds arch w ~spilled_regs:16 ~resident:1 ~points:1024 in
   Alcotest.(check bool) "spills slow" true (s > r1)
 
+(* each guard names the function that raised it *)
+let test_compute_guards_name_their_function () =
+  let w = workload () in
+  Alcotest.check_raises "lane_iterations"
+    (Invalid_argument "Compute.lane_iterations") (fun () ->
+      ignore (Cmp.lane_iterations arch ~threads:256 ~points:0));
+  Alcotest.check_raises "row_seconds"
+    (Invalid_argument "Compute.row_seconds: resident < 1") (fun () ->
+      ignore (Cmp.row_seconds arch w ~spilled_regs:0 ~resident:0 ~points:64));
+  Alcotest.check_raises "chunk_seconds"
+    (Invalid_argument "Compute.chunk_seconds: resident < 1") (fun () ->
+      ignore (Cmp.chunk_seconds arch w ~spilled_regs:0 ~resident:0))
+
 let test_kernel_accessors () =
   let w = workload () in
   let k = K.v ~label:"k" ~blocks:[ (w, 10) ] in
@@ -486,6 +499,8 @@ let suite =
     Alcotest.test_case "workload validation" `Quick test_workload_validation;
     Alcotest.test_case "lane iterations" `Quick test_compute_lane_iterations;
     Alcotest.test_case "compute penalties" `Quick test_compute_penalties;
+    Alcotest.test_case "compute guards name their function" `Quick
+      test_compute_guards_name_their_function;
     Alcotest.test_case "kernel accessors" `Quick test_kernel_accessors;
     Alcotest.test_case "simulator basics" `Quick test_simulator_basics;
     Alcotest.test_case "simulator infeasible" `Quick test_simulator_infeasible;

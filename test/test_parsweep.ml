@@ -1,6 +1,8 @@
 (* The parallel sweep engine, and the sweep-layer bugfix batch: subsample
    endpoint coverage, campaign feasible/rejected accounting, the
-   binding-kernel occupancy report, and serial/parallel result identity. *)
+   binding-kernel occupancy report, and serial/parallel result identity;
+   a sweep's measured bytes pinned across commits, and the shape-by-shape
+   sweep against the per-configuration path. *)
 
 module Parsweep = Hextime_parsweep.Parsweep
 module Dpool = Hextime_parsweep.Dpool
@@ -292,6 +294,200 @@ let test_pricing_neutral_rename_stays_warm () =
         && m.Runner.limiting = n.Runner.limiting))
     original.H.Sweep.points renamed.H.Sweep.points
 
+(* --- a sweep's measured bytes, pinned -------------------------------------- *)
+
+(* Every byte a sweep reports, as text: config ids, the model's Talg and
+   T_tile and the measured time and throughput as %h, the occupancy
+   diagnosis, and both drop counts.  Two sweeps with equal digests are
+   equal bit for bit. *)
+let sweep_digest (s : H.Sweep.sweep) =
+  let limit = function
+    | Gpu.Occupancy.Threads -> "threads"
+    | Blocks -> "blocks"
+    | Shared_memory -> "smem"
+    | Registers -> "regs"
+  in
+  let b = Buffer.create 65536 in
+  List.iter
+    (fun (p : H.Sweep.point) ->
+      let m = p.H.Sweep.measured in
+      Printf.bprintf b "%s %h %h %h %h %d %d %s\n"
+        (Config.id p.H.Sweep.config)
+        p.H.Sweep.predicted.Hextime_core.Model.talg
+        p.H.Sweep.predicted.Hextime_core.Model.t_tile m.Runner.time_s
+        m.Runner.gflops m.Runner.resident_blocks m.Runner.spilled_regs
+        (limit m.Runner.limiting))
+    s.H.Sweep.points;
+  Printf.bprintf b "dropped %d %d\n" s.H.Sweep.infeasible_model
+    s.H.Sweep.infeasible_runner;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Ranks 1–3, both presets, single and double precision, extents that are
+   not tile multiples, a device that rejects 1024-thread blocks, and a
+   limit whose subsample keeps two or three of each shape's ten thread
+   counts.  The expected values were captured before sweeps were
+   evaluated shape by shape, and must not move: the measured bytes of a
+   sweep change only with a re-baselined accuracy gate. *)
+let golden_sweeps =
+  let e ?(arch = Gpu.Arch.gtx980) ?precision stencil space time =
+    { H.Experiments.arch; problem = P.make ?precision stencil ~space ~time }
+  in
+  [
+    ("jacobi1d 10007 T300", None, e S.jacobi1d [| 10007 |] 300);
+    ( "heat2d 1000x999 T100 titanx",
+      None,
+      e ~arch:Gpu.Arch.titanx S.heat2d [| 1000; 999 |] 100 );
+    ( "gradient2d 512x500 T64 f64 thr<=512",
+      None,
+      e
+        ~arch:{ Gpu.Arch.gtx980 with Gpu.Arch.max_threads_per_block = 512 }
+        ~precision:P.F64 S.gradient2d [| 512; 500 |] 64 );
+    ("heat3d 96^3 T32", None, e S.heat3d [| 96; 96; 96 |] 32);
+    ( "laplacian3d 64x50x100 T20 titanx limit 200",
+      Some 200,
+      e ~arch:Gpu.Arch.titanx S.laplacian3d [| 64; 50; 100 |] 20 );
+  ]
+
+let golden_digests =
+  [
+    ("jacobi1d 10007 T300", ((850, 0), (0, "4795d711fdb11bc626c02a17172085c5")));
+    ( "heat2d 1000x999 T100 titanx",
+      ((850, 0), (0, "09f87ce08b1eb62cf7935b17b6d8b663")) );
+    ( "gradient2d 512x500 T64 f64 thr<=512",
+      ((765, 0), (85, "235269ea66ff5d189c558f395c298c11")) );
+    ("heat3d 96^3 T32", ((850, 0), (0, "54fae1a0fbec60c7e753ee6410af4c65")));
+    ( "laplacian3d 64x50x100 T20 titanx limit 200",
+      ((200, 0), (0, "09d965fbf729321a14a143b40ebc17dd")) );
+  ]
+
+let test_sweep_golden_bytes () =
+  let got =
+    List.map
+      (fun (name, limit, e) ->
+        let s = H.Sweep.baseline ?limit e in
+        ( name,
+          ( (List.length s.H.Sweep.points, s.H.Sweep.infeasible_model),
+            (s.H.Sweep.infeasible_runner, sweep_digest s) ) ))
+      golden_sweeps
+  in
+  Alcotest.(check (list (pair string (pair (pair int int) (pair int string)))))
+    "points, drops and digest per sweep" golden_digests got
+
+(* --- the shape-by-shape sweep against the per-configuration path ----------- *)
+
+(* What a sweep computes, spelled out one configuration at a time: the
+   model, then the compiler and the simulator. *)
+let per_config_sweep ?limit (e : H.Experiments.t) =
+  let params = H.Microbench.params e.arch in
+  let citer = H.Microbench.citer e.arch e.problem.P.stencil in
+  let configs =
+    Baseline.data_points params e.problem |> H.Sweep.subsample limit
+  in
+  let points, infeasible_model, infeasible_runner =
+    List.fold_right
+      (fun config (pts, im, ir) ->
+        match Hextime_core.Model.predict params ~citer e.problem config with
+        | Error _ -> (pts, im + 1, ir)
+        | Ok predicted -> (
+            match Runner.measure e.arch e.problem config with
+            | Error _ -> (pts, im, ir + 1)
+            | Ok measured -> ({ H.Sweep.config; predicted; measured } :: pts, im, ir)))
+      configs ([], 0, 0)
+  in
+  ({ H.Sweep.points; infeasible_model; infeasible_runner }, List.length configs)
+
+(* The six paper stencils plus a 1D and a second-order stencil, each on
+   both presets, at seeded extents that are not tile multiples (small ones
+   leave some footprint bands sparse).  Every other stencil runs its
+   GTX 980 sweep on a copy capped at 512 threads per block, which rejects
+   every shape's 1024-thread configuration. *)
+let generated_experiments () =
+  let rng = Random.State.make [| 20 |] in
+  let odd lo hi = (2 * ((lo + Random.State.int rng (hi - lo)) / 2)) + 1 in
+  let space (st : S.t) =
+    match st.S.rank with
+    | 1 -> [| odd 100 70000 |]
+    | 2 -> [| odd 40 1100; odd 40 1100 |]
+    | _ -> [| odd 20 130; odd 20 130; odd 20 130 |]
+  in
+  let capped = { Gpu.Arch.gtx980 with Gpu.Arch.max_threads_per_block = 512 } in
+  List.concat
+    (List.mapi
+       (fun i st ->
+         List.map
+           (fun arch ->
+             let time = 3 + Random.State.int rng 250 in
+             { H.Experiments.arch; problem = P.make st ~space:(space st) ~time })
+           [ (if i mod 2 = 0 then Gpu.Arch.gtx980 else capped); Gpu.Arch.titanx ])
+       (S.benchmarks_2d @ S.benchmarks_3d @ [ S.jacobi1d; S.heat3d_order2 ]))
+
+let test_sweep_by_shape_equals_per_config () =
+  let runner_drops = ref 0 in
+  List.iter
+    (fun (e : H.Experiments.t) ->
+      let reference = per_config_sweep e in
+      List.iter
+        (fun limit ->
+          (* 851 keeps every configuration, as no limit does *)
+          let want, total =
+            match limit with
+            | Some 37 -> per_config_sweep ?limit e
+            | _ -> reference
+          in
+          runner_drops := !runner_drops + want.H.Sweep.infeasible_runner;
+          List.iter
+            (fun jobs ->
+              let label =
+                Printf.sprintf "%s on %s, limit %s, jobs %d"
+                  (P.id e.problem) e.arch.Gpu.Arch.name
+                  (match limit with None -> "none" | Some n -> string_of_int n)
+                  jobs
+              in
+              let got, stats =
+                H.Sweep.run ?limit ~exec:{ Parsweep.serial with jobs } e
+              in
+              Alcotest.(check int) (label ^ ": stats.total") total
+                stats.Parsweep.total;
+              (* one structural comparison; the per-point checks name
+                 the first difference when there is one *)
+              if got <> want then check_sweeps_equal label want got)
+            [ 1; 2 ])
+        [ None; Some 37; Some 851 ])
+    (generated_experiments ());
+  Alcotest.(check bool) "runner rejections covered" true (!runner_drops > 0)
+
+(* The thread half takes the configurations of its own shape only, and a
+   shape lowered from one thread count serves every other: the shape half
+   ignores threads. *)
+let test_thread_half_pairs_with_its_shape () =
+  let problem = experiment.H.Experiments.problem in
+  let cfg ?(t_t = 8) ?(t_s = [| 16; 64 |]) threads =
+    Config.make_exn ~t_t ~t_s ~threads:[| threads |]
+  in
+  let shape =
+    match Lower.shape_half problem (cfg 128) with
+    | Ok sh -> sh
+    | Error e -> Alcotest.failf "shape_half: %s" e
+  in
+  List.iter
+    (fun (what, other) ->
+      Alcotest.check_raises what
+        (Invalid_argument "Lower.thread_half: configuration of another tile shape")
+        (fun () -> ignore (Lower.thread_half shape other)))
+    [
+      ("another t_T", cfg ~t_t:10 128);
+      ("another hexagonal t_S", cfg ~t_s:[| 20; 64 |] 128);
+      ("another inner t_S", cfg ~t_s:[| 16; 96 |] 128);
+    ];
+  List.iter
+    (fun threads ->
+      let c = cfg threads in
+      Alcotest.(check bool)
+        (Config.id c ^ ": compile = thread_half of the thr128 shape")
+        true
+        (Lower.compile problem c = Ok (Lower.thread_half shape c)))
+    Hextime_tileopt.Space.thread_candidates
+
 let test_default_jobs_env_validation () =
   let with_env v f =
     let old = Sys.getenv_opt "HEXTIME_JOBS" in
@@ -361,5 +557,10 @@ let suite =
       test_pricing_neutral_rename_stays_warm;
     Alcotest.test_case "HEXTIME_JOBS validation" `Quick
       test_default_jobs_env_validation;
+    Alcotest.test_case "sweep golden bytes" `Quick test_sweep_golden_bytes;
+    Alcotest.test_case "sweep by shape = per-configuration path" `Quick
+      test_sweep_by_shape_equals_per_config;
+    Alcotest.test_case "thread half pairs with its shape only" `Quick
+      test_thread_half_pairs_with_its_shape;
     QCheck_alcotest.to_alcotest prop_map_is_list_map;
   ]

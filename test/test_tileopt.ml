@@ -290,12 +290,94 @@ let prop_shapes_match_reference =
       in
       Space.shapes p problem = reference_shapes p problem)
 
+(* Baseline.tile_shapes before its backfill marked the chosen shapes by
+   position: the same selection, with a structural [List.mem] against the
+   chosen list for every ranked shape.  Kept as the reference; it also
+   says whether the bands fell short and the backfill ran. *)
+let reference_tile_shapes (p : Params.t) (problem : P.t) =
+  let footprint_words (shape : Space.shape) =
+    Footprint.shared_words_of ~word_factor:(P.word_factor problem)
+      ~order:problem.P.stencil.S.order ~t_t:shape.t_t shape.t_s
+  in
+  let spread n xs =
+    let len = List.length xs in
+    if len <= n then xs
+    else
+      let arr = Array.of_list xs in
+      List.init n (fun i -> arr.(i * len / n))
+  in
+  let cap = p.Params.shared_mem_per_block in
+  let with_fp =
+    Space.shapes p problem
+    |> List.map (fun s -> (s, footprint_words s))
+    |> List.sort (fun (_, a) (_, b) -> compare b a)
+  in
+  let band lo hi =
+    List.filter_map
+      (fun (s, fp) ->
+        let frac = float_of_int fp /. float_of_int cap in
+        if frac > lo && frac <= hi then Some s else None)
+      with_fp
+  in
+  let chosen =
+    spread 70 (band 0.8 1.0) @ spread 10 (band 0.5 0.8) @ spread 5 (band 0.0 0.5)
+  in
+  let missing = 85 - List.length chosen in
+  if missing <= 0 then (chosen, false)
+  else
+    let rest =
+      List.filter (fun (s, _) -> not (List.mem s chosen)) with_fp
+      |> List.map fst
+    in
+    (chosen @ spread missing rest, true)
+
+(* Every paper stencil on both presets at the CI sizes and at each paper
+   extent (T leaves the shapes alone there: every t_t candidate is below
+   2T), plus the 1D and second-order stencils.  The 3D problems backfill. *)
+let test_tile_shapes_match_reference () =
+  let module E = Hextime_harness.Experiments in
+  let seen = Hashtbl.create 64 in
+  let paper =
+    List.filter
+      (fun (e : E.t) ->
+        let key = (e.arch.Gpu.Arch.name, e.problem.P.stencil.S.name, e.problem.P.space) in
+        (not (Hashtbl.mem seen key)) && (Hashtbl.add seen key (); true))
+      (E.all E.Paper)
+  in
+  let extra =
+    List.concat_map
+      (fun arch ->
+        List.map
+          (fun problem -> { E.arch; problem })
+          [
+            P.make S.jacobi1d ~space:[| 65536 |] ~time:512;
+            P.make S.jacobi1d ~space:[| 1000 |] ~time:20;
+            P.make S.jacobi2d_order2 ~space:[| 512; 512 |] ~time:128;
+            P.make S.heat3d_order2 ~space:[| 96; 96; 96 |] ~time:32;
+          ])
+      Gpu.Arch.presets
+  in
+  let backfilled = ref 0 in
+  List.iter
+    (fun (e : E.t) ->
+      let p = Hextime_harness.Microbench.params e.arch in
+      let want, backfill = reference_tile_shapes p e.problem in
+      if backfill then incr backfilled;
+      Alcotest.(check (list string))
+        (E.id e ^ ": same shapes in the same order")
+        (List.map Space.id want)
+        (List.map Space.id (Baseline.tile_shapes p e.problem)))
+    (E.all E.Ci @ paper @ extra);
+  Alcotest.(check bool) "backfill exercised" true (!backfilled >= 10)
+
 let suite =
   [
     Alcotest.test_case "space constraints" `Quick test_space_constraints;
     Alcotest.test_case "space 3D" `Quick test_space_3d;
     Alcotest.test_case "thread candidates" `Quick test_thread_candidates;
     Alcotest.test_case "baseline set (Section 5.1)" `Quick test_baseline_size_and_bias;
+    Alcotest.test_case "baseline backfill = List.mem reference" `Quick
+      test_tile_shapes_match_reference;
     Alcotest.test_case "runner" `Quick test_runner;
     Alcotest.test_case "runner rejects" `Quick test_runner_rejects;
     Alcotest.test_case "runner prices once" `Quick test_measure_prices_once;
