@@ -55,7 +55,8 @@ let row_seconds arch (w : Workload.t) ~spilled_regs ~resident ~points =
    iteration count depends on the row, so the point cost, the hiding and
    divergence stretch and the barrier are computed once per chunk instead
    of once per row.  The per-row expression is kept verbatim from
-   [row_seconds] so the sum is bit-identical to folding it directly. *)
+   [row_seconds] so the sum is bit-identical to folding it directly.  A
+   loop over a float ref, so no row boxes its partial sum. *)
 let chunk_seconds arch (w : Workload.t) ~spilled_regs ~resident =
   if resident < 1 then invalid_arg "Compute.chunk_seconds: resident < 1";
   let per_point = per_point_seconds arch w ~spilled_regs in
@@ -68,10 +69,16 @@ let chunk_seconds arch (w : Workload.t) ~spilled_regs ~resident =
       (float_of_int arch.sync_cycles
       +. (barrier_drain_cycles /. float_of_int resident))
   in
-  List.fold_left
-    (fun acc (r : Workload.row) ->
-      let iters = lane_iterations arch ~threads:w.threads ~points:r.points in
-      acc
-      +. float_of_int r.repeats
-         *. ((float_of_int iters *. per_point *. stretch) +. barrier_s))
-    0.0 w.rows
+  let acc = ref 0.0 and rows = ref w.rows in
+  while not (List.is_empty !rows) do
+    match !rows with
+    | [] -> ()
+    | (r : Workload.row) :: rest ->
+        let iters = lane_iterations arch ~threads:w.threads ~points:r.points in
+        acc :=
+          !acc
+          +. float_of_int r.repeats
+             *. ((float_of_int iters *. per_point *. stretch) +. barrier_s);
+        rows := rest
+  done;
+  !acc

@@ -31,45 +31,68 @@ let invocations () = Metrics.value price_counter
 
 let jitter_amplitude = 0.015
 
-let jitter_factor (arch : Arch.t) label ~salt =
-  Det_hash.create arch.name
-  |> fun h ->
-  Det_hash.mix_string h label
-  |> fun h -> Det_hash.mix_int h salt |> Det_hash.jitter ~amplitude:jitter_amplitude
+(* --- the noise seed ----------------------------------------------------- *)
+
+(* A kernel's noise seed is the hash of its architecture's name and then
+   its label; a salted run mixes the salt into it.  Every label of a tile
+   shape's configurations starts with the shape's label prefix, so the
+   hash state after the name and the prefix can be computed once per shape
+   and each pricing folds only the label's tail.  The fold is sequential,
+   so the seed is the same either way. *)
+type seed_prefix = {
+  arch_name : string;
+  prefix : string;
+  state : Det_hash.t;  (* the name, then the prefix, not finalised *)
+}
+
+let seed_prefix (arch : Arch.t) prefix =
+  {
+    arch_name = arch.name;
+    prefix;
+    state = Det_hash.fold_bytes (Det_hash.create arch.name) prefix ~pos:0;
+  }
+
+(* The one definition of the seed: every path reads it off [price]. *)
+let noise_seed (arch : Arch.t) pre label =
+  if not (String.equal pre.arch_name arch.name) then
+    invalid_arg "Simulator.price: seed prefix of another architecture";
+  if not (String.starts_with ~prefix:pre.prefix label) then
+    invalid_arg "Simulator.price: label does not start with the seed prefix";
+  Det_hash.finalise
+    (Det_hash.fold_bytes pre.state label ~pos:(String.length pre.prefix))
+
+let jitter_factor seed ~salt =
+  Det_hash.jitter (Det_hash.mix_int seed salt) ~amplitude:jitter_amplitude
+
+(* --- costs ---------------------------------------------------------------- *)
+
+let block_io arch ~resident (w : Workload.t) =
+  Memory.block_transfer_s arch ~concurrent_blocks:resident w.input
+  +. Memory.block_transfer_s arch ~concurrent_blocks:resident w.output
 
 let block_cost arch ~resident (w : Workload.t) ~spilled_regs =
-  let io =
-    Memory.block_transfer_s arch ~concurrent_blocks:resident w.input
-    +. Memory.block_transfer_s arch ~concurrent_blocks:resident w.output
-  in
+  let io = block_io arch ~resident w in
   let compute = Compute.chunk_seconds arch w ~spilled_regs ~resident in
   (io, compute)
 
-(* Wall time for one SM to retire a queue of blocks.  The GPU's block
-   scheduler streams blocks: as soon as a resident block retires the next
-   one launches, so with k >= 2 resident blocks the IO of one chunk overlaps
-   the compute of another and the SM's steady-state period per chunk is
-   max(io, compute); the first chunk's transfer is exposed as pipeline fill.
-   Without hyper-threading (k = 1) the phases of the block serialise — the
-   truthful counterpart of Equations 10/12 and 16/28/29. *)
-let queue_time ~resident costs =
-  match costs with
-  | [] -> 0.0
-  | _ ->
-      let total_io =
-        List.fold_left
-          (fun a ((io, _), chunks) -> a +. (io *. float_of_int chunks))
-          0.0 costs
-      in
-      let total_comp =
-        List.fold_left
-          (fun a ((_, c), chunks) -> a +. (c *. float_of_int chunks))
-          0.0 costs
-      in
-      if resident = 1 then total_io +. total_comp
-      else
-        let (io1, c1), _ = List.hd costs in
-        max total_io total_comp +. min io1 c1
+(* Wall time for one SM to retire a round of [j] co-resident blocks of
+   [chunks] chunks each, at per-chunk costs [io] and [comp].  The GPU's
+   block scheduler streams blocks: as soon as a resident block retires the
+   next one launches, so with j >= 2 the IO of one chunk overlaps the
+   compute of another and the SM's steady-state period per chunk is
+   max(io, compute); the first chunk's transfer is exposed as pipeline
+   fill.  A round of one block serialises its phases — the truthful
+   counterpart of Equations 10/12 and 16/28/29.  Inlined, so [price]'s
+   floats stay unboxed. *)
+let[@inline] round_time ~io ~comp ~chunks j =
+  if j = 0 then 0.0
+  else
+    let n = float_of_int (chunks * j) in
+    let total_io = io *. n and total_comp = comp *. n in
+    if j = 1 then total_io +. total_comp
+    else
+      (if total_io >= total_comp then total_io else total_comp)
+      +. if io <= comp then io else comp
 
 let infeasible (occ : Occupancy.result) (req : Occupancy.request) =
   let what =
@@ -83,35 +106,6 @@ let infeasible (occ : Occupancy.result) (req : Occupancy.request) =
     | Occupancy.Blocks -> "block slots"
   in
   Printf.sprintf "no block fits on an SM (limited by %s)" what
-
-let kernel_setup arch (k : Kernel.t) =
-  let req = Kernel.max_request k in
-  let occ = Occupancy.calculate arch req in
-  if occ.blocks_per_sm = 0 then Error (infeasible occ req)
-  else Ok (req, occ)
-
-(* Average per-chunk (io, compute) over a kernel's block population from
-   per-class costs computed exactly once, and the average chunk count;
-   kernels are overwhelmingly uniform so this loses almost nothing and
-   keeps the cost independent of block count. *)
-let average_of_class_costs (k : Kernel.t) class_costs =
-  let total = float_of_int (Kernel.total_blocks k) in
-  List.fold_left
-    (fun (aio, acomp, achunks) ((w : Workload.t), count, (io, comp)) ->
-      let f = float_of_int count /. total in
-      ( aio +. (io *. f),
-        acomp +. (comp *. f),
-        achunks +. (float_of_int w.chunks *. f) ))
-    (0.0, 0.0, 0.0) class_costs
-
-let class_costs arch ~resident ~spilled (k : Kernel.t) =
-  List.map
-    (fun ((w : Workload.t), count) ->
-      (w, count, block_cost arch ~resident w ~spilled_regs:spilled))
-    k.blocks
-
-let average_costs arch ~resident ~spilled (k : Kernel.t) =
-  average_of_class_costs k (class_costs arch ~resident ~spilled k)
 
 let stats_of_time (k : Kernel.t) (occ : Occupancy.result) ~io ~comp
     ~chunks time_s =
@@ -141,56 +135,76 @@ type priced = {
   avg_chunks : float;  (* averaged chunk count *)
   base_s : float;  (* launch overhead + body; the jitter-invariant time *)
   jitter_seed : Det_hash.t;
-      (* the hash state over (architecture, label), so a salted replay only
+      (* the noise seed over (architecture, label), so a salted replay only
          mixes in the salt *)
 }
 
-let price arch (k : Kernel.t) =
+let price ?prefix (arch : Arch.t) (k : Kernel.t) =
   Metrics.incr price_counter;
-  match kernel_setup arch k with
-  | Error _ as e -> e
-  | Ok (_req, occ) ->
-      let resident = occ.blocks_per_sm in
-      let spilled = occ.regs_spilled_per_thread in
-      let io, comp, chunks = average_costs arch ~resident ~spilled k in
-      let blocks = Kernel.total_blocks k in
-      (* Stencil blocks are near-uniform and the warp scheduler shares the
-         SM fairly, so the [resident] co-resident blocks of a round finish
-         together and the next round starts together: execution is
-         round-synchronised.  The last round holds whatever is left. *)
-      let cost j = ((io, comp), int_of_float (Float.round chunks) * j) in
-      let round_time j =
-        if j = 0 then 0.0 else queue_time ~resident:j [ cost j ]
-      in
-      let capacity = arch.n_sm * resident in
-      let full_rounds = blocks / capacity in
-      let remainder = blocks mod capacity in
-      let body =
-        (float_of_int full_rounds *. round_time resident)
-        +. round_time (Ints.ceil_div remainder arch.n_sm)
-      in
-      Ok
-        {
-          kernel = k;
-          occ;
-          avg_io = io;
-          avg_comp = comp;
-          avg_chunks = chunks;
-          base_s = arch.launch_overhead_s +. body;
-          jitter_seed = Det_hash.mix_string (Det_hash.create arch.name) k.label;
-        }
+  let jitter_seed =
+    noise_seed arch
+      (match prefix with Some pre -> pre | None -> seed_prefix arch "")
+      k.label
+  in
+  let req = Kernel.max_request k in
+  let occ = Occupancy.calculate arch req in
+  if occ.blocks_per_sm = 0 then Error (infeasible occ req)
+  else
+    let resident = occ.blocks_per_sm in
+    let spilled = occ.regs_spilled_per_thread in
+    let blocks = Kernel.total_blocks k in
+    (* Average per-chunk (io, compute) and the chunk count over the block
+       population, each class costed once; kernels are overwhelmingly
+       uniform so this loses almost nothing and keeps the cost independent
+       of block count.  A loop over float refs, so nothing is boxed per
+       class. *)
+    let total = float_of_int blocks in
+    let io = ref 0.0 and comp = ref 0.0 and chunks = ref 0.0 in
+    let classes = ref k.blocks in
+    while not (List.is_empty !classes) do
+      match !classes with
+      | [] -> ()
+      | ((w : Workload.t), count) :: rest ->
+          let f = float_of_int count /. total in
+          io := !io +. (block_io arch ~resident w *. f);
+          comp :=
+            !comp
+            +. (Compute.chunk_seconds arch w ~spilled_regs:spilled ~resident
+               *. f);
+          chunks := !chunks +. (float_of_int w.chunks *. f);
+          classes := rest
+    done;
+    let io = !io and comp = !comp and chunks = !chunks in
+    (* Stencil blocks are near-uniform and the warp scheduler shares the
+       SM fairly, so the [resident] co-resident blocks of a round finish
+       together and the next round starts together: execution is
+       round-synchronised.  The last round holds whatever is left. *)
+    let per_block = int_of_float (Float.round chunks) in
+    let capacity = arch.n_sm * resident in
+    let body =
+      (float_of_int (blocks / capacity)
+      *. round_time ~io ~comp ~chunks:per_block resident)
+      +. round_time ~io ~comp ~chunks:per_block
+           (Ints.ceil_div (blocks mod capacity) arch.n_sm)
+    in
+    Ok
+      {
+        kernel = k;
+        occ;
+        avg_io = io;
+        avg_comp = comp;
+        avg_chunks = chunks;
+        base_s = arch.launch_overhead_s +. body;
+        jitter_seed;
+      }
+
+(* One salted run of a priced kernel.  Det_hash states are pure folds, so
+   mixing the salt into the stored seed is the exact per-salt value.
+   Inlined, so [measure_priced]'s loop keeps it unboxed. *)
+let[@inline] salted_time p ~salt = p.base_s *. jitter_factor p.jitter_seed ~salt
 
 let priced_time ?(jitter = true) ~salt _arch p =
-  (* Det_hash states are pure folds, so mixing the salt into the stored
-     (architecture, label) state is the exact [jitter_factor] value *)
-  let j =
-    if jitter then
-      Det_hash.jitter
-        (Det_hash.mix_int p.jitter_seed salt)
-        ~amplitude:jitter_amplitude
-    else 1.0
-  in
-  p.base_s *. j
+  if jitter then salted_time p ~salt else p.base_s
 
 let priced_stats ?(jitter = true) ~salt arch p =
   stats_of_time p.kernel p.occ ~io:p.avg_io ~comp:p.avg_comp
@@ -214,13 +228,13 @@ let attribute_priced ?(jitter = true) ~salt (arch : Arch.t) p =
   let round_parts j =
     if j = 0 then (0.0, 0.0)
     else
-      let tio = io *. float_of_int (chunks * j) in
-      let tcomp = comp *. float_of_int (chunks * j) in
-      (* a round of one block per SM serialises, as [queue_time] prices
+      let n = float_of_int (chunks * j) in
+      let tio = io *. n and tcomp = comp *. n in
+      (* a round of one block per SM serialises, as [round_time] prices
          it, even when more blocks could be resident *)
       if j = 1 then (tio, tcomp)
       else
-        let fill = min io comp in
+        let fill = if io <= comp then io else comp in
         let fio, fcomp = if io <= comp then (fill, 0.0) else (0.0, fill) in
         if tio >= tcomp then (tio +. fio, fcomp) else (fio, tcomp +. fcomp)
   in
@@ -231,13 +245,7 @@ let attribute_priced ?(jitter = true) ~salt (arch : Arch.t) p =
   let rio_full, rcomp_full = round_parts resident in
   let rio_last, rcomp_last = round_parts (Ints.ceil_div remainder arch.n_sm) in
   let f = float_of_int full_rounds in
-  let jf =
-    if jitter then
-      Det_hash.jitter
-        (Det_hash.mix_int p.jitter_seed salt)
-        ~amplitude:jitter_amplitude
-    else 1.0
-  in
+  let jf = if jitter then jitter_factor p.jitter_seed ~salt else 1.0 in
   {
     Hextime_obs.Attribution.compute = (f *. rcomp_full) +. rcomp_last;
     global_mem = (f *. rio_full) +. rio_last;
@@ -254,22 +262,22 @@ let run_kernel_salted ?(jitter = true) ~salt arch (k : Kernel.t) =
 
 let run_kernel ?jitter arch k = run_kernel_salted ?jitter ~salt:0 arch k
 
-let run_kernel_exact ?(jitter = true) arch (k : Kernel.t) =
-  Metrics.incr price_counter;
-  match kernel_setup arch k with
+(* The priced kernel supplies the occupancy, the averaged stats and the
+   noise seed; only the schedule differs from the closed form. *)
+let run_kernel_exact ?(jitter = true) (arch : Arch.t) (k : Kernel.t) =
+  match price arch k with
   | Error _ as e -> e
-  | Ok (_req, occ) ->
-      let resident = occ.blocks_per_sm in
-      let spilled = occ.regs_spilled_per_thread in
-      (* per-class (cost, chunks): computed once and shared between the
-         dispatch below and the averaged stats *)
-      let costs = class_costs arch ~resident ~spilled k in
-      (* materialise per-block (cost, chunks) pairs *)
+  | Ok p ->
+      let resident = p.occ.blocks_per_sm in
+      let spilled_regs = p.occ.regs_spilled_per_thread in
+      (* materialise per-block (cost, chunks) pairs, each class costed
+         once *)
       let blocks =
         List.concat_map
-          (fun ((w : Workload.t), count, cost) ->
+          (fun ((w : Workload.t), count) ->
+            let cost = block_cost arch ~resident w ~spilled_regs in
             List.init count (fun _ -> (cost, w.chunks)))
-          costs
+          k.blocks
       in
       (* greedy dispatch: each block goes to the least-loaded SM and retires
          at the SM's steady-state rate *)
@@ -292,12 +300,13 @@ let run_kernel_exact ?(jitter = true) arch (k : Kernel.t) =
         | ((io, comp), _) :: _, _ -> min io comp
       in
       let makespan = Array.fold_left max 0.0 sm_clock +. fill in
-      let io, comp, chunks = average_of_class_costs k costs in
-      let j = if jitter then jitter_factor arch k.label ~salt:0 else 1.0 in
+      let j = if jitter then jitter_factor p.jitter_seed ~salt:0 else 1.0 in
       let time = (arch.launch_overhead_s +. makespan) *. j in
-      Ok (stats_of_time k occ ~io ~comp ~chunks time)
+      Ok
+        (stats_of_time k p.occ ~io:p.avg_io ~comp:p.avg_comp
+           ~chunks:p.avg_chunks time)
 
-let price_sequence arch kernels =
+let price_sequence ?prefix arch kernels =
   if kernels = [] then Error "empty kernel sequence"
   else if List.exists (fun (_, n) -> n <= 0) kernels then
     Error "non-positive kernel repeat count"
@@ -305,7 +314,7 @@ let price_sequence arch kernels =
     let rec go acc = function
       | [] -> Ok (List.rev acc)
       | (k, count) :: rest -> (
-          match price arch k with
+          match price ?prefix arch k with
           | Error _ as e -> e
           | Ok p -> go ((p, count) :: acc) rest)
     in
@@ -328,13 +337,6 @@ let replay ?(jitter = true) ~salt arch priced =
   in
   go 0.0 [] 0 priced
 
-let replay_total ?(jitter = true) ~salt arch priced =
-  Metrics.incr replay_counter;
-  List.fold_left
-    (fun acc (p, count) ->
-      acc +. (priced_time ~jitter ~salt arch p *. float_of_int count))
-    0.0 priced
-
 let run_sequence_salted ?(jitter = true) ~salt arch kernels =
   match price_sequence arch kernels with
   | Error _ as e -> e
@@ -343,14 +345,28 @@ let run_sequence_salted ?(jitter = true) ~salt arch kernels =
 let run_sequence ?jitter arch kernels =
   run_sequence_salted ?jitter ~salt:0 arch kernels
 
-let measure_priced ?(runs = 5) arch priced =
+(* The minimum over [runs] salted replays, each the sum of its kernels'
+   times in program order, as [replay] totals them: plain loops over float
+   refs, so a replay allocates nothing but its jitter factors. *)
+let measure_priced ?(runs = 5) _arch priced =
   if runs <= 0 then Error "measure: runs must be positive"
-  else
-    let rec go best salt =
-      if salt >= runs then Ok best
-      else go (min best (replay_total ~jitter:true ~salt arch priced)) (salt + 1)
-    in
-    go infinity 0
+  else begin
+    let best = ref infinity in
+    for salt = 0 to runs - 1 do
+      Metrics.incr replay_counter;
+      let total = ref 0.0 and rest = ref priced in
+      while not (List.is_empty !rest) do
+        match !rest with
+        | [] -> ()
+        | (p, count) :: tl ->
+            total := !total +. (salted_time p ~salt *. float_of_int count);
+            rest := tl
+      done;
+      (* [best := min !best !total], with a float comparison *)
+      if not (!best <= !total) then best := !total
+    done;
+    Ok !best
+  end
 
 let measure ?(runs = 5) arch kernels =
   if runs <= 0 then Error "measure: runs must be positive"

@@ -13,9 +13,16 @@
 
     The core is the {e priced-kernel representation}: {!price} computes
     everything jitter-invariant about a kernel exactly once (occupancy,
-    averaged chunk costs, the round-synchronised body time), and every
-    salted run — including the min-of-five measurement protocol — is a
-    constant-time reapplication of a jitter factor to the priced body.
+    averaged chunk costs, the round-synchronised body time, the noise
+    seed), and every salted run — including the min-of-five measurement
+    protocol — is a constant-time reapplication of a jitter factor to the
+    priced body.
+
+    The noise seed hashes the architecture's name and then the kernel's
+    label.  The labels of one tile shape's configurations share a prefix,
+    so a {!seed_prefix} hashes the name and that prefix once and {!price}
+    folds only each label's tail; the seed, and so every measured time, is
+    the same as when the whole label is hashed.
 
     Two pricing paths are provided: a closed-form steady-state path whose
     cost is independent of the block count, and an exact list-scheduling
@@ -48,6 +55,18 @@ val block_cost :
 (** [(io_s, compute_s)] for one chunk of one block when [resident] blocks
     per SM are active. Exposed for tests. *)
 
+(** {1 The noise seed} *)
+
+type seed_prefix
+(** The noise seed's hash state after an architecture's name and a label
+    prefix. *)
+
+val seed_prefix : Arch.t -> string -> seed_prefix
+(** [seed_prefix arch prefix] hashes [arch]'s name and [prefix] once, for
+    pricing every kernel of [arch] whose label starts with [prefix].  A
+    sweep builds one per tile shape from {!Hextime_tiling.Lower}'s label
+    prefix ([<problem id>/tT..-tS..-thr]). *)
+
 (** {1 The priced-kernel representation} *)
 
 type priced = {
@@ -60,14 +79,19 @@ type priced = {
       (** launch overhead + round-synchronised body: the full
           jitter-invariant execution time *)
   jitter_seed : Hextime_prelude.Det_hash.t;
-      (** hash state over (architecture name, kernel label): a salted
-          replay only mixes in the salt *)
+      (** the noise seed, a hash of (architecture name, kernel label): a
+          salted replay only mixes in the salt *)
 }
 
-val price : Arch.t -> Kernel.t -> (priced, string) result
+val price :
+  ?prefix:seed_prefix -> Arch.t -> Kernel.t -> (priced, string) result
 (** Compute everything jitter-invariant about one kernel call, exactly
     once.  [Error] when no block fits on an SM (infeasible configuration).
-    Bumps the {!invocations} counter. *)
+    Bumps the {!invocations} counter.  With [prefix], the noise seed is
+    resumed from it and only the label's tail is hashed; the result is the
+    same as without it.  Raises [Invalid_argument] when the kernel's label
+    does not start with the prefix, or the prefix was built for an
+    architecture of another name. *)
 
 val priced_time : ?jitter:bool -> salt:int -> Arch.t -> priced -> float
 (** One salted execution time of a priced kernel: the priced body times a
@@ -91,9 +115,13 @@ val attribute_priced :
     be negative. *)
 
 val price_sequence :
-  Arch.t -> (Kernel.t * int) list -> ((priced * int) list, string) result
+  ?prefix:seed_prefix ->
+  Arch.t ->
+  (Kernel.t * int) list ->
+  ((priced * int) list, string) result
 (** Price a program once: each kernel is priced exactly once regardless of
-    its launch count or of how many salted runs are later replayed. *)
+    its launch count or of how many salted runs are later replayed.
+    [prefix] is passed to {!price} for every kernel. *)
 
 val replay : ?jitter:bool -> salt:int -> Arch.t -> (priced * int) list -> run_stats
 (** One salted run of a priced program.  Performs no pricing. *)
@@ -101,7 +129,9 @@ val replay : ?jitter:bool -> salt:int -> Arch.t -> (priced * int) list -> run_st
 val measure_priced :
   ?runs:int -> Arch.t -> (priced * int) list -> (float, string) result
 (** The measurement protocol on an already-priced program: minimum over
-    [runs] jitter reapplications.  Performs no pricing. *)
+    [runs] jitter reapplications, each the total {!replay} reports for its
+    salt.  Performs no pricing; bumps the [simulator.replay] counter once
+    per salted replay. *)
 
 (** {1 Convenience entry points} *)
 
@@ -122,7 +152,8 @@ val run_kernel_exact :
   (kernel_stats, string) result
 (** Alternative scheduling policy: materialises every block and dispatches
     each to the least-loaded SM as slots free up (pure streaming, no round
-    synchronisation).  Because real blocks are near-uniform this brackets
+    synchronisation).  Occupancy, the averaged stats and the noise seed
+    are read off {!price}.  Because real blocks are near-uniform this brackets
     the round-synchronised closed form from below; the tests assert the two
     agree within a round's slack.  Intended for kernels with at most a few
     thousand blocks. *)

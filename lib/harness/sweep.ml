@@ -3,6 +3,7 @@ module Runner = Hextime_tileopt.Runner
 module Baseline = Hextime_tileopt.Baseline
 module Config = Hextime_tiling.Config
 module Lower = Hextime_tiling.Lower
+module Simulator = Hextime_gpu.Simulator
 module Parsweep = Hextime_parsweep.Parsweep
 
 type point = {
@@ -47,9 +48,10 @@ type outcome =
 
 (* What one tile shape's configurations share.  The model has no thread
    term (Section 7), so a shape's prediction is every thread count's
-   prediction; the lowering's thread-independent half is shared too. *)
+   prediction; the lowering's thread-independent half is shared too, and
+   so is the noise seed's hash of the architecture and the label prefix. *)
 type prepared =
-  [ `Shape of Model.prediction * Lower.shape
+  [ `Shape of Model.prediction * Lower.shape * Simulator.seed_prefix
   | `Infeasible_model of string
   | `Infeasible_runner of string ]
 
@@ -60,7 +62,11 @@ let prepare params ~citer (e : Experiments.t) config : prepared =
     | Ok predicted -> (
         match Lower.shape_half e.problem config with
         | Error msg -> `Infeasible_runner msg
-        | Ok shape -> `Shape (predicted, shape))
+        | Ok shape ->
+            `Shape
+              ( predicted,
+                shape,
+                Simulator.seed_prefix e.arch (Lower.label_prefix shape) ))
   with
   (* dropped like a point whose evaluation raises: every configuration of
      the shape counts as a runner rejection *)
@@ -88,9 +94,10 @@ let evaluate (e : Experiments.t) ((prepared : prepared), config) : outcome =
   @@ fun () ->
   match prepared with
   | (`Infeasible_model _ | `Infeasible_runner _) as drop -> drop
-  | `Shape (predicted, shape) -> (
+  | `Shape (predicted, shape, prefix) -> (
       match
-        Runner.measure_lowered e.arch e.problem (Lower.thread_half shape config)
+        Runner.measure_lowered ~prefix e.arch e.problem
+          (Lower.thread_half shape config)
       with
       | Error msg -> `Infeasible_runner msg
       | Ok measured -> `Point { config; predicted; measured })

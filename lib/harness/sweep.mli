@@ -49,7 +49,9 @@ val run :
     with ten thread counts, and T_alg has no thread term (Section 7), so
     for each run of consecutive configurations that share (t_T, t_S) a
     serial pass runs {!Hextime_core.Model.predict} and
-    {!Hextime_tiling.Lower.shape_half} once.  The engine then runs one
+    {!Hextime_tiling.Lower.shape_half} once, and hashes the architecture's
+    name and the shape's label prefix into the noise seed's
+    {!Hextime_gpu.Simulator.seed_prefix} once.  The engine then runs one
     task per configuration, which pays only for what its thread count
     changes: {!Hextime_tiling.Lower.thread_half},
     {!Hextime_tileopt.Runner.measure_lowered} (two kernels priced, five

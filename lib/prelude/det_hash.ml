@@ -1,7 +1,7 @@
 type t = int64
 
 (* splitmix64 finalizer: good avalanche behaviour, trivially portable.
-   Inlined so the byte loop of [mix_string] keeps its state unboxed. *)
+   Inlined so the byte loop of [fold_bytes] keeps its state unboxed. *)
 let[@inline] mix64 (z : int64) : int64 =
   let open Int64 in
   let z = add z 0x9E3779B97F4A7C15L in
@@ -11,15 +11,20 @@ let[@inline] mix64 (z : int64) : int64 =
 
 let mix_int h i = mix64 (Int64.add h (Int64.of_int i))
 
-(* [mix_int] per byte, then [mix64]; a plain loop, because a closure over
-   the accumulator would box an int64 per byte *)
-let mix_string h s =
+(* [mix_int] per byte; a plain loop, because a closure over the
+   accumulator would box an int64 per byte.  [fold_bytes] and [finalise]
+   are inlined into [mix_string], so its state stays unboxed until the
+   digest is returned. *)
+let[@inline] fold_bytes h s ~pos =
+  if pos < 0 || pos > String.length s then invalid_arg "Det_hash.fold_bytes";
   let acc = ref h in
-  for i = 0 to String.length s - 1 do
+  for i = pos to String.length s - 1 do
     acc := mix64 (Int64.add !acc (Int64.of_int (Char.code (String.unsafe_get s i))))
   done;
-  mix64 !acc
+  !acc
 
+let[@inline] finalise h = mix64 h
+let mix_string h s = finalise (fold_bytes h s ~pos:0)
 let mix_float h f = mix_int h (Int64.to_int (Int64.bits_of_float f))
 let create seed = mix_string 0x5DEECE66DL seed
 let to_int64 h = mix64 h

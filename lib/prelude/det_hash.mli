@@ -15,7 +15,19 @@ val mix_int : t -> int -> t
 (** Fold an integer into the state. *)
 
 val mix_string : t -> string -> t
-(** Fold a string into the state. *)
+(** Fold a string into the state: [finalise (fold_bytes h s ~pos:0)]. *)
+
+val fold_bytes : t -> string -> pos:int -> t
+(** [fold_bytes h s ~pos] folds the bytes of [s] from [pos] to its end
+    into [h], without {!mix_string}'s finaliser.  The fold is sequential,
+    so a common prefix can be folded once and each string's tail after
+    it folded later: for [s = p ^ q],
+    [fold_bytes (fold_bytes h p ~pos:0) s ~pos:(String.length p)] is
+    [fold_bytes h s ~pos:0].  Raises [Invalid_argument] unless
+    [0 <= pos <= String.length s]. *)
+
+val finalise : t -> t
+(** The finaliser {!mix_string} applies after its byte fold. *)
 
 val mix_float : t -> float -> t
 (** Fold a float (by bit pattern) into the state. *)

@@ -14,10 +14,12 @@ let gflops_of_time problem time_s =
   if time_s <= 0.0 then invalid_arg "Runner.gflops_of_time";
   Problem.total_flops problem /. time_s /. 1e9
 
-let measure_lowered arch problem compiled =
+let measure_lowered ?prefix arch problem compiled =
   (* price each kernel once; the min-of-five protocol and the occupancy
      report are both read off the priced representation *)
-  match Gpu.Simulator.price_sequence arch (Lower.kernel_sequence compiled) with
+  match
+    Gpu.Simulator.price_sequence ?prefix arch (Lower.kernel_sequence compiled)
+  with
   | Error _ as e -> e
   | Ok priced -> (
       match Gpu.Simulator.measure_priced arch priced with

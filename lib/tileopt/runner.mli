@@ -23,6 +23,7 @@ val measure :
     {!Hextime_tiling.Lower.compile} followed by {!measure_lowered}. *)
 
 val measure_lowered :
+  ?prefix:Hextime_gpu.Simulator.seed_prefix ->
   Hextime_gpu.Arch.t ->
   Hextime_stencil.Problem.t ->
   Hextime_tiling.Lower.t ->
@@ -30,8 +31,10 @@ val measure_lowered :
 (** Price and measure an already lowered program of the problem: each of
     its two kernels is priced once, then replayed for the min-of-five
     protocol.  [Error] when the device rejects a kernel.  The sweep lowers
-    a shape's thread-independent half once and calls this once per
-    configuration. *)
+    a shape's thread-independent half once, hashes its label prefix into
+    [prefix] once, and calls this once per configuration; [prefix] changes
+    no result (see {!Hextime_gpu.Simulator.price}, which raises
+    [Invalid_argument] for a prefix of another shape or architecture). *)
 
 val gflops_of_time : Hextime_stencil.Problem.t -> float -> float
 (** Useful throughput for the problem at a given execution time. *)

@@ -102,6 +102,8 @@ let shape_half (problem : Problem.t) (cfg : Config.t) =
           label_prefix;
         }
 
+let label_prefix sh = sh.label_prefix
+
 (* The per-block workload of one family: the register estimate and the
    label are all a thread count changes. *)
 let family_workload sh ~threads ~thr_label (f : family_rows) =

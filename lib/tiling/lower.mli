@@ -49,6 +49,12 @@ val thread_half : shape -> Config.t -> t
     labels for one thread count.  Raises [Invalid_argument] when the
     configuration's (t_T, t_S) differ from the shape's. *)
 
+val label_prefix : shape -> string
+(** [<problem id>/tT..-tS..-thr]: the start of both kernels' labels for
+    every thread count of the shape.  A sweep hashes it into the
+    simulator's noise seed once per shape
+    ({!Hextime_gpu.Simulator.seed_prefix}). *)
+
 val kernel_sequence : t -> (Hextime_gpu.Kernel.t * int) list
 (** The launch sequence to hand to {!Hextime_gpu.Simulator.run_sequence}. *)
 

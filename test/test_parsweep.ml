@@ -251,7 +251,7 @@ let test_sweep_domains_identical_to_serial () =
    sweep keeps its configurations, drops and model predictions bit for bit,
    every kernel prices to the same noise-free time and the occupancy
    diagnosis is unchanged.  Only the measurement noise may move: the
-   simulator seeds it by architecture name (Simulator.jitter_factor). *)
+   simulator seeds it by architecture name (Simulator.seed_prefix). *)
 let test_pricing_neutral_rename_stays_warm () =
   let renamed_arch = { Gpu.Arch.gtx980 with Gpu.Arch.name = "gtx980-renamed" } in
   let original = H.Sweep.baseline ~limit:40 experiment in
@@ -488,6 +488,153 @@ let test_thread_half_pairs_with_its_shape () =
         (Lower.compile problem c = Ok (Lower.thread_half shape c)))
     Hextime_tileopt.Space.thread_candidates
 
+(* Pricing with a tile shape's pre-hashed label prefix is pricing from
+   scratch: the same base time and the same salted times for salts 0-4,
+   bit for bit, for every kernel of seeded sweeps of ranks 1-3 on both
+   presets and of an f64 problem.  A prefix the label does not start with
+   (the previous shape's), or one hashed for the other preset, is
+   refused, as a thread half of another shape is. *)
+let test_seed_prefix_pairs_with_its_shape () =
+  let rng = Random.State.make [| 21 |] in
+  let extent lo hi = lo + Random.State.int rng (hi - lo) in
+  let problems =
+    [
+      P.make S.jacobi1d ~space:[| extent 5000 70000 |] ~time:(extent 40 300);
+      P.make S.heat2d
+        ~space:[| extent 200 1100; extent 200 1100 |]
+        ~time:(extent 30 200);
+      P.make S.heat3d
+        ~space:[| extent 40 130; extent 40 130; extent 40 130 |]
+        ~time:(extent 10 60);
+    ]
+  in
+  let experiments =
+    List.concat_map
+      (fun problem ->
+        [ (Gpu.Arch.gtx980, problem); (Gpu.Arch.titanx, problem) ])
+      problems
+    @ [
+        ( Gpu.Arch.titanx,
+          P.make ~precision:P.F64 S.gradient2d
+            ~space:[| extent 200 1100; extent 200 1100 |]
+            ~time:(extent 30 200) );
+      ]
+  in
+  let refuses msg f =
+    match f () with
+    | _ -> false
+    | exception Invalid_argument m -> String.equal m msg
+  in
+  let bits = Int64.bits_of_float in
+  let same arch (a : Gpu.Simulator.priced) (b : Gpu.Simulator.priced) =
+    bits a.base_s = bits b.base_s
+    && List.for_all
+         (fun salt ->
+           bits (Gpu.Simulator.priced_time ~salt arch a)
+           = bits (Gpu.Simulator.priced_time ~salt arch b))
+         [ 0; 1; 2; 3; 4 ]
+  in
+  let kernels = ref 0 and failures = ref [] in
+  let fail what = failures := what :: !failures in
+  List.iter
+    (fun ((arch : Gpu.Arch.t), problem) ->
+      let other =
+        if String.equal arch.name Gpu.Arch.gtx980.name then Gpu.Arch.titanx
+        else Gpu.Arch.gtx980
+      in
+      let previous = ref None in
+      List.iter
+        (fun cfg ->
+          match Lower.shape_half problem cfg with
+          | Error _ -> ()
+          | Ok shape ->
+              let label_prefix = Lower.label_prefix shape in
+              let prefix = Gpu.Simulator.seed_prefix arch label_prefix in
+              let foreign = Gpu.Simulator.seed_prefix other label_prefix in
+              let stale =
+                match !previous with
+                | Some (p, pre) when not (String.equal p label_prefix) -> Some pre
+                | _ -> None
+              in
+              previous := Some (label_prefix, prefix);
+              List.iter
+                (fun ((k : Gpu.Kernel.t), _) ->
+                  incr kernels;
+                  let what = arch.name ^ " " ^ k.label in
+                  (match
+                     ( Gpu.Simulator.price arch k,
+                       Gpu.Simulator.price ~prefix arch k )
+                   with
+                  | Ok a, Ok b ->
+                      if not (same arch a b) then fail (what ^ ": times")
+                  | Error a, Error b ->
+                      if not (String.equal a b) then fail (what ^ ": errors")
+                  | _ -> fail (what ^ ": one side rejected"));
+                  if
+                    not
+                      (refuses "Simulator.price: seed prefix of another architecture"
+                         (fun () -> Gpu.Simulator.price ~prefix:foreign arch k))
+                  then fail (what ^ ": other preset's prefix accepted");
+                  match stale with
+                  | None -> ()
+                  | Some pre ->
+                      if
+                        not
+                          (refuses
+                             "Simulator.price: label does not start with the \
+                              seed prefix"
+                             (fun () -> Gpu.Simulator.price ~prefix:pre arch k))
+                      then fail (what ^ ": previous shape's prefix accepted"))
+                (Lower.kernel_sequence (Lower.thread_half shape cfg)))
+        (Baseline.data_points (H.Microbench.params arch) problem))
+    experiments;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d kernels priced" !kernels)
+    true (!kernels > 5000);
+  Alcotest.(check (list string)) "no kernel differs or is mispaired" []
+    (List.rev !failures)
+
+(* Each surviving point prices its two kernels once and replays its
+   program five times (the min-of-five protocol), on the calling domain
+   and on worker domains alike.  CI's trace-verify requires both counters
+   and the benchmark's prices_per_point reads the first. *)
+let test_sweep_counts_prices_and_replays () =
+  let count name =
+    Option.value ~default:0
+      (Hextime_obs.Metrics.find_counter (Hextime_obs.Metrics.snapshot ()) name)
+  in
+  let e ?(arch = Gpu.Arch.gtx980) stencil space time =
+    { H.Experiments.arch; problem = P.make stencil ~space ~time }
+  in
+  List.iter
+    (fun (e : H.Experiments.t) ->
+      (* calibration prices kernels too, once per process: do it first *)
+      ignore (H.Microbench.params e.arch : Hextime_core.Params.t);
+      ignore (H.Microbench.citer e.arch e.problem.P.stencil : float);
+      List.iter
+        (fun jobs ->
+          let label =
+            Printf.sprintf "%s on %s, jobs %d" (P.id e.problem)
+              e.arch.Gpu.Arch.name jobs
+          in
+          let prices = count "simulator.price"
+          and replays = count "simulator.replay" in
+          let s = H.Sweep.baseline ~exec:{ Parsweep.serial with jobs } e in
+          let points = List.length s.H.Sweep.points in
+          Alcotest.(check bool) (label ^ ": points survive") true (points > 100);
+          Alcotest.(check int) (label ^ ": no runner rejections") 0
+            s.H.Sweep.infeasible_runner;
+          Alcotest.(check int) (label ^ ": 2 prices a point") (2 * points)
+            (count "simulator.price" - prices);
+          Alcotest.(check int) (label ^ ": 5 replays a point") (5 * points)
+            (count "simulator.replay" - replays))
+        [ 1; 2 ])
+    [
+      experiment;
+      e ~arch:Gpu.Arch.titanx S.jacobi1d [| 10007 |] 300;
+      e S.heat3d [| 96; 96; 96 |] 32;
+    ]
+
 let test_default_jobs_env_validation () =
   let with_env v f =
     let old = Sys.getenv_opt "HEXTIME_JOBS" in
@@ -562,5 +709,9 @@ let suite =
       test_sweep_by_shape_equals_per_config;
     Alcotest.test_case "thread half pairs with its shape only" `Quick
       test_thread_half_pairs_with_its_shape;
+    Alcotest.test_case "seed prefix pairs with its shape only" `Quick
+      test_seed_prefix_pairs_with_its_shape;
+    Alcotest.test_case "sweep: 2 prices and 5 replays a point" `Quick
+      test_sweep_counts_prices_and_replays;
     QCheck_alcotest.to_alcotest prop_map_is_list_map;
   ]

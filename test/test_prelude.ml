@@ -86,6 +86,27 @@ let test_hash_string_pinned () =
       ("\x80\xff\x00\xc3\xa9", -1997322197078839L, -5871498497346967383L);
     ]
 
+(* The simulator hashes a tile shape's label prefix once and folds each
+   kernel label's tail after it, so a split fold must be mix_string for
+   any seed, any bytes (0x80 and up included: QCheck's strings draw all
+   256) and any split point, whether the tail is folded in place or as a
+   string of its own. *)
+let prop_fold_split_is_mix_string =
+  QCheck.Test.make ~name:"fold prefix, then tail, finalise = mix_string"
+    ~count:1000
+    QCheck.(triple string string small_nat)
+    (fun (seed, s, cut) ->
+      let k = cut mod (String.length s + 1) in
+      let h = Det_hash.create seed in
+      let prefix = Det_hash.fold_bytes h (String.sub s 0 k) ~pos:0 in
+      let tail = String.sub s k (String.length s - k) in
+      let whole = Det_hash.to_int64 (Det_hash.mix_string h s) in
+      Det_hash.to_int64 (Det_hash.finalise (Det_hash.fold_bytes prefix s ~pos:k))
+      = whole
+      && Det_hash.to_int64
+           (Det_hash.finalise (Det_hash.fold_bytes prefix tail ~pos:0))
+         = whole)
+
 let prop_add_decimal =
   QCheck.Test.make ~name:"add_decimal writes string_of_int" ~count:1000
     QCheck.(oneof [ int; small_signed_int; oneofl [ min_int; max_int; 0; -1 ] ])
@@ -192,7 +213,7 @@ let test_cells () =
 
 let qsuite = List.map QCheck_alcotest.to_alcotest
     [ prop_ceil_div; prop_round_up; prop_uniform_range; prop_jitter_range;
-      prop_rmse_nonneg; prop_add_decimal ]
+      prop_rmse_nonneg; prop_add_decimal; prop_fold_split_is_mix_string ]
 
 module Mj = Hextime_prelude.Minijson
 
