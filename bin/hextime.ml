@@ -7,8 +7,9 @@
      every table and figure of the evaluation;
    - run the tile advisor: index, serve, ask, dash;
    - gate CI, or read the ledger the gates write: lint, prove, profile,
-     bench-compare, accuracy-compare, history, watch, explain,
-     trace-verify, metrics-verify. *)
+     accuracy-compare, history, watch, explain, trace-verify,
+     metrics-verify.
+   Throughput is measured by hexbench (hexbench/README.md), not here. *)
 
 module Gpu = Hextime_gpu
 module Stencil = Hextime_stencil.Stencil
@@ -181,13 +182,15 @@ let with_obs profile metrics k =
   | None -> ()
   | Some path -> (
       let snap = Obs.Metrics.snapshot () in
-      try
+      match
         Obs.Trace.write_file path
           ~extra:[ ("metrics", Obs.Metrics.to_json snap) ]
-          (Obs.Trace.events ());
-        Format.eprintf "hexscope: wrote %s (%d span events)@." path
-          (Obs.Trace.num_events ())
-      with Sys_error msg -> Format.eprintf "hexscope: %s@." msg));
+          (Obs.Trace.events ())
+      with
+      | Ok () ->
+          Format.eprintf "hexscope: wrote %s (%d span events)@." path
+            (Obs.Trace.num_events ())
+      | Error msg -> Format.eprintf "hexscope: %s@." msg));
   if metrics then prerr_string (Obs.Metrics.render (Obs.Metrics.snapshot ()));
   r
 
@@ -1360,196 +1363,6 @@ let report_cmd =
           it).  $(b,--scale) sets the problem grid of Figures 3, 5 and 6.")
     Term.(ret (const run $ scale_arg $ out $ ledger_arg $ no_ledger_arg))
 
-(* --- bench-compare ---------------------------------------------------------- *)
-
-let bench_compare_cmd =
-  let module Minijson = Hextime_prelude.Minijson in
-  let baseline_arg =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "baseline" ] ~docv:"FILE"
-          ~doc:"Baseline BENCH_hextime.json (the committed one).")
-  in
-  let current_arg =
-    Arg.(
-      value
-      & opt string "BENCH_hextime.json"
-      & info [ "current" ] ~docv:"FILE"
-          ~doc:"Freshly produced BENCH_hextime.json to judge.")
-  in
-  let tolerance_arg =
-    Arg.(
-      value & opt float 0.15
-      & info [ "tolerance" ] ~docv:"FRAC"
-          ~doc:
-            "Allowed fractional regression of cold-sweep throughput before \
-             the comparison fails (default 0.15).")
-  in
-  let load path =
-    match
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    with
-    | exception Sys_error msg -> Error msg
-    | contents -> (
-        match Minijson.parse contents with
-        | Error e -> Error (path ^ ": " ^ e)
-        | Ok json -> (
-            match Option.bind (Minijson.member "schema" json) Minijson.string with
-            | Some "hextime-bench-v1" -> Ok json
-            | Some other ->
-                Error (Printf.sprintf "%s: unknown schema %S" path other)
-            | None -> Error (path ^ ": missing \"schema\" field")))
-  in
-  let field name json =
-    Option.bind (Minijson.member name json) Minijson.number
-  in
-  let run baseline current tolerance =
-    match (load baseline, load current) with
-    | Error msg, _ | _, Error msg -> die "bench-compare: %s" msg
-    | Ok base, Ok cur -> (
-        (* informational deltas on every shared numeric metric *)
-        let t =
-          Tabulate.create
-            [
-              ("metric", Tabulate.Left);
-              ("baseline", Tabulate.Right);
-              ("current", Tabulate.Right);
-              ("change", Tabulate.Right);
-            ]
-        in
-        let metrics =
-          [
-            "cold_sweep_points_per_sec";
-            "domains_cold_sweep_points_per_sec";
-            "price_ns_per_kernel";
-            "eventsim_cycles_per_sec";
-            "simulator_prices_per_point";
-            "serve_requests_per_sec";
-            "serve_warm_p50_us";
-            "serve_warm_p99_us";
-            "serve_metrics_scrape_us";
-          ]
-        in
-        let t =
-          List.fold_left
-            (fun t name ->
-              match (field name base, field name cur) with
-              | Some b, Some c ->
-                  Tabulate.add_row t
-                    [
-                      name;
-                      Printf.sprintf "%.4g" b;
-                      Printf.sprintf "%.4g" c;
-                      Printf.sprintf "%+.1f%%" (100.0 *. ((c /. b) -. 1.0));
-                    ]
-              | _ -> t)
-            t metrics
-        in
-        Tabulate.print t;
-        (* the gate: cold-sweep throughput must not regress beyond the
-           tolerance band; the other metrics are reported but advisory *)
-        let gate = "cold_sweep_points_per_sec" in
-        (* in-file invariant, not a baseline delta: a parallel sweep must
-           keep at least half the serial sweep's cold throughput, or
-           fanning out costs more than it returns.  With a single worker
-           the parallel sweep degenerates to the serial path, so the gate
-           only applies when it actually fanned out.  A current file
-           without the fields (an older bench binary) passes untested. *)
-        let domains_gate () =
-          match
-            ( field "cold_sweep_points_per_sec" cur,
-              field "domains_cold_sweep_points_per_sec" cur,
-              field "sweep_jobs" cur )
-          with
-          | Some serial, Some domains, Some jobs when jobs >= 2.0 ->
-              if domains >= 0.5 *. serial then begin
-                Printf.printf
-                  "bench-compare: ok — domains %.1f >= 0.5x serial %.1f \
-                   points/s\n"
-                  domains serial;
-                `Ok ()
-              end
-              else
-                die
-                  "bench-compare: parallel sweep too slow: domains %.1f \
-                   points/s < 0.5x serial %.1f"
-                  domains serial
-          | Some _, Some _, _ ->
-              Printf.printf
-                "bench-compare: domains-vs-serial gate skipped (sweep_jobs < \
-                 2)\n";
-              `Ok ()
-          | _ -> `Ok ()
-        in
-        (* in-file invariant: a warm answer from the tile-advisor index must
-           come back in under a millisecond at the 99th percentile — that is
-           the headline promise of the serving layer.  A current file
-           without the field (pre-serve bench binary) passes untested. *)
-        let serve_gate () =
-          match field "serve_warm_p99_us" cur with
-          | Some p99 when p99 > 1000.0 ->
-              die "bench-compare: serve warm p99 too slow: %.1f us > 1000 us"
-                p99
-          | Some p99 -> (
-              Printf.printf
-                "bench-compare: ok — serve warm p99 %.1f us <= 1000 us\n" p99;
-              (* and like the cold sweep, warm throughput must not regress
-                 beyond the tolerance band vs the committed baseline (old
-                 baselines without the field pass untested) *)
-              match
-                (field "serve_requests_per_sec" base,
-                 field "serve_requests_per_sec" cur)
-              with
-              | Some b, Some c ->
-                  let floor = b *. (1.0 -. tolerance) in
-                  if c >= floor then begin
-                    Printf.printf
-                      "bench-compare: ok — serve_requests_per_sec %.1f vs \
-                       baseline %.1f (floor %.1f)\n"
-                      c b floor;
-                    `Ok ()
-                  end
-                  else
-                    die
-                      "bench-compare: serve_requests_per_sec regressed beyond \
-                       tolerance: %.1f < %.1f (baseline %.1f)"
-                      c floor b
-              | _ -> `Ok ())
-          | None ->
-              Printf.printf
-                "bench-compare: serve gate skipped (no serve_warm_p99_us)\n";
-              `Ok ()
-        in
-        match (field gate base, field gate cur) with
-        | Some b, Some c ->
-            let floor = b *. (1.0 -. tolerance) in
-            if c >= floor then begin
-              Printf.printf
-                "bench-compare: ok — %s %.1f vs baseline %.1f (floor %.1f)\n" gate
-                c b floor;
-              match domains_gate () with
-              | `Ok () -> serve_gate ()
-              | `Error _ as e -> e
-            end
-            else
-              die
-                "bench-compare: %s regressed beyond tolerance: %.1f < %.1f \
-                 (baseline %.1f, tolerance %.0f%%)"
-                gate c floor b (100.0 *. tolerance)
-        | _ -> die "bench-compare: both files must carry %S" gate)
-  in
-  Cmd.v
-    (Cmd.info "bench-compare"
-       ~doc:
-         "Compare a freshly generated BENCH_hextime.json against a committed \
-          baseline and fail if cold-sweep throughput regressed beyond the \
-          tolerance band.  Used by CI as the bench-regression gate.")
-    Term.(ret (const run $ baseline_arg $ current_arg $ tolerance_arg))
-
 (* --- history (hexwatch trend tables) ---------------------------------------- *)
 
 let history_cmd =
@@ -1559,8 +1372,9 @@ let history_cmd =
       & opt (some string) None
       & info [ "kind" ] ~docv:"KIND"
           ~doc:
-            "Only entries of this kind (validate | campaign | tune | bench \
-             | serve | audit — $(b,audit) rows are the serving drift \
+            "Only entries of this kind (validate | campaign | tune | index \
+             | serve | audit | alert, or bench in older ledgers such as \
+             LEDGER_seed.jsonl — $(b,audit) rows are the serving drift \
              monitor's verdicts; useful columns: rel_err, in_band, \
              argmin_match).")
   in
@@ -1646,9 +1460,10 @@ let history_cmd =
     (Cmd.info "history"
        ~doc:
          "Render the hexwatch run ledger as a trend table: one row per \
-          recorded run (validate, campaign, tune, bench), oldest first, \
-          with the accuracy and throughput metrics as columns.  Corrupt \
-          ledger lines are skipped with a count on stderr, never fatal.")
+          recorded run (validate, campaign, tune, index, serve), oldest \
+          first, with the accuracy and throughput metrics as columns.  \
+          Corrupt ledger lines are skipped with a count on stderr, never \
+          fatal.")
     Term.(
       ret (const run $ ledger_arg $ kind $ last $ format $ columns $ since))
 
@@ -1663,30 +1478,6 @@ let watch_cmd =
             "Gate mode: exit non-zero if any regression alert fires.  \
              Improvements (good-direction changepoints) never fail the \
              gate.")
-  in
-  let min_samples =
-    Arg.(
-      value
-      & opt int Obs.Alert.default_spec.Obs.Alert.min_samples
-      & info [ "min-samples" ] ~docv:"N"
-          ~doc:"Series shorter than N are shown but never judged.")
-  in
-  let ph_lambda =
-    Arg.(
-      value
-      & opt float Obs.Alert.default_spec.Obs.Alert.ph_lambda
-      & info [ "ph-lambda" ] ~docv:"L"
-          ~doc:
-            "Page–Hinkley firing threshold, in winsorised robust z-units \
-             accumulated over the series.")
-  in
-  let ewma_limit =
-    Arg.(
-      value
-      & opt float Obs.Alert.default_spec.Obs.Alert.ewma_limit
-      & info [ "ewma-limit" ] ~docv:"Z"
-          ~doc:"|EWMA| of the robust z-scores that fires the slow-drift \
-                detector.")
   in
   let rotate_mb =
     Arg.(
@@ -1717,11 +1508,7 @@ let watch_cmd =
              Lossy for trends — use after rotation or once the window has \
              been mined.")
   in
-  let run ledger no_ledger ci min_samples ph_lambda ewma_limit rotate_mb
-      rotate_days compact =
-    let spec =
-      { Obs.Alert.default_spec with min_samples; ph_lambda; ewma_limit }
-    in
+  let run ledger no_ledger ci rotate_mb rotate_days compact =
     let lifecycle =
       let ( let* ) = Result.bind in
       let* () =
@@ -1763,7 +1550,7 @@ let watch_cmd =
                 "hexwatch: %s: skipped %d corrupt line(s) and %d record(s) \
                  with an unknown schema version@."
                 ledger corrupt_lines unknown_schema;
-            let verdicts = Obs.Alert.scan ~spec entries in
+            let verdicts = Obs.Alert.scan entries in
             let tab =
               Tabulate.create
                 [
@@ -1787,7 +1574,9 @@ let watch_cmd =
                     (Obs.Alert.direction_to_string f.Obs.Alert.f_direction)
               | None ->
                   if v.Obs.Alert.v_judged then "ok"
-                  else Printf.sprintf "thin (n<%d)" spec.Obs.Alert.min_samples
+                  else
+                    Printf.sprintf "thin (n<%d)"
+                      Obs.Alert.default_spec.Obs.Alert.min_samples
             in
             let tab =
               List.fold_left
@@ -1818,7 +1607,7 @@ let watch_cmd =
                next scan, so alerts never feed back into detection) *)
             List.iter
               (fun v ->
-                ledger_record ~ledger ~no_ledger (Obs.Alert.to_entry ~spec v))
+                ledger_record ~ledger ~no_ledger (Obs.Alert.to_entry v))
               (regressions @ improvements);
             Printf.printf
               "hexlens: %d series (%d judged), %d regression alert(s), %d \
@@ -1838,16 +1627,18 @@ let watch_cmd =
           watched metric series (bench throughput, serve latency, accuracy, \
           audit verdicts) is judged by robust statistics — median/MAD \
           envelope, EWMA drift, and a two-sided Page–Hinkley changepoint \
-          detector over winsorised robust z-scores — so one outlier run \
-          stays quiet while a sustained shift fires.  Firing verdicts are \
+          detector over winsorised robust z-scores, with fixed thresholds \
+          (a series of fewer than 8 runs is shown but not judged; \
+          Page–Hinkley fires at 10 and the EWMA at 3 robust z-units) — so \
+          one outlier run stays quiet while a sustained shift fires.  Firing verdicts are \
           appended back to the ledger as $(b,alert) records (suppress with \
           $(b,--no-ledger)); $(b,--ci) turns regressions into a failing \
           exit for the CI trend gate.  $(b,--rotate-mb)/$(b,--rotate-days) \
           and $(b,--compact) manage the ledger's lifecycle first.")
     Term.(
       ret
-        (const run $ ledger_arg $ no_ledger_arg $ ci $ min_samples $ ph_lambda
-       $ ewma_limit $ rotate_mb $ rotate_days $ compact))
+        (const run $ ledger_arg $ no_ledger_arg $ ci $ rotate_mb $ rotate_days
+       $ compact))
 
 (* --- explain (hexlens attribution diffing) ----------------------------------- *)
 
@@ -1963,22 +1754,7 @@ let accuracy_compare_cmd =
              committed baseline is (re)generated after an intended model \
              change.")
   in
-  let tol name default what =
-    Arg.(
-      value & opt float default
-      & info [ "tol-" ^ name ] ~docv:"D"
-          ~doc:
-            (Printf.sprintf
-               "Allowed absolute %s of %s before the gate fails (default \
-                %g)."
-               what name default))
-  in
-  let tol_rmse_all = tol "rmse-all" 0.10 "increase" in
-  let tol_rmse_top = tol "rmse-top" 0.02 "increase" in
-  let tol_correlation = tol "correlation-top" 0.05 "decrease" in
-  let tol_argmin = tol "argmin-quality" 0.05 "decrease" in
-  let run scale baseline write t_all t_top t_corr t_argmin jobs profile
-      metrics =
+  let run scale baseline write jobs profile metrics =
     with_obs profile metrics @@ fun () ->
     if baseline = None && write = None then
       die "accuracy-compare: --baseline and/or --write is required"
@@ -2016,17 +1792,7 @@ let accuracy_compare_cmd =
                         (H.Experiments.scale_to_string base.H.Accuracy.scale)
                         (H.Experiments.scale_to_string scale)
                     else begin
-                      let tol =
-                        {
-                          H.Accuracy.rmse_all = t_all;
-                          rmse_top = t_top;
-                          correlation_top = t_corr;
-                          argmin_quality = t_argmin;
-                        }
-                      in
-                      let drifts =
-                        H.Accuracy.compare ~tol ~baseline:base current
-                      in
+                      let drifts = H.Accuracy.compare ~baseline:base current in
                       print_string (H.Accuracy.render_drifts drifts);
                       if drifts = [] then `Ok ()
                       else
@@ -2042,13 +1808,14 @@ let accuracy_compare_cmd =
        ~doc:
          "Re-collect the model-accuracy figures (RMSE bands, top-band \
           correlation, arg-min quality — Sections 5.3 and 6) for every \
-          experiment at a scale and fail if any metric regressed beyond \
-          tolerance against a committed baseline.  The accuracy twin of \
-          $(b,bench-compare); used by CI as the accuracy-regression gate.")
+          experiment at a scale and fail if any metric regressed against a \
+          committed baseline by more than a fixed absolute tolerance (RMSE \
+          over all points +0.10, top-band RMSE +0.02, top-band correlation \
+          -0.05, arg-min quality -0.05).  Used by CI as the \
+          accuracy-regression gate.")
     Term.(
       ret
-        (const run $ scale_arg $ baseline_arg $ write_arg $ tol_rmse_all
-       $ tol_rmse_top $ tol_correlation $ tol_argmin $ jobs_arg
+        (const run $ scale_arg $ baseline_arg $ write_arg $ jobs_arg
        $ profile_arg $ metrics_arg))
 
 (* --- hexserve (index / serve / ask) ------------------------------------------ *)
@@ -2811,7 +2578,6 @@ let main_cmd =
       campaign_cmd;
       report_cmd;
       ampl_cmd;
-      bench_compare_cmd;
       accuracy_compare_cmd;
       history_cmd;
       watch_cmd;

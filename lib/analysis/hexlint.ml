@@ -537,47 +537,26 @@ let render_sweep_text reports =
     (List.rev !order);
   Buffer.contents b
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let render_json reports =
-  let b = Buffer.create 1024 in
-  let str s = Printf.sprintf "\"%s\"" (json_escape s) in
-  Buffer.add_string b "[\n";
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_string b ",\n";
-      Buffer.add_string b
-        (Printf.sprintf
-           "  { \"problem\": %s, \"config\": %s, \"arch\": %s,\n\
-           \    \"errors\": %d, \"warnings\": %d, \"findings\": ["
-           (str r.problem_id) (str r.config_id) (str r.arch_name)
-           (error_count r) (warning_count r));
-      List.iteri
-        (fun j f ->
-          if j > 0 then Buffer.add_string b ",";
-          Buffer.add_string b
-            (Printf.sprintf
-               "\n      { \"pass\": %s, \"severity\": %s, \"kernel\": %s, \
-                \"message\": %s }"
-               (str f.pass)
-               (str (severity_name f.severity))
-               (str f.kernel) (str f.message)))
-        r.findings;
-      if r.findings <> [] then Buffer.add_string b "\n    ";
-      Buffer.add_string b "] }")
-    reports;
-  Buffer.add_string b "\n]\n";
-  Buffer.contents b
+  let module J = Hextime_prelude.Minijson in
+  let finding f =
+    J.Obj
+      [
+        ("pass", J.Str f.pass);
+        ("severity", J.Str (severity_name f.severity));
+        ("kernel", J.Str f.kernel);
+        ("message", J.Str f.message);
+      ]
+  in
+  let report r =
+    J.Obj
+      [
+        ("problem", J.Str r.problem_id);
+        ("config", J.Str r.config_id);
+        ("arch", J.Str r.arch_name);
+        ("errors", J.Num (float_of_int (error_count r)));
+        ("warnings", J.Num (float_of_int (warning_count r)));
+        ("findings", J.List (List.map finding r.findings));
+      ]
+  in
+  J.render (J.List (List.map report reports))

@@ -117,5 +117,7 @@ val render_sweep_text : report list -> string
     example configuration. *)
 
 val render_json : report list -> string
-(** Machine-readable rendering of a batch of reports (hand-rolled JSON:
-    the repo deliberately has no JSON dependency). *)
+(** Machine-readable rendering of a batch of reports: a JSON array of
+    objects with [problem], [config], [arch], [errors], [warnings] and
+    [findings] (each [pass], [severity], [kernel], [message]), rendered by
+    {!Hextime_prelude.Minijson.render}. *)

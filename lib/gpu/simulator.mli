@@ -47,8 +47,12 @@ type run_stats = {
 val invocations : unit -> int
 (** Number of kernel pricings performed by this process since start.
     Instrumentation: a sweep must price each kernel of a point exactly
-    once (not once per measurement run).  A parallel sweep's worker domains count into the
-    same total. *)
+    once (not once per measurement run).  A parallel sweep's worker
+    domains count into the same total.  The count also includes the
+    pricings [Microbench.params] and [Microbench.citer] make the first
+    time a process calibrates an architecture and stencil, so a sweep
+    reads 2 per point only once its calibration has run: take the counts
+    after calibrating, as hexbench's per-point check does. *)
 
 val block_cost :
   Arch.t -> resident:int -> Workload.t -> spilled_regs:int -> float * float

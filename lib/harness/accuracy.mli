@@ -3,9 +3,9 @@
     The paper's headline claims are accuracy claims (Section 5.3: a large
     RMSE over full sweeps, a small one on the top band, with the paper's
     values printed by {!Report}; Section 6: the predicted arg-min lands
-    in that band).  [hextime bench-compare] already
-    fails CI when sweep {e throughput} regresses; this module does the same
-    for sweep {e accuracy}: a committed [ACCURACY_baseline.json] plus
+    in that band).  CI's hexbench smoke runs already fail the build when
+    sweep {e throughput} falls under its floor; this module guards sweep
+    {e accuracy}: a committed [ACCURACY_baseline.json] plus
     [hextime accuracy-compare], so a model or simulator change that quietly
     degrades rmse_top — while every unit test stays green — fails the
     build.

@@ -32,15 +32,4 @@ let scatter_csv pairs =
   buffer_csv "predicted_s,measured_s" pairs (fun (p, m) ->
       Printf.sprintf "%.6e,%.6e" p m)
 
-let write_file ~path contents =
-  match open_out path with
-  | oc ->
-      let result =
-        try
-          output_string oc contents;
-          Ok ()
-        with Sys_error msg -> Error msg
-      in
-      close_out oc;
-      result
-  | exception Sys_error msg -> Error msg
+let write_file ~path contents = Hextime_obs.Durable.replace ~path contents

@@ -6,8 +6,8 @@
    series' own MAD sigma, capped at [winsor_z], so one wild outlier can
    contribute at most a bounded excursion: a detector fires only on a
    *sustained* shift (several consecutive deviant points), which is
-   exactly the slow-drift signal the one-shot gates (bench-compare,
-   accuracy-compare, the hexpulse drift alarm) cannot see.
+   exactly the slow-drift signal the one-shot gates (the hexbench smoke
+   floors in CI, accuracy-compare, the hexpulse drift alarm) cannot see.
 
    Direction matters: every watched metric has an orientation (lower
    latency good, higher throughput good), and only bad-direction

@@ -20,7 +20,23 @@ let with_fd fd f =
       (try Unix.close fd with Unix.Unix_error _ -> ());
       raise e
 
-let replace ~path bytes =
+(* A terminal, a pipe or a device ([-o /dev/stdout]) has no contents to
+   keep, and a rename over it would replace the device node itself. *)
+let is_special path =
+  match Unix.stat path with
+  | { Unix.st_kind = S_CHR | S_BLK | S_FIFO | S_SOCK; _ } -> true
+  | _ | (exception Unix.Unix_error _) -> false
+
+let write_in_place ~path bytes =
+  match
+    with_fd
+      (Unix.openfile path [ O_WRONLY; O_CLOEXEC ] 0)
+      (fun fd -> write_all fd bytes)
+  with
+  | () -> Ok ()
+  | exception Unix.Unix_error (e, fn, _) -> Error (describe fn path e)
+
+let replace_file ~path bytes =
   let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
   match
     with_fd
@@ -40,6 +56,18 @@ let replace ~path bytes =
       with
       | () -> Ok ()
       | exception Unix.Unix_error (e, fn, _) -> Error (describe fn dir e))
+
+(* Through a symlink the rename replaces its target, as a plain write to
+   the path would, and the link stays. *)
+let resolve path =
+  match Unix.lstat path with
+  | { Unix.st_kind = S_LNK; _ } -> (
+      try Unix.realpath path with Unix.Unix_error _ -> path)
+  | _ | (exception Unix.Unix_error _) -> path
+
+let replace ~path bytes =
+  if is_special path then write_in_place ~path bytes
+  else replace_file ~path:(resolve path) bytes
 
 (* Does [fd] end in a torn line?  Only a regular file has a last byte to
    read: a device or a pipe is never torn. *)

@@ -1,5 +1,7 @@
-(** The one writer behind every on-disk store: the serve index snapshot
-    and its journal, and the hexwatch ledger.
+(** The one writer behind every on-disk store and output file: the serve
+    index snapshot and its journal, the hexwatch ledger, and the
+    whole-file outputs ([validate --csv], [report -o],
+    [accuracy-compare --write], [--profile] traces).
 
     Both functions check every [write] and every [close], so a full disk
     or a file-size limit comes back as [Error] rather than as a file that
@@ -10,7 +12,10 @@ val replace : path:string -> string -> (unit, string) result
     [path ^ ".tmp.<pid>"], [fsync] it, close it, rename it over [path],
     then [fsync] the directory so the rename itself survives a power cut.
     A reader sees the old file or the new one, never a mixture.  On any
-    failure the tmp file is removed and [path] is left as it was. *)
+    failure the tmp file is removed and [path] is left as it was.  A
+    symlink's target is replaced and the link kept.  A [path] that is a
+    terminal, a pipe or a device ([/dev/stdout], [/dev/null]) is written
+    in place instead, with no tmp file, rename or [fsync]. *)
 
 val append : path:string -> string -> (unit, string) result
 (** Append these bytes to [path] in one [write], creating the file if

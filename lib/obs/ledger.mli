@@ -1,11 +1,11 @@
 (** hexwatch: the persistent run ledger.
 
     Every substantive run — a validation sweep, a campaign estimate, a
-    tuning session, a bench regeneration — appends one provenance-stamped
-    record to an append-only JSONL file.  The ledger is what turns the
-    repository's accuracy and throughput figures from printed-and-forgotten
-    numbers into a trajectory: [hextime history] renders trends over it and
-    CI uploads it as an artifact.
+    tuning session, an index build, a served session — appends one
+    provenance-stamped record to an append-only JSONL file.  The ledger is
+    what turns the repository's accuracy and throughput figures from
+    printed-and-forgotten numbers into a trajectory: [hextime history]
+    renders trends over it and CI uploads it as an artifact.
 
     Records are one compact JSON object per line
     ({!Hextime_prelude.Minijson.render_compact}), so the file survives
@@ -15,7 +15,9 @@
 
 type entry = {
   schema : int;  (** {!schema_version} at write time *)
-  kind : string;  (** "validate" | "campaign" | "tune" | "bench" | ... *)
+  kind : string;
+      (** "validate" | "campaign" | "tune" | "index" | "serve" | ...; older
+          ledgers also hold "bench" *)
   time_unix : float;  (** seconds since the epoch, at {!make} time *)
   code_version : string;
       (** the sweep-layer code version (see {!Hextime_harness}); ties a

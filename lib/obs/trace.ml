@@ -106,9 +106,4 @@ let to_json ?(extra = []) evs =
      :: extra)
 
 let write_file ?extra path evs =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Minijson.render (to_json ?extra evs));
-      output_char oc '\n')
+  Durable.replace ~path (Minijson.render (to_json ?extra evs) ^ "\n")

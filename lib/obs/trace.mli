@@ -67,6 +67,9 @@ val to_json :
   event list ->
   Hextime_prelude.Minijson.t
 
+(** Replace the file with {!to_json}'s rendering through
+    {!Durable.replace}: a failed write is an [Error] and leaves the old
+    file as it was. *)
 val write_file :
   ?extra:(string * Hextime_prelude.Minijson.t) list ->
-  string -> event list -> unit
+  string -> event list -> (unit, string) result

@@ -374,21 +374,48 @@ let test_sweep_counts_match_model () =
     (H.Experiments.all H.Experiments.Ci)
 
 let test_render_json_shape () =
+  let module J = Hextime_prelude.Minijson in
+  let parse reports =
+    match J.parse (Hexlint.render_json reports) with
+    | Ok (J.List items) -> items
+    | Ok _ -> Alcotest.fail "render_json: not a JSON array"
+    | Error e -> Alcotest.failf "render_json does not parse: %s" e
+  in
+  let field name item =
+    match J.member name item with
+    | Some v -> v
+    | None -> Alcotest.failf "render_json: no %S field" name
+  in
   let r = get (Hexlint.lint_config params ~arch ~citer problem config) in
-  let json = Hexlint.render_json [ r ] in
+  let item =
+    match parse [ r ] with
+    | [ item ] -> item
+    | items -> Alcotest.failf "%d reports rendered, expected 1" (List.length items)
+  in
   List.iter
-    (fun needle ->
-      Alcotest.(check bool)
-        (Printf.sprintf "json contains %s" needle)
-        true
-        (Test_util.contains json needle))
+    (fun (name, expected) ->
+      Alcotest.(check bool) name true (field name item = expected))
     [
-      "\"problem\": \"heat2d:1024x1024xT128\"";
-      "\"config\": \"tT8-tS8x64-thr256\"";
-      "\"arch\": \"gtx980\"";
-      "\"errors\": 0";
-      "\"findings\": []";
-    ]
+      ("problem", J.Str "heat2d:1024x1024xT128");
+      ("config", J.Str "tT8-tS8x64-thr256");
+      ("arch", J.Str "gtx980");
+      ("errors", J.Num 0.0);
+      ("findings", J.List []);
+    ];
+  (* a message with a quote, a backslash and a newline comes back intact *)
+  let message = "row \"a\\b\"\nnext line" in
+  let finding =
+    { Hexlint.pass = "bounds"; severity = Hexlint.Error; kernel = "k"; message }
+  in
+  match parse [ { r with Hexlint.findings = [ finding ] } ] with
+  | [ item ] -> (
+      Alcotest.(check bool) "errors" true (field "errors" item = J.Num 1.0);
+      match field "findings" item with
+      | J.List [ f ] ->
+          Alcotest.(check bool) "message round-trips" true
+            (field "message" f = J.Str message)
+      | _ -> Alcotest.fail "expected one rendered finding")
+  | _ -> Alcotest.fail "expected one rendered report"
 
 let suite =
   [

@@ -409,6 +409,67 @@ let test_ledger_append_reports_write_errors () =
       Alcotest.(check bool) "the error names the file" true
         (Test_util.contains msg "/dev/full")
 
+(* Whole-file writes ([validate --csv], [report -o], [--profile]) go
+   through [Durable.replace].  A write that fails (its tmp file is a
+   symlink to /dev/full) leaves the old file byte for byte and no tmp file
+   behind; a pipe is written in place, not renamed over, and a symlink's
+   target is replaced with the link kept. *)
+let test_whole_file_writes () =
+  let dir = Filename.temp_dir "hextime-durable" "" in
+  let path = Filename.concat dir "out" in
+  let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
+  let fifo = Filename.concat dir "fifo" in
+  let link = Filename.concat dir "link" in
+  let exists p =
+    match Unix.lstat p with
+    | _ -> true
+    | exception Unix.Unix_error (Unix.ENOENT, _, _) -> false
+  in
+  Fun.protect ~finally:(fun () ->
+      List.iter
+        (fun p -> if exists p then Unix.unlink p)
+        [ path; tmp; fifo; link ];
+      Unix.rmdir dir)
+  @@ fun () ->
+  let old = "old contents\n" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc old);
+  let failing label write =
+    Unix.symlink "/dev/full" tmp;
+    (match write () with
+    | Ok () -> Alcotest.failf "%s: a write to /dev/full reported success" label
+    | Error _ -> ());
+    Alcotest.(check string)
+      (label ^ " keeps the old file")
+      old
+      (In_channel.with_open_bin path In_channel.input_all);
+    Alcotest.(check bool) (label ^ " leaves no tmp file") false (exists tmp)
+  in
+  failing "Export.write_file" (fun () -> H.Export.write_file ~path "new\n");
+  failing "Trace.write_file" (fun () -> Trace.write_file path []);
+  Unix.symlink "out" link;
+  (match Obs.Durable.replace ~path:link "through the link\n" with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "replace through a symlink: %s" e);
+  Alcotest.(check string) "a symlink's target is replaced"
+    "through the link\n"
+    (In_channel.with_open_bin path In_channel.input_all);
+  Alcotest.(check bool) "the symlink stays a symlink" true
+    ((Unix.lstat link).Unix.st_kind = Unix.S_LNK);
+  Unix.mkfifo fifo 0o600;
+  let reader = Unix.openfile fifo [ Unix.O_RDONLY; Unix.O_NONBLOCK ] 0 in
+  let got =
+    Fun.protect ~finally:(fun () -> Unix.close reader) @@ fun () ->
+    (match Obs.Durable.replace ~path:fifo "through the pipe\n" with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "replace on a pipe: %s" e);
+    let buf = Bytes.create 64 in
+    Bytes.sub_string buf 0 (Unix.read reader buf 0 64)
+  in
+  Alcotest.(check string) "the pipe's reader gets the bytes"
+    "through the pipe\n" got;
+  Alcotest.(check bool) "the pipe is still a pipe" true
+    ((Unix.stat fifo).Unix.st_kind = Unix.S_FIFO)
+
 (* Two records, then 100 bytes of a third (an append cut short): the next
    append starts on a line of its own, so the torn line is the only loss. *)
 let test_ledger_append_after_torn_tail () =
@@ -1206,6 +1267,8 @@ let suite =
       test_ledger_corrupt_tolerance;
     Alcotest.test_case "ledger append reports write errors" `Quick
       test_ledger_append_reports_write_errors;
+    Alcotest.test_case "whole-file writes keep the old file" `Quick
+      test_whole_file_writes;
     Alcotest.test_case "ledger append after a torn tail" `Quick
       test_ledger_append_after_torn_tail;
     Alcotest.test_case "ledger unknown schema skipped" `Quick
