@@ -9,6 +9,8 @@
    - gate CI, or read the ledger the gates write: lint, prove, profile,
      accuracy-compare, history, watch, explain, trace-verify,
      metrics-verify.
+   A running advisor's metrics are read one way, the stats frame on its
+   socket: dash draws them and metrics-verify checks them.
    Throughput is measured by hexbench (hexbench/README.md), not here. *)
 
 module Gpu = Hextime_gpu
@@ -1922,16 +1924,6 @@ let serve_cmd =
             "Serve without an index file: every first ask is a cold miss, \
              answers live only in memory.")
   in
-  let metrics_port =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "metrics-port" ] ~docv:"PORT"
-          ~doc:
-            "Also answer plain-HTTP $(b,GET /metrics) (OpenMetrics text) on \
-             127.0.0.1:PORT.  0 picks an ephemeral port, reported on \
-             stderr.")
-  in
   let access_log =
     Arg.(
       value
@@ -1996,8 +1988,8 @@ let serve_cmd =
             "Trip $(b,serve.drift_alarm) when the rolling audited in-band \
              ratio drops below R.")
   in
-  let run socket index_path no_index max_requests metrics_port access_log
-      slow_us slo_window_s slo_p99_us slo_warm_ratio audit_rate audit_cold
+  let run socket index_path no_index max_requests access_log slow_us
+      slo_window_s slo_p99_us slo_warm_ratio audit_rate audit_cold
       drift_min_ratio jobs profile metrics ledger no_ledger =
     with_obs profile metrics @@ fun () ->
     let exec = Parsweep.default ~jobs () in
@@ -2006,9 +1998,6 @@ let serve_cmd =
     let on_ready () =
       Format.eprintf "hexserve: listening on %s (index: %s)@." socket
         (Option.value ~default:"none" index_path)
-    in
-    let on_http_port port =
-      Format.eprintf "hexserve: metrics on http://127.0.0.1:%d/metrics@." port
     in
     let slo =
       {
@@ -2020,8 +2009,8 @@ let serve_cmd =
     in
     match
       Serve.Server.run ?index_path ~exec ?max_requests ~on_ready
-        ?http_port:metrics_port ~on_http_port ?access_log_path:access_log
-        ~slow_us ~slo ~audit_rate ~audit_cold ~drift_min_ratio
+        ?access_log_path:access_log ~slow_us ~slo ~audit_rate ~audit_cold
+        ~drift_min_ratio
         ?ledger_path:(if no_ledger then None else Some ledger)
         ~socket_path:socket ()
     with
@@ -2041,29 +2030,6 @@ let serve_cmd =
             (if summary.Serve.Server.drift_alarm then
                " — DRIFT ALARM"
              else "");
-        ledger_record ~ledger ~no_ledger
-          (Obs.Ledger.make ~kind:"serve"
-             ~code_version:Serve.Advisor.code_version
-             ~labels:[ ("socket", socket) ]
-             ~metrics:
-               [
-                 ("requests", float_of_int summary.Serve.Server.requests);
-                 ("warm_hits", float_of_int summary.Serve.Server.warm_hits);
-                 ("cold_misses", float_of_int summary.Serve.Server.cold_misses);
-                 ("errors", float_of_int summary.Serve.Server.errors);
-                 ("audits", float_of_int summary.Serve.Server.audits);
-                 ( "audits_out_of_band",
-                   float_of_int summary.Serve.Server.audits_out_of_band );
-                 ( "drift_alarm",
-                   if summary.Serve.Server.drift_alarm then 1.0 else 0.0 );
-                 ("scrapes", float_of_int summary.Serve.Server.scrapes);
-                 ("elapsed_s", elapsed_s);
-                 ( "requests_per_sec",
-                   if elapsed_s > 0.0 then
-                     float_of_int summary.Serve.Server.requests /. elapsed_s
-                   else 0.0 );
-               ]
-             ~snapshot:(metrics_snapshot ()) ());
         if summary.Serve.Server.drift_alarm then
           die
             "serve: drift alarm tripped (%d/%d audited answers out of band)"
@@ -2078,14 +2044,16 @@ let serve_cmd =
           queries are answered from the precomputed arg-min index in O(1); \
           concurrent cold misses are batched through the parallel pool, \
           answered exactly, and written back into the index.  hexpulse \
-          telemetry — OpenMetrics scraping, a JSONL access log, rolling \
-          SLO windows and the online drift monitor — hangs off the \
-          $(b,--metrics-port), $(b,--access-log), $(b,--slo-*) and \
-          $(b,--audit-*) flags.")
+          telemetry — a JSONL access log, rolling SLO windows and the \
+          online drift monitor — hangs off the $(b,--access-log), \
+          $(b,--slo-*) and $(b,--audit-*) flags; the $(b,stats) frame \
+          serves the metrics ($(b,hextime metrics-verify), \
+          $(b,hextime dash)).  Each run, however it ends, appends one \
+          $(b,serve) record to the ledger.")
     Term.(
       ret
         (const run $ socket_arg $ index_path_arg $ no_index $ max_requests
-       $ metrics_port $ access_log $ slow_us $ slo_window_s $ slo_p99_us
+       $ access_log $ slow_us $ slo_window_s $ slo_p99_us
        $ slo_warm_ratio $ audit_rate $ audit_cold $ drift_min_ratio $ jobs_arg
        $ profile_arg $ metrics_arg $ ledger_arg $ no_ledger_arg))
 
@@ -2200,113 +2168,30 @@ let ask_cmd =
         (const run $ arch_arg $ stencil_arg $ space_arg $ time_arg $ socket_arg
        $ format $ check $ wait))
 
-(* --- metrics-verify (scrape checker) ----------------------------------------- *)
+(* --- metrics-verify (the scrape gate) ---------------------------------------- *)
 
-(* Raw-Unix HTTP GET against the serve metrics endpoint, so CI needs no
-   curl: one request, read to EOF, split the body off the headers. *)
-let http_get_metrics ~port =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      match
-        Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port))
-      with
-      | exception Unix.Unix_error (err, _, _) ->
-          Error
-            (Printf.sprintf "connect 127.0.0.1:%d: %s" port
-               (Unix.error_message err))
-      | () -> (
-          let request =
-            "GET /metrics HTTP/1.1\r\nHost: localhost\r\nConnection: \
-             close\r\n\r\n"
-          in
-          let payload = Bytes.of_string request in
-          let len = Bytes.length payload in
-          let off = ref 0 in
-          while !off < len do
-            off := !off + Unix.write fd payload !off (len - !off)
-          done;
-          let buf = Buffer.create 8192 in
-          let chunk = Bytes.create 8192 in
-          let rec drain () =
-            match Unix.read fd chunk 0 (Bytes.length chunk) with
-            | 0 -> ()
-            | n ->
-                Buffer.add_subbytes buf chunk 0 n;
-                drain ()
-          in
-          drain ();
-          let response = Buffer.contents buf in
-          let split marker =
-            let mlen = String.length marker in
-            let rec find i =
-              if i + mlen > String.length response then None
-              else if String.sub response i mlen = marker then Some i
-              else find (i + 1)
-            in
-            find 0
-          in
-          match split "\r\n\r\n" with
-          | None -> Error "malformed HTTP response (no header terminator)"
-          | Some i ->
-              let headers = String.sub response 0 i in
-              let body =
-                String.sub response (i + 4) (String.length response - i - 4)
-              in
-              let status_ok =
-                match String.index_opt headers ' ' with
-                | Some j ->
-                    String.length headers >= j + 4
-                    && String.sub headers (j + 1) 3 = "200"
-                | None -> false
-              in
-              if status_ok then Ok body
-              else
-                Error
-                  (Printf.sprintf "HTTP status line: %s"
-                     (match String.index_opt headers '\r' with
-                     | Some j -> String.sub headers 0 j
-                     | None -> headers))))
-
-let required_serve_families =
+let required_serve_metrics =
   [
-    "serve_requests";
-    "serve_warm_hits";
-    "serve_cold_misses";
-    "serve_errors";
-    "serve_warm_seconds";
-    "serve_cold_seconds";
-    "serve_uptime_s";
-    "serve_index_entries";
-    "serve_drift_alarm";
+    "serve.requests";
+    "serve.warm_hits";
+    "serve.cold_misses";
+    "serve.errors";
+    "serve.warm_seconds";
+    "serve.cold_seconds";
+    "serve.uptime_s";
+    "serve.index_entries";
+    "serve.drift_alarm";
   ]
 
 let metrics_verify_cmd =
-  let file =
-    Arg.(
-      value
-      & pos 0 (some string) None
-      & info [] ~docv:"FILE"
-          ~doc:"Exposition file to check (instead of scraping --port).")
-  in
-  let port =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "port" ] ~docv:"PORT"
-          ~doc:
-            "Scrape http://127.0.0.1:PORT/metrics (a running $(b,hextime \
-             serve --metrics-port)).")
-  in
   let extra_require =
     Arg.(
       value
       & opt (some string) None
-      & info [ "require" ] ~docv:"F1,F2,..."
+      & info [ "require" ] ~docv:"M1,M2,..."
           ~doc:
-            "Comma-separated metric families that must be present, in \
-             addition to the serve built-ins.")
+            "Comma-separated registry names (e.g. $(b,serve.audits)) that \
+             must be present, in addition to the serving built-ins.")
   in
   let expect_gauges =
     Arg.(
@@ -2314,76 +2199,40 @@ let metrics_verify_cmd =
       & opt_all (pair ~sep:'=' string float) []
       & info [ "expect-gauge" ] ~docv:"NAME=VALUE"
           ~doc:
-            "Fail unless the label-free sample NAME is present with this \
-             exact value (repeatable) — e.g. \
-             $(b,--expect-gauge serve_drift_alarm=0).")
+            "Fail unless gauge NAME holds exactly this value (repeatable) \
+             — e.g. $(b,--expect-gauge serve.drift_alarm=0).")
   in
-  let run file port extra_require expect_gauges =
-    let text =
-      match (file, port) with
-      | Some _, Some _ -> Error "metrics-verify: pass FILE or --port, not both"
-      | None, None -> Error "metrics-verify: pass an exposition FILE or --port"
-      | Some path, None -> (
-          match open_in_bin path with
-          | exception Sys_error msg -> Error msg
-          | ic ->
-              Fun.protect
-                ~finally:(fun () -> close_in ic)
-                (fun () -> Ok (really_input_string ic (in_channel_length ic))))
-      | None, Some port -> http_get_metrics ~port
+  let run socket extra_require expect =
+    let require =
+      required_serve_metrics
+      @ Option.fold ~none:[] ~some:(String.split_on_char ',') extra_require
     in
-    match text with
+    let stats =
+      Result.bind (Serve.Client.connect ~socket_path:socket ()) (fun fd ->
+          Fun.protect
+            ~finally:(fun () -> Serve.Client.close fd)
+            (fun () -> Serve.Client.stats fd))
+    in
+    match
+      Result.bind stats (fun (json, _vitals) ->
+          Obs.Metrics.check_json ~require ~expect json)
+    with
     | Error msg -> die "metrics-verify: %s" msg
-    | Ok text -> (
-        let require =
-          required_serve_families
-          @
-          match extra_require with
-          | None -> []
-          | Some list -> String.split_on_char ',' list
-        in
-        match Obs.Openmetrics.validate ~require text with
-        | Error msg -> die "metrics-verify: %s" msg
-        | Ok { Obs.Openmetrics.families; samples } -> (
-            match Obs.Openmetrics.parse text with
-            | Error msg -> die "metrics-verify: %s" msg
-            | Ok parsed -> (
-                let bad =
-                  List.filter_map
-                    (fun (name, expected) ->
-                      match Obs.Openmetrics.value parsed name with
-                      | None -> Some (name, "absent")
-                      | Some v when v = expected -> None
-                      | Some v -> Some (name, Printf.sprintf "%g" v))
-                    expect_gauges
-                in
-                match bad with
-                | [] ->
-                    Format.printf
-                      "metrics-verify: ok — %d families, %d samples%s@."
-                      families samples
-                      (if expect_gauges = [] then ""
-                       else
-                         Printf.sprintf ", %d expectation(s) met"
-                           (List.length expect_gauges));
-                    `Ok ()
-                | bad ->
-                    die "metrics-verify: %s"
-                      (String.concat "; "
-                         (List.map
-                            (fun (name, got) ->
-                              Printf.sprintf "expected %s, got %s" name got)
-                            bad)))))
+    | Ok n ->
+        Format.printf "metrics-verify: ok — %d metrics%s@." n
+          (if expect = [] then ""
+           else Printf.sprintf ", %d expectation(s) met" (List.length expect));
+        `Ok ()
   in
   Cmd.v
     (Cmd.info "metrics-verify"
        ~doc:
-         "Check an OpenMetrics exposition — a saved file or a live scrape \
-          of $(b,hextime serve --metrics-port) — for format validity \
-          (cumulative ordered histogram buckets closed by +Inf, \
-          non-negative counters), the presence of the serving metric \
-          families, and exact expected gauge values.  CI's scrape gate.")
-    Term.(ret (const run $ file $ port $ extra_require $ expect_gauges))
+         "Read a running $(b,hextime serve)'s metrics over its $(b,stats) \
+          frame and check them: the serving metrics and every name \
+          given to $(b,--require) are present, each $(b,--expect-gauge) \
+          holds exactly, counters are non-negative and each histogram's \
+          bucket counts sum to its count.  CI's scrape gate.")
+    Term.(ret (const run $ socket_arg $ extra_require $ expect_gauges))
 
 (* --- dash (TTY serving dashboard) -------------------------------------------- *)
 
@@ -2395,48 +2244,50 @@ let dash_cmd =
       & info [ "watch" ] ~docv:"SECONDS"
           ~doc:"Redraw every SECONDS until interrupted.")
   in
-  let fmt_f name families =
-    match Obs.Openmetrics.value families name with
-    | Some v when Float.is_integer v && Float.abs v < 1e15 ->
-        Printf.sprintf "%.0f" v
-    | Some v -> Printf.sprintf "%.3g" v
-    | None -> "-"
-  in
-  let render_live families =
-    let v = fmt_f in
+  (* A stats snapshot's non-finite numbers ("NaN" quantiles of an empty
+     histogram) are strings, which Minijson.number reads as absent: "-". *)
+  let render_live json =
+    let num path =
+      Option.bind
+        (List.fold_left
+           (fun j k -> Option.bind j (Minijson.member k))
+           (Some json) path)
+        Minijson.number
+    in
+    let cell = function
+      | Some v when Float.is_integer v && Float.abs v < 1e15 ->
+          Printf.sprintf "%.0f" v
+      | Some v -> Printf.sprintf "%.3g" v
+      | None -> "-"
+    in
+    let c name = cell (num [ "counters"; name ]) in
+    let g name = cell (num [ "gauges"; name ]) in
+    let warm_us q =
+      cell
+        (Option.map
+           (fun s -> s *. 1e6)
+           (num [ "histograms"; "serve.warm_seconds"; q ]))
+    in
     let b = Buffer.create 1024 in
     let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
     line "hexserve — up %s s, %s index entries, %s in flight"
-      (v "serve_uptime_s" families)
-      (v "serve_index_entries" families)
-      (v "serve_requests_in_flight" families);
+      (g "serve.uptime_s") (g "serve.index_entries")
+      (g "serve.requests_in_flight");
     line "requests   %8s   warm %8s   cold %8s   errors %8s"
-      (v "serve_requests_total" families)
-      (v "serve_warm_hits_total" families)
-      (v "serve_cold_misses_total" families)
-      (v "serve_errors_total" families);
-    line "warm p50   %8s us        p99 %8s us"
-      (v "serve_warm_p50_us" families)
-      (v "serve_warm_p99_us" families);
+      (c "serve.requests") (c "serve.warm_hits") (c "serve.cold_misses")
+      (c "serve.errors");
+    line "warm p50   %8s us        p99 %8s us" (warm_us "p50") (warm_us "p99");
     line "slo window p50 %s us, p99 %s us, error rate %s, warm ratio %s"
-      (v "slo_window_p50_us" families)
-      (v "slo_window_p99_us" families)
-      (v "slo_window_error_rate" families)
-      (v "slo_window_warm_ratio" families);
+      (g "slo.window_p50_us") (g "slo.window_p99_us")
+      (g "slo.window_error_rate") (g "slo.window_warm_ratio");
     line "slo        budget burn %s, windows violated %s"
-      (v "slo_error_budget_burn" families)
-      (v "slo_windows_violated" families);
+      (g "slo.error_budget_burn") (g "slo.windows_violated");
     line "drift      audits %s (%s out of band), in-band ratio %s, ALARM %s"
-      (v "serve_audits_total" families)
-      (v "serve_audits_out_of_band_total" families)
-      (v "serve_audit_inband_ratio" families)
-      (v "serve_drift_alarm" families);
-    line "alerts     firing %s, fired %s time(s) this run"
-      (v "alert_firing" families)
-      (v "alert_fired_total" families);
-    line "scrapes    %s http, %s access-log lines"
-      (v "serve_http_scrapes_total" families)
-      (v "serve_access_log_lines_total" families);
+      (c "serve.audits") (c "serve.audits_out_of_band")
+      (g "serve.audit_inband_ratio") (g "serve.drift_alarm");
+    line "alerts     firing %s, fired %s time(s) this run" (g "alert.firing")
+      (c "alert.fired");
+    line "access log %s lines" (c "serve.access_log_lines");
     Buffer.contents b
   in
   let render_ledger path =
@@ -2509,18 +2360,11 @@ let dash_cmd =
   in
   let draw socket ledger =
     match Serve.Client.connect ~socket_path:socket () with
-    | Ok fd -> (
-        let metrics =
-          Fun.protect
-            ~finally:(fun () -> Serve.Client.close fd)
-            (fun () -> Serve.Client.metrics fd)
-        in
-        match metrics with
-        | Error msg -> Error msg
-        | Ok text -> (
-            match Obs.Openmetrics.parse text with
-            | Error msg -> Error msg
-            | Ok families -> Ok (render_live families)))
+    | Ok fd ->
+        Fun.protect
+          ~finally:(fun () -> Serve.Client.close fd)
+          (fun () -> Serve.Client.stats fd)
+        |> Result.map (fun (json, _vitals) -> render_live json)
     | Error _ -> render_ledger ledger
   in
   let run socket ledger watch =
@@ -2548,8 +2392,8 @@ let dash_cmd =
   Cmd.v
     (Cmd.info "dash"
        ~doc:
-         "One-screen serving dashboard: scrape a live $(b,hextime serve) \
-          over the $(b,metrics) frame (vitals, latency quantiles, SLO \
+         "One-screen serving dashboard: read a live $(b,hextime serve) \
+          over the $(b,stats) frame (vitals, latency quantiles, SLO \
           windows, drift monitor, live hexlens alert gauges) — or, when \
           the socket is down, summarize the last serve run, audit verdicts \
           and hexlens alert records from the hexwatch ledger.  \

@@ -93,12 +93,6 @@ let bucket_of v =
     (* v in [2^(e-1), 2^e) *)
     max 0 (min (bucket_count - 1) (e + bucket_bias))
 
-(* Exclusive upper bound of bucket [i]: observations land in
-   [bucket_upper (i-1), bucket_upper i).  The edge buckets additionally
-   absorb whatever was clamped into them, so an exposition format on top
-   of these bounds needs its own +Inf bucket (see Openmetrics). *)
-let bucket_upper i = Float.ldexp 1.0 (i - bucket_bias)
-
 let observe h v =
   locked @@ fun () ->
   h.h_count <- h.h_count + 1;
@@ -283,3 +277,84 @@ let render s =
   Buffer.contents buf
 
 let find_counter s name = List.assoc_opt name s.snap_counters
+
+(* The rules of `hextime metrics-verify`, over [to_json]'s shape as it
+   comes back off the wire.  Minijson.number reads only [Num], so the
+   "NaN"/"Infinity" strings of an empty histogram (or a NaN gauge) are
+   absent, not malformed. *)
+let check_json ~require ~expect json =
+  match json with
+  | Minijson.Obj _ ->
+      let section name =
+        match Minijson.member name json with
+        | Some (Minijson.Obj fields) -> fields
+        | _ -> []
+      in
+      let counters = section "counters"
+      and gauges = section "gauges"
+      and histograms = section "histograms" in
+      let show = function
+        | Some v -> Printf.sprintf "%.17g" v
+        | None -> "absent"
+      in
+      let missing =
+        List.filter_map
+          (fun name ->
+            if
+              List.mem_assoc name counters || List.mem_assoc name gauges
+              || List.mem_assoc name histograms
+            then None
+            else Some (name ^ " is absent"))
+          require
+      in
+      let wrong =
+        List.filter_map
+          (fun (name, want) ->
+            match Option.bind (List.assoc_opt name gauges) Minijson.number with
+            | Some v when v = want -> None
+            | got ->
+                Some
+                  (Printf.sprintf "expected %s=%.17g, got %s" name want
+                     (show got)))
+          expect
+      in
+      let negative =
+        List.filter_map
+          (fun (name, v) ->
+            match Minijson.number v with
+            | Some c when c >= 0.0 -> None
+            | _ -> Some (Printf.sprintf "counter %s is not >= 0" name))
+          counters
+      in
+      let unbalanced =
+        List.filter_map
+          (fun (name, h) ->
+            let count =
+              Option.bind (Minijson.member "count" h) Minijson.number
+            in
+            let sum =
+              match Minijson.member "buckets" h with
+              | Some (Minijson.Obj bs) ->
+                  List.fold_left
+                    (fun acc (_, c) ->
+                      match (acc, Minijson.number c) with
+                      | Some s, Some c -> Some (s +. c)
+                      | _ -> None)
+                    (Some 0.0) bs
+              | _ -> None
+            in
+            match (sum, count) with
+            | Some s, Some c when s = c -> None
+            | _ ->
+                Some
+                  (Printf.sprintf "histogram %s: buckets sum to %s, count %s"
+                     name (show sum) (show count)))
+          histograms
+      in
+      (match missing @ wrong @ negative @ unbalanced with
+      | [] ->
+          Ok
+            (List.length counters + List.length gauges
+           + List.length histograms)
+      | broken -> Error (String.concat "; " broken))
+  | _ -> Error "the metrics snapshot is not a JSON object"

@@ -36,8 +36,7 @@ val observe : histogram -> float -> unit
 (** {1 Bucket geometry}
 
     Shared by consumers that build histogram-shaped data outside the
-    registry (per-window SLO accumulators) or re-render the buckets in
-    another exposition format (OpenMetrics cumulative buckets). *)
+    registry (per-window SLO accumulators). *)
 
 val bucket_count : int
 (** Number of log2 buckets ([129]). *)
@@ -45,11 +44,6 @@ val bucket_count : int
 val bucket_of : float -> int
 (** Index of the bucket an observation lands in (edge buckets absorb
     out-of-range and non-finite values). *)
-
-val bucket_upper : int -> float
-(** Exclusive upper bound of bucket [i] ([2^(i-64)]); observations in
-    bucket [i] satisfy [bucket_upper (i-1) <= v < bucket_upper i], modulo
-    the edge-bucket clamping above. *)
 
 (** {1 Snapshots} *)
 
@@ -87,6 +81,22 @@ val quantiles : (string * float) list
 
 val find_counter : snapshot -> string -> int option
 val to_json : snapshot -> Hextime_prelude.Minijson.t
+
+val check_json :
+  require:string list ->
+  expect:(string * float) list ->
+  Hextime_prelude.Minijson.t ->
+  (int, string) result
+(** [check_json ~require ~expect json] checks a {!to_json} snapshot read
+    back from elsewhere (the advisor's [stats] frame): every [require]d
+    name is a counter, gauge or histogram; every [(name, v)] in [expect]
+    is a gauge holding exactly [v]; every counter is a number [>= 0]; and
+    every histogram's bucket counts sum to its [count].  A non-finite
+    number arrives as a string (["NaN"], ["Infinity"]) and reads as
+    absent: an empty histogram's quantiles and extrema pass, a gauge
+    expected to hold a number fails.  [Ok n] counts the metrics in the
+    snapshot; [Error] names every broken rule, or says the snapshot is
+    not an object. *)
 
 (** Human-readable one-metric-per-line dump (sorted, deterministic). *)
 val render : snapshot -> string

@@ -33,30 +33,19 @@ let ask fd ~arch ~stencil ~space ~time =
   match rpc fd (Proto.Ask { arch; stencil; space; time }) with
   | Ok (Proto.Answer answer) -> Ok answer
   | Ok (Proto.Error_reply msg) -> Error msg
-  | Ok (Proto.Stats_reply _ | Proto.Metrics_reply _) ->
-      Error "unexpected reply to ask"
+  | Ok (Proto.Stats_reply _) -> Error "unexpected reply to ask"
   | Error e -> Error e
 
 let stats fd =
   match rpc fd Proto.Stats with
   | Ok (Proto.Stats_reply { metrics; server }) -> Ok (metrics, server)
   | Ok (Proto.Error_reply msg) -> Error msg
-  | Ok (Proto.Answer _ | Proto.Metrics_reply _) ->
-      Error "unexpected reply to stats"
-  | Error e -> Error e
-
-let metrics fd =
-  match rpc fd Proto.Metrics with
-  | Ok (Proto.Metrics_reply text) -> Ok text
-  | Ok (Proto.Error_reply msg) -> Error msg
-  | Ok (Proto.Answer _ | Proto.Stats_reply _) ->
-      Error "unexpected reply to metrics"
+  | Ok (Proto.Answer _) -> Error "unexpected reply to stats"
   | Error e -> Error e
 
 let shutdown fd =
   match rpc fd Proto.Shutdown with
   | Ok (Proto.Stats_reply _) -> Ok ()
   | Ok (Proto.Error_reply msg) -> Error msg
-  | Ok (Proto.Answer _ | Proto.Metrics_reply _) ->
-      Error "unexpected reply to shutdown"
+  | Ok (Proto.Answer _) -> Error "unexpected reply to shutdown"
   | Error e -> Error e

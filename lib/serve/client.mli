@@ -31,12 +31,10 @@ val ask :
 val stats :
   Unix.file_descr ->
   (Hextime_prelude.Minijson.t * (string * float) list, string) result
-(** The server's metrics snapshot (counters and latency histograms with
-    p50/p90/p99) plus the server vitals assoc. *)
-
-val metrics : Unix.file_descr -> (string, string) result
-(** The OpenMetrics text exposition — byte-identical to what the
-    plain-HTTP [GET /metrics] endpoint serves. *)
+(** The server's metrics snapshot ({!Hextime_obs.Metrics.to_json}:
+    counters, gauges and latency histograms with p50/p90/p99) plus the
+    server vitals assoc — what [hextime metrics-verify] checks and
+    [hextime dash] draws. *)
 
 val shutdown : Unix.file_descr -> (unit, string) result
 (** Ask the server to exit after replying. *)

@@ -68,7 +68,6 @@ let read_frame fd =
 type request =
   | Ask of { arch : string; stencil : string; space : int array; time : int }
   | Stats
-  | Metrics
   | Shutdown
 
 let ints_to_json xs =
@@ -86,7 +85,6 @@ let request_to_json = function
           ("time", Minijson.Num (float_of_int time));
         ]
   | Stats -> Minijson.Obj [ ("op", Minijson.Str "stats") ]
-  | Metrics -> Minijson.Obj [ ("op", Minijson.Str "metrics") ]
   | Shutdown -> Minijson.Obj [ ("op", Minijson.Str "shutdown") ]
 
 let str name j = Option.bind (Minijson.member name j) Minijson.string
@@ -113,7 +111,6 @@ let request_of_json j =
           Ok (Ask { arch; stencil; space; time = int_of_float time })
       | _ -> Error "ask: requires arch, stencil, space, time")
   | Some "stats" -> Ok Stats
-  | Some "metrics" -> Ok Metrics
   | Some "shutdown" -> Ok Shutdown
   | Some op -> Error (Printf.sprintf "unknown op %S" op)
   | None -> Error "request has no op field"
@@ -140,7 +137,6 @@ type answer = {
 type reply =
   | Answer of answer
   | Stats_reply of { metrics : Minijson.t; server : (string * float) list }
-  | Metrics_reply of string
   | Error_reply of string
 
 let server_to_json = function
@@ -179,9 +175,6 @@ let reply_to_json = function
         (("status", Minijson.Str "ok")
         :: ("metrics", metrics)
         :: server_to_json server)
-  | Metrics_reply text ->
-      Minijson.Obj
-        [ ("status", Minijson.Str "ok"); ("exposition", Minijson.Str text) ]
   | Error_reply msg ->
       Minijson.Obj
         [ ("status", Minijson.Str "error"); ("message", Minijson.Str msg) ]
@@ -229,11 +222,9 @@ let reply_of_json j =
         (Error_reply
            (Option.value ~default:"unknown error" (str "message" j)))
   | Some "ok" -> (
-      match (str "exposition" j, Minijson.member "metrics" j) with
-      | Some text, _ -> Ok (Metrics_reply text)
-      | None, Some metrics ->
-          Ok (Stats_reply { metrics; server = server_of_json j })
-      | None, None -> (
+      match Minijson.member "metrics" j with
+      | Some metrics -> Ok (Stats_reply { metrics; server = server_of_json j })
+      | None -> (
           match
             ( Option.bind (str "source" j) source_of_string,
               Index.entry_of_json j,

@@ -4,12 +4,11 @@
     Each frame is a 4-byte big-endian payload length followed by one
     compact {!Hextime_prelude.Minijson} document; frames at most
     {!max_frame} bytes.  Requests are [ask] (one advisory query), [stats]
-    (the server's metrics snapshot plus server vitals), [metrics] (the
-    OpenMetrics text exposition, the same payload `GET /metrics` serves)
-    and [shutdown]; replies carry a [status] field plus either the answer
-    entry (with its [warm]/[cold] provenance, request id and server-side
-    latency) or an error message.  See [docs/SERVING.md] for the JSON
-    schemas. *)
+    (the server's metrics snapshot plus server vitals, the one way to read
+    its metrics) and [shutdown]; replies carry a [status] field plus the
+    answer entry (with its [warm]/[cold] provenance, request id and
+    server-side latency), the metrics snapshot, or an error message.  See
+    [docs/SERVING.md] for the JSON schemas. *)
 
 val max_frame : int
 
@@ -30,7 +29,6 @@ val read_frame :
 type request =
   | Ask of { arch : string; stencil : string; space : int array; time : int }
   | Stats
-  | Metrics
   | Shutdown
 
 val request_to_json : request -> Hextime_prelude.Minijson.t
@@ -57,7 +55,7 @@ type reply =
   | Answer of answer
   | Stats_reply of { metrics : Hextime_prelude.Minijson.t;
                      server : (string * float) list }
-  | Metrics_reply of string  (** OpenMetrics text exposition *)
+      (** {!Hextime_obs.Metrics.to_json} of the refreshed registry *)
   | Error_reply of string
 
 val reply_to_json : reply -> Hextime_prelude.Minijson.t

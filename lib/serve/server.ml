@@ -3,7 +3,6 @@ module Stencil = Hextime_stencil.Stencil
 module Problem = Hextime_stencil.Problem
 module Parsweep = Hextime_parsweep.Parsweep
 module Metrics = Hextime_obs.Metrics
-module Openmetrics = Hextime_obs.Openmetrics
 module Slo = Hextime_obs.Slo
 module Ledger = Hextime_obs.Ledger
 module Attribution = Hextime_obs.Attribution
@@ -22,15 +21,12 @@ let error_counter = Metrics.counter "serve.errors"
 let warm_hist = Metrics.histogram "serve.warm_seconds"
 let cold_hist = Metrics.histogram "serve.cold_seconds"
 
-(* hexpulse: serving vitals and the drift monitor, all scrapeable. *)
+(* hexpulse: serving vitals and the drift monitor, all in the stats frame. *)
 let audits_counter = Metrics.counter "serve.audits"
 let oob_counter = Metrics.counter "serve.audits_out_of_band"
-let scrape_counter = Metrics.counter "serve.http_scrapes"
 let uptime_gauge = Metrics.gauge "serve.uptime_s"
 let entries_gauge = Metrics.gauge "serve.index_entries"
 let inflight_gauge = Metrics.gauge "serve.requests_in_flight"
-let warm_p50_gauge = Metrics.gauge "serve.warm_p50_us"
-let warm_p99_gauge = Metrics.gauge "serve.warm_p99_us"
 let drift_alarm_gauge = Metrics.gauge "serve.drift_alarm"
 let inband_gauge = Metrics.gauge "serve.audit_inband_ratio"
 
@@ -47,7 +43,6 @@ type summary = {
   audits : int;
   audits_out_of_band : int;
   drift_alarm : bool;
-  scrapes : int;  (** HTTP [GET /metrics] requests served *)
 }
 
 type state = {
@@ -72,7 +67,6 @@ type state = {
   mutable audits : int;
   mutable audits_oob : int;
   mutable alarm : bool;
-  mutable scrapes : int;
   (* drift verdict ring *)
   ring : bool array;
   mutable ring_len : int;
@@ -104,21 +98,14 @@ let vitals st ~now =
     ("requests_in_flight", float_of_int st.in_flight);
   ]
 
-(* Refresh the derived gauges, then snapshot.  The warm-latency quantile
-   gauges are recomputed from the histogram at scrape time, so a scraped
-   [serve_warm_p50_us] always equals [Metrics.quantile] over the same
-   snapshot — the round-trip the test suite checks. *)
-let refreshed_snapshot st ~now =
-  let pre = Metrics.snapshot () in
-  (match List.assoc_opt "serve.warm_seconds" pre.Metrics.snap_histograms with
-  | Some hs when hs.Metrics.hs_count > 0 ->
-      Metrics.set warm_p50_gauge (Metrics.quantile hs 0.5 *. 1e6);
-      Metrics.set warm_p99_gauge (Metrics.quantile hs 0.99 *. 1e6)
-  | _ -> ());
+(* The stats frame's payload, also the serve ledger record's snapshot: the
+   vitals gauges refreshed, then the whole registry.  Histogram quantiles
+   come from [Metrics.quantile] inside [Metrics.to_json]. *)
+let stats_json st ~now =
   Metrics.set uptime_gauge (now -. st.t_start);
   Metrics.set entries_gauge (float_of_int (Index.size st.index));
   Metrics.set inflight_gauge (float_of_int st.in_flight);
-  Metrics.snapshot ()
+  Metrics.to_json (Metrics.snapshot ())
 
 (* Resolve the textual request against the preset tables.  This is also
    where the (memoized) micro-benchmarks for an unseen architecture are
@@ -415,62 +402,42 @@ let run_audits st (queue : audit_task list) =
               record_verdict st false)
         queue outcomes
 
-(* --- plain-HTTP /metrics --------------------------------------------------- *)
-
-let http_content_type =
-  "application/openmetrics-text; version=1.0.0; charset=utf-8"
-
-let http_respond fd ~status ~content_type body =
-  let response =
-    Printf.sprintf
-      "HTTP/1.1 %s\r\nContent-Type: %s\r\nContent-Length: %d\r\nConnection: \
-       close\r\n\r\n%s"
-      status content_type (String.length body) body
+(* The run's one [serve] ledger record, whatever ended it: final counts
+   and vitals plus the full metrics snapshot, labelled with the socket and,
+   when a signal ended the run, [shutdown = sigint|sigterm]. *)
+let serve_ledger_record st ~path ~socket_path ~signal =
+  let now = Unix.gettimeofday () in
+  let elapsed_s = now -. st.t_start in
+  let shutdown =
+    match signal with
+    | None -> []
+    | Some s when s = Sys.sigint -> [ ("shutdown", "sigint") ]
+    | Some s when s = Sys.sigterm -> [ ("shutdown", "sigterm") ]
+    | Some s -> [ ("shutdown", string_of_int s) ]
   in
-  let payload = Bytes.unsafe_of_string response in
-  let len = Bytes.length payload in
-  let off = ref 0 in
-  try
-    while !off < len do
-      off := !off + Unix.write fd payload !off (len - !off)
-    done
-  with Unix.Unix_error _ -> ()
-
-(* One scrape, served synchronously: read one request buffer (a scraper
-   sends its whole GET in one segment; a byte-dribbling client is cut off
-   by the receive timeout), answer, close.  The serving loop stays
-   single-threaded — a scrape costs one snapshot render. *)
-let serve_http_client st fd =
-  (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO 1.0
-   with Unix.Unix_error _ | Invalid_argument _ -> ());
-  let buf = Bytes.create 4096 in
-  let n = try Unix.read fd buf 0 4096 with Unix.Unix_error _ -> 0 in
-  let request = Bytes.sub_string buf 0 n in
-  let first_line =
-    match String.index_opt request '\r' with
-    | Some i -> String.sub request 0 i
-    | None -> (
-        match String.index_opt request '\n' with
-        | Some i -> String.sub request 0 i
-        | None -> request)
+  let entry =
+    Ledger.make ~kind:"serve" ~code_version:Advisor.code_version
+      ~labels:(("socket", socket_path) :: shutdown)
+      ~metrics:
+        [
+          ("requests", float_of_int st.requests);
+          ("warm_hits", float_of_int st.warm_hits);
+          ("cold_misses", float_of_int st.cold_misses);
+          ("errors", float_of_int st.errors);
+          ("audits", float_of_int st.audits);
+          ("audits_out_of_band", float_of_int st.audits_oob);
+          ("drift_alarm", if st.alarm then 1.0 else 0.0);
+          ("uptime_s", elapsed_s);
+          ("elapsed_s", elapsed_s);
+          ( "requests_per_sec",
+            if elapsed_s > 0.0 then float_of_int st.requests /. elapsed_s
+            else 0.0 );
+        ]
+      ~snapshot:(stats_json st ~now) ()
   in
-  (match String.split_on_char ' ' first_line with
-  | "GET" :: "/metrics" :: _ ->
-      st.scrapes <- st.scrapes + 1;
-      Metrics.incr scrape_counter;
-      let body =
-        Openmetrics.render (refreshed_snapshot st ~now:(Unix.gettimeofday ()))
-      in
-      http_respond fd ~status:"200 OK" ~content_type:http_content_type body
-  | "GET" :: _ :: _ ->
-      http_respond fd ~status:"404 Not Found" ~content_type:"text/plain"
-        "only /metrics lives here\n"
-  | _ ->
-      http_respond fd ~status:"400 Bad Request" ~content_type:"text/plain"
-        "bad request\n");
-  try Unix.close fd with Unix.Unix_error _ -> ()
-
-let stats_json st ~now = Metrics.to_json (refreshed_snapshot st ~now)
+  match Ledger.append ~path entry with
+  | Ok () -> ()
+  | Error msg -> Format.eprintf "hexserve: serve ledger: %s@." msg
 
 let move_aside file msg =
   let base = Printf.sprintf "%s.bad.%.0f" file (Unix.time ()) in
@@ -509,7 +476,7 @@ let rec load_index path =
       else (Index.create (), None)
 
 let run ?index_path ?(exec = Parsweep.serial) ?max_requests
-    ?(on_ready = fun () -> ()) ?http_port ?on_http_port ?access_log_path
+    ?(on_ready = fun () -> ()) ?access_log_path
     ?(slow_us = infinity) ?slo ?(audit_rate = 0) ?(audit_cold = false)
     ?(drift_min_ratio = 0.99) ?ledger_path ~socket_path () =
   let t_start = Unix.gettimeofday () in
@@ -556,34 +523,17 @@ let run ?index_path ?(exec = Parsweep.serial) ?max_requests
       audits = 0;
       audits_oob = 0;
       alarm = false;
-      scrapes = 0;
       ring = Array.make drift_window true;
       ring_len = 0;
       ring_pos = 0;
     }
   in
-  (* a clean start scrapes as alarm 0, not as an absent family *)
+  (* a clean start reads as alarm 0, not as an absent gauge *)
   Metrics.set drift_alarm_gauge 0.0;
   let listener = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   (try Unix.unlink socket_path with Unix.Unix_error _ -> ());
   Unix.bind listener (Unix.ADDR_UNIX socket_path);
   Unix.listen listener 64;
-  let http_listener =
-    match http_port with
-    | None -> None
-    | Some port ->
-        let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-        Unix.setsockopt sock Unix.SO_REUSEADDR true;
-        Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-        Unix.listen sock 16;
-        let actual =
-          match Unix.getsockname sock with
-          | Unix.ADDR_INET (_, p) -> p
-          | _ -> port
-        in
-        (match on_http_port with Some f -> f actual | None -> ());
-        Some sock
-  in
   let clients = ref [] in
   let close_client fd =
     clients := List.filter (fun c -> c <> fd) !clients;
@@ -592,7 +542,7 @@ let run ?index_path ?(exec = Parsweep.serial) ?max_requests
   let running = ref true in
   (* Graceful shutdown: SIGINT/SIGTERM flip [running] and let the loop
      fall through to the normal cleanup path (persist the index, flush
-     the access log, stamp a final ledger record, unlink the socket).
+     the access log, write the run's ledger record, unlink the socket).
      The 1s select timeout bounds the latency even if the EINTR the
      signal causes is swallowed.  Handlers are restored on exit so
      embedding callers (tests, the bench) keep their own disposition;
@@ -628,11 +578,8 @@ let run ?index_path ?(exec = Parsweep.serial) ?max_requests
      samples it so "every Nth served answer" is global, not per-client. *)
   let audit_clock = ref 0 in
   while !running && budget_left () do
-    let watched =
-      (listener :: Option.to_list http_listener) @ !clients
-    in
     (* a finite timeout lets SLO windows close during idle periods *)
-    match Unix.select watched [] [] 1.0 with
+    match Unix.select (listener :: !clients) [] [] 1.0 with
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
     | readable, _, _ ->
         let now = Unix.gettimeofday () in
@@ -645,11 +592,6 @@ let run ?index_path ?(exec = Parsweep.serial) ?max_requests
             if fd = listener then begin
               match Unix.accept listener with
               | client, _ -> clients := client :: !clients
-              | exception Unix.Unix_error _ -> ()
-            end
-            else if Some fd = http_listener then begin
-              match Unix.accept fd with
-              | client, _ -> serve_http_client st client
               | exception Unix.Unix_error _ -> ()
             end
             else
@@ -668,26 +610,14 @@ let run ?index_path ?(exec = Parsweep.serial) ?max_requests
                       st.requests <- st.requests + 1;
                       Metrics.incr requests_counter;
                       answer_error st ~req_id:(fresh_req_id st) ~t0 fd msg
-                  | Ok Proto.Stats ->
-                      send_reply fd
-                        (Proto.Stats_reply
-                           {
-                             metrics = stats_json st ~now:t0;
-                             server = vitals st ~now:t0;
-                           })
-                  | Ok Proto.Metrics ->
-                      send_reply fd
-                        (Proto.Metrics_reply
-                           (Openmetrics.render
-                              (refreshed_snapshot st ~now:t0)))
-                  | Ok Proto.Shutdown ->
+                  | Ok ((Proto.Stats | Proto.Shutdown) as op) ->
                       send_reply fd
                         (Proto.Stats_reply
                            {
                              metrics = stats_json st ~now:t0;
                              server = vitals st ~now:t0;
                            });
-                      running := false
+                      if op = Proto.Shutdown then running := false
                   | Ok (Proto.Ask { arch; stencil; space; time }) -> (
                       let req_id = fresh_req_id st in
                       match resolve arch stencil space time with
@@ -748,44 +678,13 @@ let run ?index_path ?(exec = Parsweep.serial) ?max_requests
   Option.iter
     (fun a -> Access_log.maybe_flush a ~now:(Unix.gettimeofday ()))
     st.alog;
-  (* On a signal-driven exit, leave a provenance-stamped last word in the
-     ledger: final vitals plus the full metrics snapshot, so a scraper
-     that missed the process's end can still reconstruct it. *)
-  (match (!stop_signal, st.ledger_path) with
-  | Some s, Some path ->
-      let now = Unix.gettimeofday () in
-      let name =
-        if s = Sys.sigint then "sigint"
-        else if s = Sys.sigterm then "sigterm"
-        else string_of_int s
-      in
-      let b01 b = if b then 1.0 else 0.0 in
-      let entry =
-        Ledger.make ~kind:"serve" ~code_version:Advisor.code_version
-          ~labels:[ ("shutdown", name) ]
-          ~metrics:
-            [
-              ("requests", float_of_int st.requests);
-              ("warm_hits", float_of_int st.warm_hits);
-              ("cold_misses", float_of_int st.cold_misses);
-              ("errors", float_of_int st.errors);
-              ("audits", float_of_int st.audits);
-              ("audits_out_of_band", float_of_int st.audits_oob);
-              ("drift_alarm", b01 st.alarm);
-              ("uptime_s", now -. st.t_start);
-            ]
-          ~snapshot:(stats_json st ~now) ()
-      in
-      (match Ledger.append ~path entry with
-      | Ok () -> ()
-      | Error msg -> Format.eprintf "hexserve: shutdown ledger: %s@." msg)
-  | _ -> ());
+  Option.iter
+    (fun path ->
+      serve_ledger_record st ~path ~socket_path ~signal:!stop_signal)
+    st.ledger_path;
   Option.iter Access_log.close st.alog;
   List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) !clients;
   (try Unix.close listener with Unix.Unix_error _ -> ());
-  Option.iter
-    (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-    http_listener;
   (try Unix.unlink socket_path with Unix.Unix_error _ -> ());
   {
     requests = st.requests;
@@ -795,5 +694,4 @@ let run ?index_path ?(exec = Parsweep.serial) ?max_requests
     audits = st.audits;
     audits_out_of_band = st.audits_oob;
     drift_alarm = st.alarm;
-    scrapes = st.scrapes;
   }

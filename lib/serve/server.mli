@@ -16,12 +16,11 @@
 
     - counters [serve.requests], [serve.warm_hits], [serve.cold_misses],
       [serve.errors], [serve.audits], [serve.audits_out_of_band],
-      [serve.http_scrapes], [serve.access_log_lines]; latency histograms
-      [serve.warm_seconds], [serve.cold_seconds];
+      [serve.access_log_lines]; latency histograms [serve.warm_seconds],
+      [serve.cold_seconds], each with p50/p90/p99;
     - vitals gauges [serve.uptime_s], [serve.index_entries],
       [serve.requests_in_flight] (also riding along in every answer and
-      stats reply), scrape-time quantile gauges [serve.warm_p50_us],
-      [serve.warm_p99_us];
+      stats reply);
     - rolling SLO windows ({!Hextime_obs.Slo}, [slo.*] gauges) fed by
       every answered request and ticked each loop iteration;
     - the drift monitor: sampled served answers re-verified against the
@@ -30,11 +29,11 @@
       [serve.audit_inband_ratio]; [serve.drift_alarm] latches to 1 while
       the rolling in-band ratio is below [drift_min_ratio].
 
-    Everything is visible three ways: the [stats] frame (JSON snapshot),
-    the [metrics] frame and plain-HTTP [GET /metrics] on [http_port]
-    (both the same {!Hextime_obs.Openmetrics} text exposition), and the
-    structured JSONL access log ({!Access_log}) with per-request ids and
-    slow-cold-solve attribution dumps. *)
+    The metrics are read one way: the [stats] frame, whose reply is the
+    {!Hextime_obs.Metrics.to_json} snapshot plus the vitals — the format
+    of ledger records and [--profile] traces too.  Per-request detail
+    goes to the structured JSONL access log ({!Access_log}), with request
+    ids and slow-cold-solve attribution dumps. *)
 
 type summary = {
   requests : int;  (** ask requests answered (warm + cold + rejected) *)
@@ -44,7 +43,6 @@ type summary = {
   audits : int;  (** drift audits executed *)
   audits_out_of_band : int;  (** audits whose answer fell out of band *)
   drift_alarm : bool;  (** alarm state at shutdown *)
-  scrapes : int;  (** HTTP [GET /metrics] requests served *)
 }
 
 val run :
@@ -52,8 +50,6 @@ val run :
   ?exec:Hextime_parsweep.Parsweep.exec ->
   ?max_requests:int ->
   ?on_ready:(unit -> unit) ->
-  ?http_port:int ->
-  ?on_http_port:(int -> unit) ->
   ?access_log_path:string ->
   ?slow_us:float ->
   ?slo:Hextime_obs.Slo.spec ->
@@ -68,13 +64,15 @@ val run :
     requests have been answered, or until SIGINT/SIGTERM.  All exits take
     the same graceful path: fold the journal into the snapshot
     ({!Index.fold_journal}, if anything was appended or a journal was
-    found at start-up), flush and close the access log, close clients,
-    unlink the socket.  A signal-driven exit
-    additionally appends one [kind = "serve"] record to [ledger_path]
-    (label [shutdown = sigint|sigterm]) carrying the final vitals and the
-    full metrics snapshot; the previous signal dispositions are restored
-    before [run] returns.  SIGPIPE is ignored while [run] serves, so a
-    client that hangs up before its reply costs that reply only.
+    found at start-up), flush and close the access log, append the run's
+    one [kind = "serve"] record to [ledger_path] (if given), close
+    clients, unlink the socket.  The record carries the final counts,
+    [uptime_s]/[elapsed_s], [requests_per_sec] and the full metrics
+    snapshot, labelled [socket] and, only when a signal ended the run,
+    [shutdown = sigint|sigterm]; the previous signal dispositions are
+    restored before [run] returns.  SIGPIPE is ignored while [run]
+    serves, so a client that hangs up before its reply costs that reply
+    only.
     [index_path] and its journal are loaded ({!Index.load}) and are the
     write-back target for cold-miss answers; one stderr line reports the
     snapshot entries, the journal entries replayed and the bad journal
@@ -88,12 +86,10 @@ val run :
     stderr and the server keeps serving.  [exec] drives the cold-path
     batch and the audit batches (default
     {!Hextime_parsweep.Parsweep.serial}).  [on_ready] fires after the
-    sockets are bound and listening, before the first accept: tests use
+    socket is bound and listening, before the first accept: tests use
     it to release clients.  The socket file is unlinked on exit.
 
-    hexpulse knobs: [http_port] additionally binds a loopback TCP socket
-    answering [GET /metrics] ([0] picks an ephemeral port, reported via
-    [on_http_port]).  [access_log_path] appends one JSONL record per
+    hexpulse knobs: [access_log_path] appends one JSONL record per
     answered request; a cold solve slower than [slow_us] (default: never)
     logs its Section-5 attribution alongside.  [slo] configures the
     rolling windows (default {!Hextime_obs.Slo.default_spec}).

@@ -682,140 +682,95 @@ let test_quantiles_in_snapshot_json () =
           | None -> Alcotest.failf "%s missing from histogram JSON" label)
         Metrics.quantiles
 
-(* --- OpenMetrics exposition (hexpulse) -------------------------------------- *)
+(* --- the scrape gate's rules: Metrics.check_json ------------------------- *)
 
-module Openmetrics = Obs.Openmetrics
+(* A snapshot as the stats frame delivers it: rendered and parsed back, so
+   the empty histogram's quantiles and extrema and the NaN gauge arrive as
+   the strings "NaN", "Infinity" and "-Infinity". *)
+let gate_snapshot =
+  {
+    Metrics.snap_counters = [ ("serve.requests", 3) ];
+    snap_gauges = [ ("serve.drift_alarm", 0.0); ("slo.p99_ok", Float.nan) ];
+    snap_histograms =
+      [
+        ( "serve.cold_seconds",
+          {
+            Metrics.hs_count = 0;
+            hs_sum = 0.0;
+            hs_min = infinity;
+            hs_max = neg_infinity;
+            hs_buckets = [];
+          } );
+        ( "serve.warm_seconds",
+          {
+            Metrics.hs_count = 3;
+            hs_sum = 0.75;
+            hs_min = 0.1;
+            hs_max = 0.4;
+            hs_buckets =
+              [ (Metrics.bucket_of 0.1, 2); (Metrics.bucket_of 0.4, 1) ];
+          } );
+      ];
+  }
 
-(* The full text a scraper sees for a known snapshot, byte for byte:
-   counters with _total, gauges verbatim, log2 histogram re-rendered as
-   cumulative le buckets closed by +Inf, # EOF terminator, dots and dashes
-   sanitized to underscores. *)
-let test_openmetrics_golden () =
-  let hist =
-    {
-      Metrics.hs_count = 3;
-      hs_sum = 0.75;
-      hs_min = 0.1;
-      hs_max = 0.4;
-      hs_buckets = [ (Metrics.bucket_of 0.1, 2); (Metrics.bucket_of 0.4, 1) ];
-    }
-  in
-  let snap =
-    {
-      Metrics.snap_counters = [ ("serve.requests", 3) ];
-      snap_gauges = [ ("serve.drift_alarm", 0.0); ("weird-name.g", 1.5) ];
-      snap_histograms = [ ("serve.warm_seconds", hist) ];
-    }
-  in
-  let expected =
-    "# TYPE serve_requests counter\n" ^ "serve_requests_total 3\n"
-    ^ "# TYPE serve_drift_alarm gauge\n" ^ "serve_drift_alarm 0\n"
-    ^ "# TYPE weird_name_g gauge\n" ^ "weird_name_g 1.5\n"
-    ^ "# TYPE serve_warm_seconds histogram\n"
-    ^ "serve_warm_seconds_bucket{le=\"0.125\"} 2\n"
-    ^ "serve_warm_seconds_bucket{le=\"0.5\"} 3\n"
-    ^ "serve_warm_seconds_bucket{le=\"+Inf\"} 3\n"
-    ^ "serve_warm_seconds_sum 0.75\n" ^ "serve_warm_seconds_count 3\n"
-    ^ "# EOF\n"
-  in
-  let rendered = Openmetrics.render snap in
-  Alcotest.(check string) "golden exposition" expected rendered;
-  match
-    Openmetrics.validate
-      ~require:[ "serve_requests"; "serve_drift_alarm"; "serve_warm_seconds" ]
-      rendered
-  with
+let gate ?(require = []) ?(expect = []) snap =
+  match Minijson.parse (Minijson.render_compact (Metrics.to_json snap)) with
+  | Ok json -> Metrics.check_json ~require ~expect json
   | Error e -> Alcotest.fail e
-  | Ok { Openmetrics.families; samples } ->
-      Alcotest.(check int) "families" 4 families;
-      Alcotest.(check int) "samples" 8 samples
 
-let test_openmetrics_label_escaping () =
-  let nasty = "a\\b\"c\nd" in
-  Alcotest.(check string) "escapes" "a\\\\b\\\"c\\nd"
-    (Openmetrics.escape_label_value nasty);
-  let text =
-    "# TYPE x gauge\nx{path=\""
-    ^ Openmetrics.escape_label_value nasty
-    ^ "\"} 1\n# EOF\n"
-  in
-  match Openmetrics.parse text with
-  | Error e -> Alcotest.fail e
-  | Ok families -> (
-      match Openmetrics.find families "x" with
-      | None -> Alcotest.fail "family x missing"
-      | Some f -> (
-          match f.Openmetrics.f_samples with
-          | [ s ] ->
-              Alcotest.(check (list (pair string string)))
-                "round-trips through the escapes"
-                [ ("path", nasty) ]
-                s.Openmetrics.s_labels
-          | _ -> Alcotest.fail "expected exactly one sample"))
-
-(* A live registry histogram survives the render -> parse -> validate
-   round-trip, and the parsed cumulative series agrees with the registry's
-   own counts. *)
-let test_openmetrics_registry_roundtrip () =
-  let h = Metrics.histogram "test.obs.omh" in
-  List.iter (Metrics.observe h) [ 0.001; 0.002; 0.004; 0.1; 100.0 ];
-  let text = Openmetrics.render (Metrics.snapshot ()) in
-  (match Openmetrics.validate text with
-  | Error e -> Alcotest.fail e
-  | Ok _ -> ());
-  match Openmetrics.parse text with
-  | Error e -> Alcotest.fail e
-  | Ok families -> (
-      Alcotest.(check (option (float 0.0)))
-        "count sample" (Some 5.0)
-        (Openmetrics.value families "test_obs_omh_count");
-      Alcotest.(check bool) "sum sample close" true
-        (match Openmetrics.value families "test_obs_omh_sum" with
-        | Some s -> Float.abs (s -. 100.107) < 1e-9
-        | None -> false);
-      match Openmetrics.find families "test_obs_omh" with
-      | None -> Alcotest.fail "histogram family missing"
-      | Some f ->
-          let inf_bucket =
-            List.find_opt
-              (fun s ->
-                s.Openmetrics.s_name = "test_obs_omh_bucket"
-                && s.Openmetrics.s_labels = [ ("le", "+Inf") ])
-              f.Openmetrics.f_samples
-          in
-          Alcotest.(check (option (float 0.0)))
-            "+Inf bucket equals count" (Some 5.0)
-            (Option.map (fun s -> s.Openmetrics.s_value) inf_bucket))
-
-let test_openmetrics_rejects_malformed () =
-  let broken what text =
-    match Openmetrics.validate text with
-    | Ok _ -> Alcotest.failf "%s passed validation" what
-    | Error _ -> ()
-  in
-  broken "non-cumulative buckets"
-    ("# TYPE h histogram\n" ^ "h_bucket{le=\"1\"} 5\n"
-   ^ "h_bucket{le=\"2\"} 3\n" ^ "h_bucket{le=\"+Inf\"} 5\n" ^ "h_sum 1\n"
-   ^ "h_count 5\n# EOF\n");
-  broken "no +Inf closing bucket"
-    ("# TYPE h histogram\n" ^ "h_bucket{le=\"1\"} 5\n" ^ "h_sum 1\n"
-   ^ "h_count 5\n# EOF\n");
-  broken "+Inf disagrees with count"
-    ("# TYPE h histogram\n" ^ "h_bucket{le=\"+Inf\"} 4\n" ^ "h_sum 1\n"
-   ^ "h_count 5\n# EOF\n");
-  broken "negative counter"
-    "# TYPE c counter\nc_total -1\n# EOF\n";
-  broken "sample before any TYPE" "orphan 1\n# EOF\n";
-  match Openmetrics.validate ~require:[ "absent_family" ] "# EOF\n" with
-  | Ok _ -> Alcotest.fail "missing required family passed"
+let gate_fails what ~needle = function
+  | Ok _ -> Alcotest.failf "%s passed the gate" what
   | Error msg ->
-      let contains ~needle hay =
-        let nl = String.length needle and hl = String.length hay in
-        let rec at i = i + nl <= hl && (String.sub hay i nl = needle || at (i + 1)) in
-        at 0
-      in
-      Alcotest.(check bool) "names the missing family" true
-        (contains ~needle:"absent_family" msg)
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %S names %S" what msg needle)
+        true
+        (Test_util.contains msg needle)
+
+let test_gate_clean_snapshot_passes () =
+  Alcotest.(check (result int string))
+    "every rule holds; NaN and the infinities read as absent" (Ok 5)
+    (gate gate_snapshot
+       ~require:[ "serve.requests"; "serve.drift_alarm"; "serve.cold_seconds" ]
+       ~expect:[ ("serve.drift_alarm", 0.0) ]);
+  match
+    Metrics.check_json ~require:[] ~expect:[]
+      (Metrics.to_json (Metrics.snapshot ()))
+  with
+  | Ok n -> Alcotest.(check bool) "the live registry passes" true (n > 0)
+  | Error e -> Alcotest.fail e
+
+let test_gate_missing_name () =
+  gate_fails "missing name" ~needle:"serve.absent is absent"
+    (gate gate_snapshot ~require:[ "serve.requests"; "serve.absent" ])
+
+let test_gate_wrong_gauge () =
+  gate_fails "wrong gauge" ~needle:"expected serve.drift_alarm=1, got 0"
+    (gate gate_snapshot ~expect:[ ("serve.drift_alarm", 1.0) ]);
+  gate_fails "NaN gauge" ~needle:"expected slo.p99_ok=1, got absent"
+    (gate gate_snapshot ~expect:[ ("slo.p99_ok", 1.0) ])
+
+let test_gate_negative_counter () =
+  gate_fails "negative counter" ~needle:"counter serve.requests is not >= 0"
+    (gate
+       { gate_snapshot with Metrics.snap_counters = [ ("serve.requests", -1) ] })
+
+let test_gate_unbalanced_buckets () =
+  let off =
+    List.map
+      (fun (name, hs) ->
+        (name, { hs with Metrics.hs_count = hs.Metrics.hs_count + 1 }))
+      gate_snapshot.Metrics.snap_histograms
+  in
+  gate_fails "bucket sum != count"
+    ~needle:"histogram serve.warm_seconds: buckets sum to 3, count 4"
+    (gate { gate_snapshot with Metrics.snap_histograms = off })
+
+let test_gate_not_an_object () =
+  List.iter
+    (fun json ->
+      gate_fails "non-object" ~needle:"not a JSON object"
+        (Metrics.check_json ~require:[] ~expect:[] json))
+    [ Minijson.List []; Minijson.Str "serve.requests 3"; Minijson.Null ]
 
 (* --- rolling SLO windows (hexpulse) ------------------------------------------ *)
 
@@ -1279,14 +1234,18 @@ let suite =
       test_sweep_identical_with_progress;
     Alcotest.test_case "first heartbeat tick stays finite" `Quick
       test_progress_first_tick_is_finite;
-    Alcotest.test_case "openmetrics golden exposition" `Quick
-      test_openmetrics_golden;
-    Alcotest.test_case "openmetrics label escaping" `Quick
-      test_openmetrics_label_escaping;
-    Alcotest.test_case "openmetrics registry round-trip" `Quick
-      test_openmetrics_registry_roundtrip;
-    Alcotest.test_case "openmetrics rejects malformed" `Quick
-      test_openmetrics_rejects_malformed;
+    Alcotest.test_case "scrape gate: clean snapshot passes" `Quick
+      test_gate_clean_snapshot_passes;
+    Alcotest.test_case "scrape gate: missing name fails" `Quick
+      test_gate_missing_name;
+    Alcotest.test_case "scrape gate: wrong gauge fails" `Quick
+      test_gate_wrong_gauge;
+    Alcotest.test_case "scrape gate: negative counter fails" `Quick
+      test_gate_negative_counter;
+    Alcotest.test_case "scrape gate: bucket sum != count fails" `Quick
+      test_gate_unbalanced_buckets;
+    Alcotest.test_case "scrape gate: non-object fails" `Quick
+      test_gate_not_an_object;
     Alcotest.test_case "slo windows roll and judge" `Quick
       test_slo_windows_roll_and_judge;
     Alcotest.test_case "slo create validates" `Quick test_slo_create_validates;

@@ -70,7 +70,6 @@ let test_proto_roundtrip () =
       Proto.Ask
         { arch = "gtx980"; stencil = "heat2d"; space = [| 512; 512 |]; time = 128 };
       Proto.Stats;
-      Proto.Metrics;
       Proto.Shutdown;
     ]
   in
@@ -121,7 +120,7 @@ let test_proto_roundtrip () =
       | Error e -> Alcotest.fail e)
   | Ok None -> Alcotest.fail "unexpected end of stream"
   | Error e -> Alcotest.fail e);
-  (* the stats reply keeps its vitals, the metrics reply its exposition *)
+  (* the stats reply keeps its metrics and its vitals *)
   Proto.write_frame a
     (Proto.reply_to_json
        (Proto.Stats_reply
@@ -137,16 +136,6 @@ let test_proto_roundtrip () =
       | Ok _ -> Alcotest.fail "stats reply decoded to the wrong arm"
       | Error e -> Alcotest.fail e)
   | _ -> Alcotest.fail "stats reply lost");
-  let exposition = "# TYPE a counter\na_total 1\n# EOF\n" in
-  Proto.write_frame a (Proto.reply_to_json (Proto.Metrics_reply exposition));
-  (match Proto.read_frame b with
-  | Ok (Some json) -> (
-      match Proto.reply_of_json json with
-      | Ok (Proto.Metrics_reply text) ->
-          Alcotest.(check string) "exposition byte-identical" exposition text
-      | Ok _ -> Alcotest.fail "metrics reply decoded to the wrong arm"
-      | Error e -> Alcotest.fail e)
-  | _ -> Alcotest.fail "metrics reply lost");
   (* closing the writer is a clean EOF on the reader, not an error *)
   Unix.close a;
   match Proto.read_frame b with
@@ -201,7 +190,7 @@ let test_frame_larger_than_socket_buffer () =
     String.init 900_000 (fun i ->
         if i mod 97 = 96 then '\n' else Char.chr (32 + (i * 7 mod 95)))
   in
-  let big = Proto.reply_to_json (Proto.Metrics_reply text) in
+  let big = Proto.reply_to_json (Proto.Error_reply text) in
   Alcotest.(check bool) "frame exceeds the socket send buffer" true
     (String.length (Minijson.render_compact big)
     > Unix.getsockopt_int a Unix.SO_SNDBUF);
@@ -231,8 +220,8 @@ let test_frame_larger_than_socket_buffer () =
   (match first with
   | Ok (Some json) -> (
       match Proto.reply_of_json json with
-      | Ok (Proto.Metrics_reply text') ->
-          Alcotest.(check bool) "900 KB exposition byte-identical" true
+      | Ok (Proto.Error_reply text') ->
+          Alcotest.(check bool) "900 KB message byte-identical" true
             (String.equal text text')
       | Ok _ -> Alcotest.fail "large frame decoded to the wrong arm"
       | Error e -> Alcotest.fail e)
@@ -713,62 +702,18 @@ let test_serve_cold_warm_writeback_and_concurrency () =
 (* --- hexpulse: scrape endpoint, access log, drift monitor ------------------- *)
 
 module Metrics = Hextime_obs.Metrics
-module Openmetrics = Hextime_obs.Openmetrics
 module Ledger = Hextime_obs.Ledger
 
-(* Raw-TCP GET, same approach as `hextime metrics-verify --port`: the CI
-   image has no curl, and the endpoint speaks just enough HTTP for this. *)
-let http_get ~port path =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Fun.protect ~finally:(fun () ->
-      try Unix.close fd with Unix.Unix_error _ -> ())
-  @@ fun () ->
-  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-  let req =
-    Printf.sprintf "GET %s HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n"
-      path
-  in
-  let (_ : int) = Unix.write_substring fd req 0 (String.length req) in
-  let buf = Buffer.create 8192 in
-  let chunk = Bytes.create 8192 in
-  let rec drain () =
-    match Unix.read fd chunk 0 (Bytes.length chunk) with
-    | 0 -> ()
-    | n ->
-        Buffer.add_subbytes buf chunk 0 n;
-        drain ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> drain ()
-  in
-  drain ();
-  Buffer.contents buf
-
-let split_http response =
-  let sep = "\r\n\r\n" in
-  let slen = String.length sep in
-  let rec find i =
-    if i + slen > String.length response then None
-    else if String.sub response i slen = sep then Some i
-    else find (i + 1)
-  in
-  match find 0 with
-  | None -> Alcotest.failf "no header/body break in %S" response
-  | Some i ->
-      ( String.sub response 0 i,
-        String.sub response (i + slen) (String.length response - i - slen) )
-
-(* The metrics frame and GET /metrics serve a valid exposition whose
-   [serve_warm_p50_us] gauge equals [Metrics.quantile] over the registry's
-   own warm histogram — the server runs in a domain of this process, so
-   both sides read the same registry. *)
-let test_http_scrape_and_quantile_roundtrip () =
+(* The stats frame — the one way to read a live server's metrics — passes
+   the scrape gate's rules with every name metrics-verify requires, and
+   the p50 it carries for [serve.warm_seconds] equals [Metrics.quantile]
+   over the registry's own warm histogram, bit for bit: the server runs
+   in a domain of this process, so both sides read the same registry. *)
+let test_stats_frame_quantile_roundtrip () =
   let socket_path = fresh_path ".sock" in
   let e0 = List.hd (H.Experiments.all H.Experiments.Ci) in
-  let http_port = Atomic.make 0 in
   let srv =
-    Domain.spawn (fun () ->
-        Server.run ~exec:Parsweep.serial ~http_port:0
-          ~on_http_port:(fun p -> Atomic.set http_port p)
-          ~socket_path ())
+    Domain.spawn (fun () -> Server.run ~exec:Parsweep.serial ~socket_path ())
   in
   let fd = connect socket_path in
   (match ask fd e0 with
@@ -780,67 +725,43 @@ let test_http_scrape_and_quantile_roundtrip () =
     | Ok _ -> Alcotest.fail "repeat ask missed the index"
     | Error m -> Alcotest.failf "warm ask failed: %s" m
   done;
-  let frame_text =
-    match Client.metrics fd with Ok t -> t | Error m -> Alcotest.fail m
+  let metrics, vitals =
+    match Client.stats fd with Ok r -> r | Error m -> Alcotest.fail m
   in
-  let rec wait_port tries =
-    let p = Atomic.get http_port in
-    if p > 0 then p
-    else if tries = 0 then Alcotest.fail "http port never reported"
-    else (
-      Unix.sleepf 0.01;
-      wait_port (tries - 1))
-  in
-  let port = wait_port 500 in
-  let headers, body = split_http (http_get ~port "/metrics") in
-  Alcotest.(check bool) "scrape is 200" true
-    (Test_util.contains headers "200 OK");
-  Alcotest.(check bool) "openmetrics content type" true
-    (Test_util.contains headers "application/openmetrics-text");
-  let miss = http_get ~port "/nope" in
-  Alcotest.(check bool) "unknown path is 404" true
-    (Test_util.contains miss "404");
-  let fd2 = connect socket_path in
-  (match Client.shutdown fd2 with Ok () -> () | Error m -> Alcotest.fail m);
-  Client.close fd2;
+  (match Client.shutdown fd with Ok () -> () | Error m -> Alcotest.fail m);
   Client.close fd;
-  let summary = Domain.join srv in
-  Alcotest.(check bool) "scrapes counted (404s excluded)" true
-    (summary.Server.scrapes = 1);
-  (* both expositions validate, with every family metrics-verify requires *)
+  let (_ : Server.summary) = Domain.join srv in
+  Alcotest.(check bool) "vitals ride along" true
+    (List.mem_assoc "uptime_s" vitals);
   let require =
     [
-      "serve_requests";
-      "serve_warm_hits";
-      "serve_cold_misses";
-      "serve_errors";
-      "serve_warm_seconds";
-      "serve_cold_seconds";
-      "serve_uptime_s";
-      "serve_index_entries";
-      "serve_drift_alarm";
+      "serve.requests";
+      "serve.warm_hits";
+      "serve.cold_misses";
+      "serve.errors";
+      "serve.warm_seconds";
+      "serve.cold_seconds";
+      "serve.uptime_s";
+      "serve.index_entries";
+      "serve.drift_alarm";
     ]
   in
-  List.iter
-    (fun (what, text) ->
-      match Openmetrics.validate ~require text with
-      | Ok (s : Openmetrics.summary) ->
-          Alcotest.(check bool)
-            (what ^ ": non-trivial exposition")
-            true
-            (s.Openmetrics.families >= List.length require)
-      | Error m -> Alcotest.failf "%s: %s" what m)
-    [ ("frame", frame_text); ("http", body) ];
-  (* the round-trip: scraped p50 == quantile over the same histogram *)
-  let families =
-    match Openmetrics.parse body with
-    | Ok f -> f
-    | Error m -> Alcotest.fail m
-  in
+  (match
+     Metrics.check_json ~require ~expect:[ ("serve.drift_alarm", 0.0) ] metrics
+   with
+  | Ok n ->
+      Alcotest.(check bool) "non-trivial snapshot" true
+        (n >= List.length require)
+  | Error m -> Alcotest.fail m);
+  (* the round-trip: the frame's p50 == quantile over the same histogram *)
   let scraped =
-    match Openmetrics.value families "serve_warm_p50_us" with
+    match
+      Option.bind (Minijson.member "histograms" metrics) (fun hs ->
+          Option.bind (Minijson.member "serve.warm_seconds" hs) (fun h ->
+              Option.bind (Minijson.member "p50" h) Minijson.number))
+    with
     | Some v -> v
-    | None -> Alcotest.fail "no serve_warm_p50_us in the scrape"
+    | None -> Alcotest.fail "no serve.warm_seconds p50 in the stats frame"
   in
   let hist =
     match
@@ -851,9 +772,8 @@ let test_http_scrape_and_quantile_roundtrip () =
     | None -> Alcotest.fail "warm histogram missing from the registry"
   in
   Alcotest.(check (float 0.0))
-    "scraped p50 == Metrics.quantile (exact: %.17g round-trips)"
-    (Metrics.quantile hist 0.5 *. 1e6)
-    scraped;
+    "frame p50 == Metrics.quantile (exact: %.17g round-trips)"
+    (Metrics.quantile hist 0.5) scraped;
   Alcotest.(check bool) "drift alarm gauge clean" true
     (List.assoc_opt "serve.drift_alarm"
        (Metrics.snapshot ()).Metrics.snap_gauges
@@ -1099,7 +1019,36 @@ let test_drift_monitor_clean_and_injected () =
         a.Advisor.au_in_band
   | Error m -> Alcotest.fail m
 
-(* --- graceful shutdown ------------------------------------------------------- *)
+(* --- graceful shutdown, one ledger record -------------------------------------- *)
+
+(* However a run ends, the server writes its one [serve] ledger record:
+   labelled with the socket, with [shutdown] only when a signal ended the
+   run, and carrying the [requests_per_sec] hexlens watches. *)
+let one_serve_record what ~ledger_path ~socket_path =
+  match Ledger.load ~path:ledger_path with
+  | Error m -> Alcotest.fail m
+  | Ok loaded -> (
+      match Ledger.filter ~kind:"serve" loaded.Ledger.entries with
+      | [ r ] ->
+          Alcotest.(check (option string))
+            (what ^ ": labelled with the socket")
+            (Some socket_path)
+            (List.assoc_opt "socket" r.Ledger.labels);
+          Alcotest.(check (option (float 0.0)))
+            (what ^ ": final request count")
+            (Some 1.0)
+            (Ledger.metric r "requests");
+          Alcotest.(check bool)
+            (what ^ ": requests_per_sec recorded")
+            true
+            (Ledger.metric r "requests_per_sec" <> None);
+          Alcotest.(check bool)
+            (what ^ ": carries the full metrics snapshot")
+            true (r.Ledger.snapshot <> None);
+          List.assoc_opt "shutdown" r.Ledger.labels
+      | rs ->
+          Alcotest.failf "%s: expected 1 serve record, got %d" what
+            (List.length rs))
 
 let test_graceful_shutdown_on_sigterm () =
   let e0 = List.hd (H.Experiments.all H.Experiments.Ci) in
@@ -1123,15 +1072,18 @@ let test_graceful_shutdown_on_sigterm () =
   while not (Atomic.get ready) do
     Domain.cpu_relax ()
   done;
+  let warm_ask fd =
+    match ask fd e0 with
+    | Ok { Proto.source = Proto.Warm; _ } -> ()
+    | Ok _ -> Alcotest.fail "prebuilt index answered cold"
+    | Error m -> Alcotest.fail m
+  in
   let fd = connect socket_path in
-  (match ask fd e0 with
-  | Ok { Proto.source = Proto.Warm; _ } -> ()
-  | Ok _ -> Alcotest.fail "prebuilt index answered cold"
-  | Error m -> Alcotest.fail m);
+  warm_ask fd;
   Client.close fd;
   (* SIGTERM instead of a shutdown frame: the loop must fall through to
-     the same cleanup — flush the access log, stamp a final ledger
-     record, unlink the socket *)
+     the same cleanup — flush the access log, write the ledger record,
+     unlink the socket *)
   Unix.kill (Unix.getpid ()) Sys.sigterm;
   let summary = Domain.join srv in
   Alcotest.(check int) "the served request survived the signal" 1
@@ -1139,25 +1091,40 @@ let test_graceful_shutdown_on_sigterm () =
   Alcotest.(check bool) "socket unlinked" false (Sys.file_exists socket_path);
   Alcotest.(check bool) "access log flushed on signal exit" true
     ((Unix.stat access_log).Unix.st_size > 0);
-  (match Ledger.load ~path:ledger_path with
-  | Error m -> Alcotest.fail m
-  | Ok loaded -> (
-      match Ledger.filter ~kind:"serve" loaded.Ledger.entries with
-      | [ r ] ->
-          Alcotest.(check (option string))
-            "record names the signal" (Some "sigterm")
-            (List.assoc_opt "shutdown" r.Ledger.labels);
-          Alcotest.(check (option (float 0.0)))
-            "final request count" (Some 1.0)
-            (Ledger.metric r "requests");
-          Alcotest.(check bool) "carries the full metrics snapshot" true
-            (r.Ledger.snapshot <> None)
-      | rs ->
-          Alcotest.failf "expected 1 serve shutdown record, got %d"
-            (List.length rs)));
-  Sys.remove index_path;
+  Alcotest.(check (option string)) "the record names the signal"
+    (Some "sigterm")
+    (one_serve_record "sigterm" ~ledger_path ~socket_path);
   Sys.remove ledger_path;
-  Sys.remove access_log
+  Sys.remove access_log;
+  (* the other two exits, max_requests and a shutdown frame, leave the
+     same one record, without a shutdown label *)
+  List.iter
+    (fun (what, max_requests, stop) ->
+      let socket_path = fresh_path ".sock" in
+      let ledger_path = fresh_path ".jsonl" in
+      let srv =
+        Domain.spawn (fun () ->
+            Server.run ~index_path ~exec:Parsweep.serial ?max_requests
+              ~ledger_path ~socket_path ())
+      in
+      let fd = connect socket_path in
+      warm_ask fd;
+      stop fd;
+      Client.close fd;
+      let (_ : Server.summary) = Domain.join srv in
+      Alcotest.(check (option string)) (what ^ ": no shutdown label") None
+        (one_serve_record what ~ledger_path ~socket_path);
+      Sys.remove ledger_path)
+    [
+      ("max_requests", Some 1, ignore);
+      ( "shutdown frame",
+        None,
+        fun fd ->
+          match Client.shutdown fd with
+          | Ok () -> ()
+          | Error m -> Alcotest.fail m );
+    ];
+  Sys.remove index_path
 
 (* --- clients that hang up, snapshots that do not load ----------------------- *)
 
@@ -1524,7 +1491,7 @@ let suite =
     Alcotest.test_case "serve: cold, warm, write-back, concurrent clients"
       `Quick test_serve_cold_warm_writeback_and_concurrency;
     Alcotest.test_case "hexpulse: scrape endpoint, quantile round-trip"
-      `Quick test_http_scrape_and_quantile_roundtrip;
+      `Quick test_stats_frame_quantile_roundtrip;
     Alcotest.test_case "hexpulse: access log and slow attribution" `Quick
       test_access_log_and_slow_attribution;
     Alcotest.test_case "hexpulse: drift monitor, clean and injected" `Quick
