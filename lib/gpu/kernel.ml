@@ -14,13 +14,16 @@ let total_points k =
     (fun acc (w, c) -> acc + (Workload.total_points w * c))
     0 k.blocks
 
+(* on the pricing path: ints compared by [if], not the polymorphic [max] *)
+let[@inline] larger (a : int) b = if a >= b then a else b
+
 let max_request k =
   List.fold_left
     (fun (acc : Occupancy.request) ((w : Workload.t), _) ->
       {
-        Occupancy.threads = max acc.threads w.threads;
-        shared_words = max acc.shared_words w.shared_words;
-        regs_per_thread = max acc.regs_per_thread w.regs_per_thread;
+        Occupancy.threads = larger acc.threads w.threads;
+        shared_words = larger acc.shared_words w.shared_words;
+        regs_per_thread = larger acc.regs_per_thread w.regs_per_thread;
       })
     { Occupancy.threads = 1; shared_words = 0; regs_per_thread = 0 }
     k.blocks

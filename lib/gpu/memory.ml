@@ -1,20 +1,26 @@
-module Ints = Hextime_prelude.Ints
+(* As in Compute: local [@inline] helpers and int comparisons by [if], so
+   [block_transfer_s] makes no call but into Arch, whose calls dev builds
+   (-opaque) cannot inline. *)
 
 type transfer = { words : int; run_length : int }
 
-let coalescing_factor (arch : Arch.t) ~run_length =
+(* [Ints.ceil_div] for non-negative [a] and positive [b] *)
+let[@inline] ceil_div a b = (a + b - 1) / b
+
+let[@inline] coalescing_factor (arch : Arch.t) ~run_length =
   if run_length <= 0 then invalid_arg "Memory.coalescing_factor";
   let w = arch.warp_size in
   if run_length >= w then
     (* long runs: only the ragged tail of each run is padding *)
-    let waste = float_of_int (Ints.round_up run_length w - run_length) in
+    let waste = float_of_int ((ceil_div run_length w * w) - run_length) in
     1.0 +. (waste /. float_of_int run_length)
   else (float_of_int w /. float_of_int run_length *. 0.5) +. 0.5
 
 (* congestion: resident blocks beyond the first that stream concurrently get
    diminishing shares of the SM's bandwidth slice *)
-let congestion concurrent_blocks =
-  1.0 +. (0.30 *. float_of_int (max 0 (concurrent_blocks - 1)))
+let[@inline] congestion concurrent_blocks =
+  let beyond_first = if concurrent_blocks > 1 then concurrent_blocks - 1 else 0 in
+  1.0 +. (0.30 *. float_of_int beyond_first)
 
 (* every contiguous run is a separate burst of transactions; issuing it
    costs a few cycles of address setup in the load/store pipeline *)
@@ -32,7 +38,7 @@ let block_transfer_s (arch : Arch.t) ~concurrent_blocks t =
       *. coalescing_factor arch ~run_length:t.run_length
       *. congestion concurrent_blocks
     in
-    let runs = float_of_int (Ints.ceil_div t.words t.run_length) in
+    let runs = float_of_int (ceil_div t.words t.run_length) in
     let latency =
       Arch.seconds_of_cycles arch
         (float_of_int arch.dram_latency_cycles +. (runs *. run_issue_cycles))

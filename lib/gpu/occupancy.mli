@@ -22,12 +22,12 @@ type result = {
 
 val calculate : Arch.t -> request -> result
 (** Raises [Invalid_argument] for non-positive thread counts or negative
-    resources.  Valid results are memoised per (architecture, request)
-    pair: the sweep's request space is small and the pricing hot path asks
-    about the same requests thousands of times.  Each domain keeps its own
-    memo and takes no lock, so concurrent calls from the domains-based
-    sweep pool are safe; a domain's first call for a request misses even
-    when another domain has seen it. *)
+    resources.  A few integer divisions and comparisons over the
+    architecture's seven limits, recomputed on every call: it keeps no
+    table and no state, so concurrent calls from the sweep pool's domains
+    need no lock.  Among limits that tie for the least block count, the
+    first of [Threads], [Blocks], [Shared_memory], [Registers] is
+    [limiting].  Each call bumps the [occupancy.memo_miss] counter. *)
 
 val fits : Arch.t -> request -> bool
 (** Whether at least one block can be resident. *)

@@ -4,7 +4,6 @@ module Trace = Hextime_obs.Trace
 type 'b outcome = ('b, string) result
 
 let tasks_counter = Metrics.counter "pool.tasks"
-let task_hist = Metrics.histogram "pool.task_seconds"
 
 let default_jobs () =
   match Option.bind (Sys.getenv_opt "HEXTIME_JOBS") int_of_string_opt with
@@ -14,10 +13,8 @@ let default_jobs () =
 let in_process ~on_progress ~f (tasks : 'a array) results =
   Array.iteri
     (fun i t ->
-      let t0 = Unix.gettimeofday () in
       let r = try Ok (f t) with e -> Error (Printexc.to_string e) in
       Metrics.incr tasks_counter;
-      Metrics.observe task_hist (Unix.gettimeofday () -. t0);
       results.(i) <- r;
       on_progress ~done_:(i + 1) ~alive:0 ~busy:0)
     tasks;
@@ -47,17 +44,17 @@ let map ?jobs ?(on_progress = fun ~done_:_ ~alive:_ ~busy:_ -> ()) ~f
       let rec loop () =
         let i = Atomic.fetch_and_add next 1 in
         if i < n then begin
-          let t0 = Unix.gettimeofday () in
-          let ts_us = Trace.now_us () in
+          (* the clock is read for the pool.task span only *)
+          let traced = Trace.enabled () in
+          let ts_us = if traced then Trace.now_us () else 0.0 in
           let r = try Ok (f tasks.(i)) with e -> Error (Printexc.to_string e) in
-          let dt = Unix.gettimeofday () -. t0 in
-          if Trace.enabled () then
+          if traced then
             Trace.emit
-              (Trace.make ~cat:"pool" ~ph:"X" ~ts_us ~dur_us:(dt *. 1e6)
+              (Trace.make ~cat:"pool" ~ph:"X" ~ts_us
+                 ~dur_us:(Trace.now_us () -. ts_us)
                  ~args:[ ("index", string_of_int i) ]
                  "pool.task");
           Metrics.incr tasks_counter;
-          Metrics.observe task_hist dt;
           results.(i) <- r;
           Mutex.protect record_mutex (fun () ->
               incr done_count;

@@ -4,9 +4,8 @@
     Workers are [Domain.spawn]ed into the same address space: tasks are
     claimed off one atomic counter, results are written by reference into
     their output slot, and the warm state the sweep depends on — the
-    {!Hextime_gpu.Occupancy} memo, the calibration memos, the
-    {!Hextime_obs.Metrics} registry, the trace buffer — is shared live,
-    all of it domain-safe.
+    calibration memos, the {!Hextime_obs.Metrics} registry, the trace
+    buffer — is shared live, all of it domain-safe.
 
     The trade-offs, explicitly:
 
@@ -15,9 +14,9 @@
       whole process with it: there is no per-task timeout or retry, since
       a domain cannot be killed in isolation.
     - {b Shared mutable state must be domain-safe.}  Everything the
-      harness's [f] touches is (per-domain occupancy memo, atomically
-      published calibration memos, atomic counters, mutexed trace
-      buffer); new global state reachable from a sweep must follow suit.
+      harness's [f] touches is (atomically published calibration memos,
+      atomic counters, mutexed trace buffer); new global state reachable
+      from a sweep must follow suit.
 
     Determinism: results land at their task index and [f] is
     deterministic, so serial and parallel runs return bit-identical

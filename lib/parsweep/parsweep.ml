@@ -19,12 +19,14 @@ let map ?label ?key:_ exec ~f tasks =
   let progress =
     Option.map (fun label -> Hextime_obs.Progress.create ~total:n ~label ()) label
   in
+  (* [tick] reads the clock; every 64th completion is often enough for a
+     heartbeat throttled to one per half second *)
   let on_progress ~done_ ~alive ~busy =
     match progress with
-    | None -> ()
-    | Some p ->
+    | Some p when done_ land 63 = 0 || done_ = n ->
         Hextime_obs.Progress.tick p ~done_ ~workers_alive:alive
           ~workers_busy:busy
+    | Some _ | None -> ()
   in
   let outcomes = Dpool.map ~jobs:exec.jobs ~on_progress ~f arr in
   Option.iter Hextime_obs.Progress.finish progress;

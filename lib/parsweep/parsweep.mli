@@ -56,7 +56,9 @@ val map :
     [label] turns on the hexwatch heartbeat for this sweep: a
     {!Hextime_obs.Progress} tracker spanning every task publishes
     points-done/rate/ETA gauges and — when progress rendering is enabled —
-    a [\r]-status line on stderr.  Omitting it keeps the sweep silent. *)
+    a [\r]-status line on stderr.  It is ticked at every 64th completion
+    and at the last, so the gauges end at the task count.  Omitting it
+    keeps the sweep silent. *)
 
 val pp_stats : Format.formatter -> stats -> unit
 (** e.g. ["850 points"]. *)

@@ -427,7 +427,6 @@ let serve_ledger_record st ~path ~socket_path ~signal =
           ("audits", float_of_int st.audits);
           ("audits_out_of_band", float_of_int st.audits_oob);
           ("drift_alarm", if st.alarm then 1.0 else 0.0);
-          ("uptime_s", elapsed_s);
           ("elapsed_s", elapsed_s);
           ( "requests_per_sec",
             if elapsed_s > 0.0 then float_of_int st.requests /. elapsed_s

@@ -418,7 +418,7 @@ let prop_simulator_monotone_in_io =
       in
       t (1024 * scale) <= t (1024 * (scale + 1)))
 
-(* The memo answers by an architecture's numbers: a copy of a preset that
+(* Occupancy answers by an architecture's numbers: a copy of a preset that
    keeps the preset's name but not its shared memory gets its own answer. *)
 let test_occupancy_memo_by_numbers () =
   let req = occ_req 256 6000 32 in
@@ -435,15 +435,17 @@ let memo_counts () =
   in
   (count "occupancy.memo_hit", count "occupancy.memo_miss")
 
+(* There is no memo: every calculation, repeated or not, bumps
+   [occupancy.memo_miss] once, and [occupancy.memo_hit] never moves. *)
 let test_occupancy_memo_counts () =
-  (* requests no other test asks about *)
   let reqs = List.init 10 (fun i -> occ_req 7 (100_003 + i) 9) in
   let h0, m0 = memo_counts () in
   List.iter (fun r -> ignore (Occ.calculate arch r)) (reqs @ reqs @ reqs);
   let h1, m1 = memo_counts () in
-  Alcotest.(check int) "hits + misses = calls" 30 (h1 - h0 + (m1 - m0));
-  Alcotest.(check int) "one miss per new request" 10 (m1 - m0)
+  Alcotest.(check int) "one occupancy.memo_miss per call" 30 (m1 - m0);
+  Alcotest.(check int) "no occupancy.memo_hit" 0 (h1 - h0)
 
+(* Two domains calculating at once get the answers one domain gets. *)
 let test_occupancy_memo_domains () =
   let n = 300 in
   (* distinct: within each run of 7 consecutive i the thread counts differ *)
@@ -453,29 +455,157 @@ let test_occupancy_memo_domains () =
   in
   let forward = Array.init n Fun.id and backward = Array.init n (fun i -> n - 1 - i) in
   let answer order = Array.map (fun i -> Occ.calculate arch reqs.(i)) order in
-  (* a new domain starts with an empty memo, so its first pass computes
-     every answer *)
-  let h0, m0 = memo_counts () in
-  let memo_free = Domain.join (Domain.spawn (fun () -> answer forward)) in
-  let h1, m1 = memo_counts () in
-  Alcotest.(check (pair int int)) "a new domain misses every request" (0, n)
-    (h1 - h0, m1 - m0);
+  let alone = answer forward in
   let passes = 5 in
   let worker order = Domain.spawn (fun () -> List.init passes (fun _ -> answer order)) in
   let a = worker forward and b = worker backward in
   let results = [ (forward, Domain.join a); (backward, Domain.join b) ] in
-  let h2, m2 = memo_counts () in
   List.iter
     (fun (order, runs) ->
       List.iter
         (Array.iteri (fun k r ->
-             if r <> memo_free.(order.(k)) then
-               Alcotest.failf "request %d: answer differs from the memo-free one" order.(k)))
+             if r <> alone.(order.(k)) then
+               Alcotest.failf "request %d: answer differs from the single-domain one" order.(k)))
         runs)
-    results;
-  Alcotest.(check (pair int int)) "each domain misses once per request"
-    (2 * (passes - 1) * n, 2 * n)
-    (h2 - h1, m2 - m1)
+    results
+
+(* The fold [Occupancy.calculate] computed before it became straight-line
+   arithmetic: the first of the four limits, in this order, to reach the
+   least block count is the binding one. *)
+let reference_occupancy (arch : Arch.t) (req : Occ.request) =
+  let spilled = max 0 (req.Occ.regs_per_thread - arch.Arch.max_regs_per_thread) in
+  let regs_held = min req.Occ.regs_per_thread arch.Arch.max_regs_per_thread in
+  let candidates =
+    [
+      (Occ.Threads, arch.Arch.max_threads_per_sm / req.Occ.threads);
+      (Occ.Blocks, arch.Arch.max_blocks_per_sm);
+      ( Occ.Shared_memory,
+        if req.Occ.shared_words = 0 then arch.Arch.max_blocks_per_sm
+        else if req.Occ.shared_words > arch.Arch.shared_mem_per_block then 0
+        else arch.Arch.shared_mem_per_sm / req.Occ.shared_words );
+      ( Occ.Registers,
+        if regs_held = 0 then arch.Arch.max_blocks_per_sm
+        else arch.Arch.registers_per_sm / (regs_held * req.Occ.threads) );
+    ]
+  in
+  let candidates =
+    if req.Occ.threads > arch.Arch.max_threads_per_block then [ (Occ.Threads, 0) ]
+    else candidates
+  in
+  let limiting, blocks =
+    List.fold_left
+      (fun (bl, bb) (l, b) -> if b < bb then (l, b) else (bl, bb))
+      (Occ.Blocks, max_int) candidates
+  in
+  { Occ.blocks_per_sm = max 0 blocks; limiting; regs_spilled_per_thread = spilled }
+
+let prop_occupancy_matches_fold =
+  let open QCheck.Gen in
+  let req =
+    let* threads = frequency [ (1, return 1); (4, int_range 2 1024); (1, int_range 1025 4096) ] in
+    let* shared_words = frequency [ (1, return 0); (4, int_range 1 30_000) ] in
+    let* regs_per_thread = frequency [ (1, return 0); (4, int_range 1 320) ] in
+    return { Occ.threads; shared_words; regs_per_thread }
+  in
+  (* each limit either the preset's or another value, max_int included *)
+  let perturbed (a : Arch.t) =
+    let field v lo hi = frequency [ (2, return v); (3, int_range lo hi); (1, return max_int) ] in
+    let* max_threads_per_sm = field a.Arch.max_threads_per_sm 0 4096 in
+    let* max_threads_per_block = field a.Arch.max_threads_per_block 1 2048 in
+    let* max_blocks_per_sm = field a.Arch.max_blocks_per_sm 0 64 in
+    let* shared_mem_per_sm = field a.Arch.shared_mem_per_sm 0 60_000 in
+    let* shared_mem_per_block = field a.Arch.shared_mem_per_block 0 30_000 in
+    let* registers_per_sm = field a.Arch.registers_per_sm 0 131_072 in
+    let* max_regs_per_thread = field a.Arch.max_regs_per_thread 0 320 in
+    return
+      { a with
+        Arch.max_threads_per_sm; max_threads_per_block; max_blocks_per_sm;
+        shared_mem_per_sm; shared_mem_per_block; registers_per_sm;
+        max_regs_per_thread }
+  in
+  (* some of the four limits set to allow exactly [k] blocks, so they tie *)
+  let tied (a : Arch.t) (r : Occ.request) =
+    let* k = int_range 1 16 in
+    let* t = bool and* b = bool and* s = bool and* g = bool in
+    let regs = min r.Occ.regs_per_thread a.Arch.max_regs_per_thread in
+    return
+      { a with
+        Arch.max_threads_per_sm = (if t then k * r.Occ.threads else a.Arch.max_threads_per_sm);
+        max_threads_per_block = max a.Arch.max_threads_per_block r.Occ.threads;
+        max_blocks_per_sm = (if b then k else a.Arch.max_blocks_per_sm);
+        shared_mem_per_sm = (if s then k * r.Occ.shared_words else a.Arch.shared_mem_per_sm);
+        shared_mem_per_block = max a.Arch.shared_mem_per_block r.Occ.shared_words;
+        registers_per_sm =
+          (if g then k * regs * r.Occ.threads else a.Arch.registers_per_sm) }
+  in
+  let gen =
+    let* r = req in
+    let* preset = oneofl Arch.presets in
+    let* a = frequency [ (1, return preset); (2, perturbed preset); (2, tied preset r) ] in
+    return (a, r)
+  in
+  let print ((a : Arch.t), (r : Occ.request)) =
+    Printf.sprintf
+      "threads=%d shared=%d regs=%d | thr/sm=%d thr/block=%d blocks/sm=%d \
+       smem/sm=%d smem/block=%d regs/sm=%d regs/thread=%d"
+      r.Occ.threads r.Occ.shared_words r.Occ.regs_per_thread
+      a.Arch.max_threads_per_sm a.Arch.max_threads_per_block a.Arch.max_blocks_per_sm
+      a.Arch.shared_mem_per_sm a.Arch.shared_mem_per_block a.Arch.registers_per_sm
+      a.Arch.max_regs_per_thread
+  in
+  QCheck.Test.make ~name:"occupancy equals the limit fold" ~count:200_000
+    (QCheck.make ~print gen)
+    (fun (a, r) ->
+      let got = Occ.calculate a r and want = reference_occupancy a r in
+      got.Occ.blocks_per_sm = want.Occ.blocks_per_sm
+      && got.Occ.limiting = want.Occ.limiting
+      && got.Occ.regs_spilled_per_thread = want.Occ.regs_spilled_per_thread)
+
+(* compute.ml's claim: the hoisted chunk fold is the row fold, bit for bit *)
+let prop_chunk_is_row_fold =
+  let open QCheck.Gen in
+  let gen =
+    let* a = oneofl Arch.presets in
+    let* threads = frequency [ (2, int_range 1 255); (2, int_range 256 1024); (1, map (( * ) 32) (int_range 1 32)) ] in
+    let* spilled = frequency [ (1, return 0); (1, int_range 1 64) ] in
+    let* resident = int_range 1 32 in
+    let* row_stride = int_range 1 130 in
+    let* rank = int_range 1 3 and* double = bool in
+    let* n_rows = int_range 1 8 in
+    let* rows =
+      list_repeat n_rows
+        (let* points = oneof [ int_range 1 160; int_range 161 40_000 ] in
+         let* repeats = int_range 1 12 in
+         return { W.points; repeats })
+    in
+    return (a, threads, spilled, resident, row_stride, rank, double, rows)
+  in
+  let print (a, threads, spilled, resident, row_stride, rank, double, rows) =
+    Printf.sprintf "%s threads=%d spilled=%d resident=%d stride=%d rank=%d double=%b rows=[%s]"
+      a.Arch.name threads spilled resident row_stride rank double
+      (String.concat "; " (List.map (fun r -> Printf.sprintf "%dx%d" r.W.points r.W.repeats) rows))
+  in
+  QCheck.Test.make ~name:"chunk_seconds is the fold of row_seconds" ~count:20_000
+    (QCheck.make ~print gen)
+    (fun (a, threads, spilled_regs, resident, row_stride, rank, double, rows) ->
+      let body = { body with Gpu.Pointcost.rank; double } in
+      let w =
+        W.v ~label:"fold" ~threads ~shared_words:0 ~regs_per_thread:0 ~body ~rows
+          ~input:{ Mem.words = 1; run_length = 1 }
+          ~output:{ Mem.words = 1; run_length = 1 }
+          ~row_stride ~chunks:1
+      in
+      let folded =
+        List.fold_left
+          (fun acc (r : W.row) ->
+            acc
+            +. float_of_int r.W.repeats
+               *. Cmp.row_seconds a w ~spilled_regs ~resident ~points:r.W.points)
+          0.0 rows
+      in
+      Int64.equal
+        (Int64.bits_of_float (Cmp.chunk_seconds a w ~spilled_regs ~resident))
+        (Int64.bits_of_float folded))
 
 let domain_suite =
   [
@@ -518,4 +648,6 @@ let suite =
       test_eventsim_fast_slow_degenerate;
     QCheck_alcotest.to_alcotest prop_eventsim_fast_eq_slow;
     QCheck_alcotest.to_alcotest prop_simulator_monotone_in_io;
+    QCheck_alcotest.to_alcotest prop_occupancy_matches_fold;
+    QCheck_alcotest.to_alcotest prop_chunk_is_row_fold;
   ]

@@ -1043,6 +1043,14 @@ let one_serve_record what ~ledger_path ~socket_path =
             true
             (Ledger.metric r "requests_per_sec" <> None);
           Alcotest.(check bool)
+            (what ^ ": elapsed_s recorded")
+            true
+            (Ledger.metric r "elapsed_s" <> None);
+          Alcotest.(check bool)
+            (what ^ ": no uptime_s beside elapsed_s")
+            true
+            (Ledger.metric r "uptime_s" = None);
+          Alcotest.(check bool)
             (what ^ ": carries the full metrics snapshot")
             true (r.Ledger.snapshot <> None);
           List.assoc_opt "shutdown" r.Ledger.labels
