@@ -1835,7 +1835,7 @@ let index_path_arg =
   Arg.(
     value
     & opt string "hextime-index.json"
-    & info [ "index" ] ~docv:"FILE" ~doc:"Arg-min index snapshot file.")
+    & info [ "index" ] ~docv:"FILE" ~doc:"Arg-min index file.")
 
 let index_cmd =
   let run scale out jobs profile metrics ledger no_ledger =
@@ -1892,15 +1892,17 @@ let index_cmd =
       value
       & opt string "hextime-index.json"
       & info [ "o"; "output" ] ~docv:"FILE"
-          ~doc:"Where to write the index snapshot.")
+          ~doc:
+            "Where to write the index: a header line, then one JSON line \
+             per entry, sorted by key.")
   in
   Cmd.v
     (Cmd.info "index"
        ~doc:
          "Precompute the arg-min index: solve the tile-advisory problem \
           for every experiment at a scale (through the parallel pool) and \
-          write the digest-keyed snapshot that \
-          $(b,hextime serve) answers warm queries from.")
+          write the digest-keyed index file that $(b,hextime serve) \
+          answers warm queries from and appends its cold answers to.")
     Term.(
       ret
         (const run $ scale_arg $ out $ jobs_arg $ profile_arg $ metrics_arg
@@ -1942,28 +1944,6 @@ let serve_cmd =
              Section-5 cost attribution in the access log (default: \
              never).")
   in
-  let slo_window_s =
-    Arg.(
-      value & opt float 10.0
-      & info [ "slo-window-s" ] ~docv:"SECONDS"
-          ~doc:"Rolling SLO window duration.")
-  in
-  let slo_p99_us =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "slo-p99-us" ] ~docv:"US"
-          ~doc:
-            "SLO: per-window p99 latency objective; violations show up in \
-             the $(b,slo.p99_ok) and $(b,slo.windows_violated) gauges.")
-  in
-  let slo_warm_ratio =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "slo-warm-ratio" ] ~docv:"R"
-          ~doc:"SLO: per-window warm-hit ratio objective (0..1).")
-  in
   let audit_rate =
     Arg.(
       value & opt int 0
@@ -1972,7 +1952,8 @@ let serve_cmd =
             "Drift monitor: re-verify every Nth warm answer against the \
              exhaustive arg-min, off the request path (0 disables).  \
              Verdicts append $(b,audit) ledger records and drive the \
-             $(b,serve.drift_alarm) gauge.")
+             $(b,serve.drift_alarm) gauge, which trips while fewer than \
+             99% of the last 64 audited answers are in band.")
   in
   let audit_cold =
     Arg.(
@@ -1980,17 +1961,8 @@ let serve_cmd =
       & info [ "audit-cold" ]
           ~doc:"Drift monitor: also audit every cold-miss answer.")
   in
-  let drift_min_ratio =
-    Arg.(
-      value & opt float 0.99
-      & info [ "drift-min-ratio" ] ~docv:"R"
-          ~doc:
-            "Trip $(b,serve.drift_alarm) when the rolling audited in-band \
-             ratio drops below R.")
-  in
   let run socket index_path no_index max_requests access_log slow_us
-      slo_window_s slo_p99_us slo_warm_ratio audit_rate audit_cold
-      drift_min_ratio jobs profile metrics ledger no_ledger =
+      audit_rate audit_cold jobs profile metrics ledger no_ledger =
     with_obs profile metrics @@ fun () ->
     let exec = Parsweep.default ~jobs () in
     let index_path = if no_index then None else Some index_path in
@@ -1999,18 +1971,9 @@ let serve_cmd =
       Format.eprintf "hexserve: listening on %s (index: %s)@." socket
         (Option.value ~default:"none" index_path)
     in
-    let slo =
-      {
-        Obs.Slo.default_spec with
-        Obs.Slo.window_s = slo_window_s;
-        p99_us = slo_p99_us;
-        warm_ratio = slo_warm_ratio;
-      }
-    in
     match
       Serve.Server.run ?index_path ~exec ?max_requests ~on_ready
-        ?access_log_path:access_log ~slow_us ~slo ~audit_rate ~audit_cold
-        ~drift_min_ratio
+        ?access_log_path:access_log ~slow_us ~audit_rate ~audit_cold
         ?ledger_path:(if no_ledger then None else Some ledger)
         ~socket_path:socket ()
     with
@@ -2043,18 +2006,16 @@ let serve_cmd =
          "Run the tile-advisor service on a Unix-domain socket: warm \
           queries are answered from the precomputed arg-min index in O(1); \
           concurrent cold misses are batched through the parallel pool, \
-          answered exactly, and written back into the index.  hexpulse \
-          telemetry — a JSONL access log, rolling SLO windows and the \
-          online drift monitor — hangs off the $(b,--access-log), \
-          $(b,--slo-*) and $(b,--audit-*) flags; the $(b,stats) frame \
-          serves the metrics ($(b,hextime metrics-verify), \
-          $(b,hextime dash)).  Each run, however it ends, appends one \
-          $(b,serve) record to the ledger.")
+          answered exactly, and appended to the index file before the \
+          reply.  hexpulse telemetry — a JSONL access log and the online \
+          drift monitor — hangs off the $(b,--access-log) and \
+          $(b,--audit-*) flags; the $(b,stats) frame serves the metrics \
+          ($(b,hextime metrics-verify), $(b,hextime dash)).  Each run, \
+          however it ends, appends one $(b,serve) record to the ledger.")
     Term.(
       ret
         (const run $ socket_arg $ index_path_arg $ no_index $ max_requests
-       $ access_log $ slow_us $ slo_window_s $ slo_p99_us
-       $ slo_warm_ratio $ audit_rate $ audit_cold $ drift_min_ratio $ jobs_arg
+       $ access_log $ slow_us $ audit_rate $ audit_cold $ jobs_arg
        $ profile_arg $ metrics_arg $ ledger_arg $ no_ledger_arg))
 
 let ask_cmd =
@@ -2277,16 +2238,9 @@ let dash_cmd =
       (c "serve.requests") (c "serve.warm_hits") (c "serve.cold_misses")
       (c "serve.errors");
     line "warm p50   %8s us        p99 %8s us" (warm_us "p50") (warm_us "p99");
-    line "slo window p50 %s us, p99 %s us, error rate %s, warm ratio %s"
-      (g "slo.window_p50_us") (g "slo.window_p99_us")
-      (g "slo.window_error_rate") (g "slo.window_warm_ratio");
-    line "slo        budget burn %s, windows violated %s"
-      (g "slo.error_budget_burn") (g "slo.windows_violated");
     line "drift      audits %s (%s out of band), in-band ratio %s, ALARM %s"
       (c "serve.audits") (c "serve.audits_out_of_band")
       (g "serve.audit_inband_ratio") (g "serve.drift_alarm");
-    line "alerts     firing %s, fired %s time(s) this run" (g "alert.firing")
-      (c "alert.fired");
     line "access log %s lines" (c "serve.access_log_lines");
     Buffer.contents b
   in
@@ -2393,11 +2347,10 @@ let dash_cmd =
     (Cmd.info "dash"
        ~doc:
          "One-screen serving dashboard: read a live $(b,hextime serve) \
-          over the $(b,stats) frame (vitals, latency quantiles, SLO \
-          windows, drift monitor, live hexlens alert gauges) — or, when \
-          the socket is down, summarize the last serve run, audit verdicts \
-          and hexlens alert records from the hexwatch ledger.  \
-          $(b,--watch) redraws continuously.")
+          over the $(b,stats) frame (vitals, latency quantiles, drift \
+          monitor) — or, when the socket is down, summarize the last serve \
+          run, audit verdicts and hexlens alert records from the hexwatch \
+          ledger.  $(b,--watch) redraws continuously.")
     Term.(ret (const run $ socket_arg $ ledger_arg $ watch))
 
 let main_cmd =

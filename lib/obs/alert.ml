@@ -252,15 +252,3 @@ let to_entry ?(spec = default_spec) v =
             ("min_samples", float_of_int spec.min_samples);
           ]
         ()
-
-(* --- live alert gauges ----------------------------------------------------- *)
-
-(* Fed by the serve drift monitor (and any future online detector): the
-   number of currently-firing alert sources and a count of firings, so a
-   scrape of a live server sees alert state without reading the ledger. *)
-let firing_gauge = Metrics.gauge "alert.firing"
-let fired_counter = Metrics.counter "alert.fired"
-
-let live ~was_firing ~firing () =
-  Metrics.set firing_gauge (if firing then 1.0 else 0.0);
-  if firing && not was_firing then Metrics.incr fired_counter

@@ -102,16 +102,3 @@ val to_entry : ?spec:spec -> verdict -> Ledger.entry
     verdict (labels: series/detector/direction/verdict; metrics: the
     statistics and thresholds).  @raise Invalid_argument if the verdict
     did not fire. *)
-
-(** {1 Live alert gauges}
-
-    Fed by online detectors (the serve drift monitor): [alert.firing]
-    (1 while any live alert source is firing) and the [alert.fired]
-    counter (transitions into the firing state), so a scrape sees alert
-    state without reading the ledger. *)
-
-val firing_gauge : Metrics.gauge
-val fired_counter : Metrics.counter
-
-val live : was_firing:bool -> firing:bool -> unit -> unit
-(** Update the live gauges on a detector state transition. *)

@@ -36,6 +36,17 @@ let write_in_place ~path bytes =
   | () -> Ok ()
   | exception Unix.Unix_error (e, fn, _) -> Error (describe fn path e)
 
+let fsync_path p =
+  with_fd (Unix.openfile p [ O_RDONLY; O_CLOEXEC ] 0) Unix.fsync
+
+(* The directory entry of [path], so that a rename or a creation survives
+   a power cut too. *)
+let sync_dir path =
+  let dir = Filename.dirname path in
+  match fsync_path dir with
+  | () -> Ok ()
+  | exception Unix.Unix_error (e, fn, _) -> Error (describe fn dir e)
+
 let replace_file ~path bytes =
   let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
   match
@@ -49,13 +60,7 @@ let replace_file ~path bytes =
   | exception Unix.Unix_error (e, fn, _) ->
       (try Unix.unlink tmp with Unix.Unix_error _ -> ());
       Error (describe fn tmp e)
-  | () -> (
-      let dir = Filename.dirname path in
-      match
-        with_fd (Unix.openfile dir [ O_RDONLY; O_CLOEXEC ] 0) Unix.fsync
-      with
-      | () -> Ok ()
-      | exception Unix.Unix_error (e, fn, _) -> Error (describe fn dir e))
+  | () -> sync_dir path
 
 (* Through a symlink the rename replaces its target, as a plain write to
    the path would, and the link stays. *)
@@ -86,4 +91,14 @@ let append ~path bytes =
       (fun fd -> write_all fd (if torn_tail fd then "\n" ^ bytes else bytes))
   with
   | () -> Ok ()
+  | exception Unix.Unix_error (e, fn, _) -> Error (describe fn path e)
+
+let sync ~path =
+  let path = resolve path in
+  match Unix.stat path with
+  | { Unix.st_kind = S_REG; _ } -> (
+      match fsync_path path with
+      | () -> sync_dir path
+      | exception Unix.Unix_error (e, fn, _) -> Error (describe fn path e))
+  | _ | (exception Unix.Unix_error (Unix.ENOENT, _, _)) -> Ok ()
   | exception Unix.Unix_error (e, fn, _) -> Error (describe fn path e)

@@ -1,11 +1,11 @@
 (** The one writer behind every on-disk store and output file: the serve
-    index snapshot and its journal, the hexwatch ledger, and the
-    whole-file outputs ([validate --csv], [report -o],
-    [accuracy-compare --write], [--profile] traces).
+    index, the hexwatch ledger, and the whole-file outputs
+    ([validate --csv], [report -o], [accuracy-compare --write],
+    [--profile] traces).
 
-    Both functions check every [write] and every [close], so a full disk
-    or a file-size limit comes back as [Error] rather than as a file that
-    silently holds less than was asked for. *)
+    {!replace} and {!append} check every [write] and every [close], so a
+    full disk or a file-size limit comes back as [Error] rather than as a
+    file that silently holds less than was asked for. *)
 
 val replace : path:string -> string -> (unit, string) result
 (** Replace [path] with exactly these bytes: write them to
@@ -24,3 +24,8 @@ val append : path:string -> string -> (unit, string) result
     line stays one bad line and the appended record survives.  No
     [fsync]: an appended line survives the process being killed, not a
     power cut. *)
+
+val sync : path:string -> (unit, string) result
+(** [fsync] [path] and then its directory, so that what was appended to
+    it, and its creation, survive a power cut.  A missing [path], or one
+    that is not a regular file, has nothing to make durable: [Ok ()]. *)

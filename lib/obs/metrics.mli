@@ -33,17 +33,10 @@ val set : gauge -> float -> unit
     clamp to the edge buckets). *)
 val observe : histogram -> float -> unit
 
-(** {1 Bucket geometry}
-
-    Shared by consumers that build histogram-shaped data outside the
-    registry (per-window SLO accumulators). *)
-
-val bucket_count : int
-(** Number of log2 buckets ([129]). *)
-
 val bucket_of : float -> int
-(** Index of the bucket an observation lands in (edge buckets absorb
-    out-of-range and non-finite values). *)
+(** Index of the log2 bucket an observation lands in, as in
+    {!hist_snapshot}'s [hs_buckets] (edge buckets absorb out-of-range and
+    non-finite values). *)
 
 (** {1 Snapshots} *)
 

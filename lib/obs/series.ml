@@ -29,7 +29,7 @@ type t = {
 let key s = Printf.sprintf "%s/%s:%s" s.s_kind s.s_group s.s_metric
 
 (* Label priority for the group discriminator.  "experiment" pins a
-   validate/campaign record to its stencil×machine instance, "key" is the
+   validate record to its stencil×machine instance, "key" is the
    audit record's request digest, "scale" separates ci/quick/paper bench
    runs. *)
 let group_labels = [ "experiment"; "key"; "scale" ]
@@ -71,8 +71,6 @@ let default_watch =
         "argmin_in_band";
         "points_per_sec";
       ] );
-    ( "campaign",
-      [ "rmse_top"; "rmse_all"; "correlation_top"; "argmin_quality" ] );
     ("audit", [ "in_band"; "rel_err" ]);
     ("serve", [ "drift_alarm"; "requests_per_sec" ]);
   ]

@@ -6,9 +6,7 @@ module Attribution = Hextime_obs.Attribution
 module Minijson = Hextime_prelude.Minijson
 module Durable = Hextime_obs.Durable
 
-let schema = "hextime-serve-index-v1"
-let journal_schema = "hextime-serve-journal-v1"
-let journal_path path = path ^ ".journal"
+let schema = "hextime-serve-index-v2"
 
 type entry = {
   e_key : string;
@@ -94,14 +92,6 @@ let entries (t : t) =
   Hashtbl.fold (fun _ (e, _) acc -> e :: acc) t []
   |> List.sort (fun a b -> String.compare a.e_key b.e_key)
 
-let to_json (t : t) =
-  Minijson.Obj
-    [
-      ("schema", Minijson.Str schema);
-      ("code_version", Minijson.Str Advisor.code_version);
-      ("entries", Minijson.List (List.map entry_to_json (entries t)));
-    ]
-
 let field name j = Minijson.member name j
 let str name j = Option.bind (field name j) Minijson.string
 let flt name j = Option.bind (field name j) Minijson.number
@@ -169,108 +159,50 @@ let entry_of_json j =
       | _ -> Error "index entry: malformed config")
   | _ -> Error "index entry: missing field"
 
-let of_json j =
-  match (str "schema" j, str "code_version" j, field "entries" j) with
-  | Some s, _, _ when s <> schema ->
-      Error (Printf.sprintf "index: unknown schema %S (expected %S)" s schema)
-  | _, Some v, _ when v <> Advisor.code_version ->
-      (* recommendations from older advisor semantics must not be served:
-         an index from a previous code version loads as empty-handed *)
-      Error
-        (Printf.sprintf "index: stale code version %S (current %S)" v
-           Advisor.code_version)
-  | Some _, Some _, Some (Minijson.List es) ->
-      let t = create () in
-      let rec go = function
-        | [] -> Ok t
-        | e :: rest -> (
-            match entry_of_json e with
-            | Error msg -> Error msg
-            | Ok entry ->
-                add t entry;
-                go rest)
-      in
-      go es
-  | _ -> Error "index: missing schema, code_version or entries"
+(* --- the file ------------------------------------------------------------- *)
 
-let save (t : t) ~path = Durable.replace ~path (Minijson.render (to_json t))
-
-(* --- the journal ---------------------------------------------------------- *)
-
-let journal_header =
+let header =
   Minijson.render_compact
     (Minijson.Obj
        [
-         ("schema", Minijson.Str journal_schema);
+         ("schema", Minijson.Str schema);
          ("code_version", Minijson.Str Advisor.code_version);
        ])
   ^ "\n"
 
+(* An entry's line is its fields as [add] rendered them, in braces: the
+   compact JSON of [entry_to_json], rendered once per entry. *)
+let add_line b fields =
+  Buffer.add_char b '{';
+  Buffer.add_string b fields;
+  Buffer.add_string b "}\n"
+
+let save (t : t) ~path =
+  let b = Buffer.create 4096 in
+  Buffer.add_string b header;
+  Hashtbl.fold (fun key (_, fields) acc -> (key, fields) :: acc) t []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  |> List.iter (fun (_, fields) -> add_line b fields);
+  Durable.replace ~path (Buffer.contents b)
+
+(* A file shorter than the header line holds no entry, at most a header
+   cut short; it is replaced, header first, rather than appended to. *)
 let append (t : t) ~path entries =
-  let journal = journal_path path in
   let b = Buffer.create 1024 in
-  (match Unix.stat journal with
-  | { Unix.st_size = 0; _ } | (exception Unix.Unix_error _) ->
-      Buffer.add_string b journal_header
-  | _ -> ());
   List.iter
     (fun e ->
-      let fields =
-        match Hashtbl.find_opt t e.e_key with
+      add_line b
+        (match Hashtbl.find_opt t e.e_key with
         | Some (_, fields) -> fields
-        | None -> render_fields e
-      in
-      Buffer.add_char b '{';
-      Buffer.add_string b fields;
-      Buffer.add_string b "}\n")
+        | None -> render_fields e))
     entries;
-  Durable.append ~path:journal (Buffer.contents b)
+  match Unix.stat path with
+  | { Unix.st_size; _ } when st_size >= String.length header ->
+      Durable.append ~path (Buffer.contents b)
+  | _ | (exception Unix.Unix_error _) ->
+      Durable.replace ~path (header ^ Buffer.contents b)
 
-let check_header j =
-  match (str "schema" j, str "code_version" j) with
-  | Some s, _ when s <> journal_schema ->
-      Error
-        (Printf.sprintf "index journal: unknown schema %S (expected %S)" s
-           journal_schema)
-  | _, Some v when v <> Advisor.code_version ->
-      Error
-        (Printf.sprintf "index journal: stale code version %S (current %S)" v
-           Advisor.code_version)
-  | Some _, Some _ -> Ok ()
-  | _ -> Error "index journal: the first line names no schema and code version"
-
-(* The first line is the header unless it is torn; every other line is one
-   entry, applied with [add], so a key journaled twice keeps its last
-   answer and replaying lines the snapshot holds changes nothing. *)
-let replay (t : t) text =
-  let replayed = ref 0 and bad = ref 0 in
-  let entry line =
-    if line <> "" then
-      match Result.bind (Minijson.parse line) entry_of_json with
-      | Ok e ->
-          add t e;
-          incr replayed
-      | Error _ -> incr bad
-  in
-  match String.split_on_char '\n' text with
-  | [] -> Ok (0, 0)
-  | first :: rest ->
-      let header =
-        match Minijson.parse first with
-        | Ok j -> check_header j
-        | Error _ ->
-            if first <> "" then incr bad;
-            Ok ()
-      in
-      Result.map
-        (fun () ->
-          List.iter entry rest;
-          (!replayed, !bad))
-        header
-
-(* --- load and fold -------------------------------------------------------- *)
-
-type loaded = { snapshot_entries : int; journal_entries : int; bad_lines : int }
+type loaded = { entry_lines : int; torn_lines : int }
 
 let read_file path =
   match open_in_bin path with
@@ -287,32 +219,52 @@ let read_file path =
       close_in_noerr ic;
       text
 
-let load_snapshot path =
-  Result.bind (read_file path) (fun text ->
-      match Minijson.parse text with
-      | Error e -> Error (Printf.sprintf "index %s: %s" path e)
-      | Ok j -> of_json j)
+let check_header path first =
+  let bad fmt =
+    Printf.ksprintf (fun m -> Error (Printf.sprintf "index %s: %s" path m)) fmt
+  in
+  match Minijson.parse first with
+  | Error _ -> bad "the first line is not a %s header" schema
+  | Ok j -> (
+      match (str "schema" j, str "code_version" j) with
+      | Some s, _ when s <> schema ->
+          bad "unknown schema %S (expected %S)" s schema
+      | _, Some v when v <> Advisor.code_version ->
+          (* recommendations from older advisor semantics must not be
+             served *)
+          bad "stale code version %S (current %S)" v Advisor.code_version
+      | Some _, Some _ -> Ok ()
+      | _ -> bad "the first line names no schema and code version")
+
+(* Every line after the header is one entry, applied with [add]: a key's
+   later line replaces its earlier one.  A line that does not parse, a
+   torn last line, is skipped and counted. *)
+let replay path text =
+  let t = create () in
+  let lines = ref 0 and torn = ref 0 in
+  let entry line =
+    if line <> "" then
+      match Result.bind (Minijson.parse line) entry_of_json with
+      | Ok e ->
+          add t e;
+          incr lines
+      | Error _ -> incr torn
+  in
+  let loaded () = Ok (t, { entry_lines = !lines; torn_lines = !torn }) in
+  match String.split_on_char '\n' text with
+  | [ first ]
+    when String.length first < String.length header - 1
+         && String.starts_with ~prefix:first header ->
+      (* empty, or a header cut short: the file's first write was torn *)
+      if first <> "" then incr torn;
+      loaded ()
+  | first :: rest ->
+      Result.bind (check_header path first) (fun () ->
+          List.iter entry rest;
+          loaded ())
+  | [] -> loaded ()
 
 let load ~path =
-  let journal = journal_path path in
-  match if Sys.file_exists path then load_snapshot path else Ok (create ()) with
-  | Error msg -> Error (`Snapshot msg)
-  | Ok t -> (
-      let snapshot_entries = size t in
-      let replayed =
-        if Sys.file_exists journal then
-          Result.bind (read_file journal) (replay t)
-        else Ok (0, 0)
-      in
-      match replayed with
-      | Error msg -> Error (`Journal msg)
-      | Ok (journal_entries, bad_lines) ->
-          Ok (t, { snapshot_entries; journal_entries; bad_lines }))
-
-let fold_journal (t : t) ~path =
-  Result.bind (save t ~path) (fun () ->
-      let journal = journal_path path in
-      match Sys.remove journal with
-      | () -> Ok ()
-      | exception Sys_error _ when not (Sys.file_exists journal) -> Ok ()
-      | exception Sys_error e -> Error e)
+  Result.bind
+    (if Sys.file_exists path then read_file path else Ok "")
+    (replay path)

@@ -1,16 +1,17 @@
-(** The precomputed arg-min index: a compact on-disk snapshot mapping
+(** The precomputed arg-min index: a map from
     [digest(stencil, arch, problem)] to the recommended configuration, its
     predicted Talg and the Section-5 cost attribution.
 
-    On disk the index is one versioned Minijson document, the snapshot,
-    plus an append-only journal beside it ({!journal_path}) that holds the
-    answers solved since the snapshot was written; in memory it is a hash
-    table keyed by {!Advisor.request_key}, so a warm lookup is one string
-    hash — the sub-millisecond path hexserve answers from.  Both files
-    stamp {!Advisor.code_version}: an index produced by older advisor
-    semantics refuses to load rather than serve stale recommendations
-    (the server then falls back to the cold path and rebuilds entries by
-    write-back). *)
+    On disk the index is one append-only JSONL file: a header line naming
+    {!schema} and {!Advisor.code_version}, then one line per entry, the
+    compact JSON of {!entry_to_json}.  {!save} writes the whole file;
+    the server appends the answers it solves ({!append}); {!load} replays
+    the lines in order.  In memory it is a hash table keyed by
+    {!Advisor.request_key}, so a warm lookup is one string hash — the
+    sub-millisecond path hexserve answers from.  A file produced by older
+    advisor semantics refuses to load rather than serve stale
+    recommendations (the server then moves it aside, falls back to the
+    cold path and rebuilds entries by write-back). *)
 
 type entry = {
   e_key : string;  (** {!Advisor.request_key} digest *)
@@ -26,6 +27,7 @@ type entry = {
 type t
 
 val schema : string
+(** ["hextime-serve-index-v2"], named by the file's header line. *)
 
 val create : unit -> t
 val size : t -> int
@@ -53,47 +55,31 @@ val answer_of_entry : entry -> Advisor.answer
 val entry_to_json : entry -> Hextime_prelude.Minijson.t
 val entry_of_json : Hextime_prelude.Minijson.t -> (entry, string) result
 
-val to_json : t -> Hextime_prelude.Minijson.t
-val of_json : Hextime_prelude.Minijson.t -> (t, string) result
-
 val save : t -> path:string -> (unit, string) result
-(** Write the whole snapshot through {!Hextime_obs.Durable.replace}:
-    rendered to [path ^ ".tmp.<pid>"], fsynced, renamed over [path], the
-    directory fsynced.  A failed write leaves [path] as it was. *)
-
-val journal_schema : string
-
-val journal_path : string -> string
-(** [journal_path path] is [path ^ ".journal"], the snapshot's journal. *)
+(** Write the whole file, entries sorted by key, through
+    {!Hextime_obs.Durable.replace}: rendered to [path ^ ".tmp.<pid>"],
+    fsynced, renamed over [path], the directory fsynced.  A failed write
+    leaves [path] as it was. *)
 
 val append : t -> path:string -> entry list -> (unit, string) result
-(** Append [entries], which {!add} has put in [t], to [journal_path path]
-    in one [write] ({!Hextime_obs.Durable.append}): one line each, [{] +
-    the fields {!add} rendered + [}], so nothing is rendered twice.  A
-    missing or empty journal first gets a header line naming
-    {!journal_schema} and {!Advisor.code_version}.  Nothing is fsynced: a
-    line lost to a power cut costs one re-solve, never a wrong answer. *)
+(** Append [entries], which {!add} has put in [t], to [path] in one
+    [write] ({!Hextime_obs.Durable.append}): one line each, [{] + the
+    fields {!add} rendered + [}], so nothing is rendered twice.  A file
+    shorter than the header line — missing, empty, or a header cut short —
+    holds no entry and is replaced ({!Hextime_obs.Durable.replace}) by the
+    header and the lines instead.  An append is not fsynced: a line lost
+    to a power cut costs one re-solve, never a wrong answer. *)
 
 type loaded = {
-  snapshot_entries : int;
-  journal_entries : int;  (** journal lines replayed *)
-  bad_lines : int;  (** journal lines that did not parse, skipped *)
+  entry_lines : int;  (** entry lines replayed *)
+  torn_lines : int;  (** lines that did not parse, skipped *)
 }
 
-val load :
-  path:string ->
-  (t * loaded, [ `Snapshot of string | `Journal of string ]) result
-(** The snapshot at [path], then every journal line that parses, applied
-    in order with {!add} (which replaces by key, so replay is idempotent).
-    A missing file holds nothing: a journal with no snapshot loads on its
-    own, and neither file is an empty index.  A journal line that does
-    not parse — a torn last line — is skipped and counted.  [`Snapshot]
-    names a snapshot that does not load (unreadable, malformed, another
-    schema or code version); [`Journal] a journal whose first line names
-    another schema or code version.  Keys digest every pricing input, so
-    a journal line is a correct answer whichever snapshot sits beside
-    it. *)
-
-val fold_journal : t -> path:string -> (unit, string) result
-(** {!save} [t] to [path], and only then remove the journal.  A crash
-    between the two replays lines the snapshot already holds. *)
+val load : path:string -> (t * loaded, string) result
+(** Replay the file at [path]: every entry line that parses is applied
+    in order with {!add}, so a key's later line replaces its earlier one.
+    A line that does not parse — a torn last line — is skipped and
+    counted, and so is a header cut short in a file that holds nothing
+    else.  A missing or empty file is an empty index.  [Error] names a
+    file that cannot be read, or whose first line is not a header naming
+    {!schema} and the current {!Advisor.code_version}. *)

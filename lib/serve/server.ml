@@ -3,10 +3,9 @@ module Stencil = Hextime_stencil.Stencil
 module Problem = Hextime_stencil.Problem
 module Parsweep = Hextime_parsweep.Parsweep
 module Metrics = Hextime_obs.Metrics
-module Slo = Hextime_obs.Slo
 module Ledger = Hextime_obs.Ledger
 module Attribution = Hextime_obs.Attribution
-module Alert = Hextime_obs.Alert
+module Durable = Hextime_obs.Durable
 module Explain = Hextime_harness.Explain
 module Microbench = Hextime_harness.Microbench
 module Model = Hextime_core.Model
@@ -24,16 +23,16 @@ let cold_hist = Metrics.histogram "serve.cold_seconds"
 (* hexpulse: serving vitals and the drift monitor, all in the stats frame. *)
 let audits_counter = Metrics.counter "serve.audits"
 let oob_counter = Metrics.counter "serve.audits_out_of_band"
-let uptime_gauge = Metrics.gauge "serve.uptime_s"
-let entries_gauge = Metrics.gauge "serve.index_entries"
-let inflight_gauge = Metrics.gauge "serve.requests_in_flight"
 let drift_alarm_gauge = Metrics.gauge "serve.drift_alarm"
 let inband_gauge = Metrics.gauge "serve.audit_inband_ratio"
 
 (* Rolling window of audit verdicts backing the drift alarm: big enough to
    smooth over one unlucky sample at audit_rate=1, small enough that a
-   genuinely drifted index trips the alarm within a few dozen asks. *)
+   genuinely drifted index trips the alarm within a few dozen asks.  The
+   alarm latches while the window's in-band ratio is below
+   [drift_min_ratio]. *)
 let drift_window = 64
+let drift_min_ratio = 0.99
 
 type summary = {
   requests : int;  (** ask requests answered (warm + cold + rejected) *)
@@ -50,14 +49,11 @@ type state = {
   index_path : string option;
   exec : Parsweep.exec;
   t_start : float;
-  slo : Slo.t;
   alog : Access_log.t option;
   slow_us : float;
   audit_rate : int;
   audit_cold : bool;
-  drift_min_ratio : float;
   ledger_path : string option;
-  mutable dirty : bool;  (** the snapshot lacks answers the index holds *)
   mutable requests : int;
   mutable warm_hits : int;
   mutable cold_misses : int;
@@ -98,13 +94,14 @@ let vitals st ~now =
     ("requests_in_flight", float_of_int st.in_flight);
   ]
 
-(* The stats frame's payload, also the serve ledger record's snapshot: the
-   vitals gauges refreshed, then the whole registry.  Histogram quantiles
-   come from [Metrics.quantile] inside [Metrics.to_json]. *)
-let stats_json st ~now =
-  Metrics.set uptime_gauge (now -. st.t_start);
-  Metrics.set entries_gauge (float_of_int (Index.size st.index));
-  Metrics.set inflight_gauge (float_of_int st.in_flight);
+(* The stats frame's payload, also the serve ledger record's snapshot:
+   each of [vitals] set as the gauge [serve.<name>], then the whole
+   registry.  Histogram quantiles come from [Metrics.quantile] inside
+   [Metrics.to_json]. *)
+let stats_json vitals =
+  List.iter
+    (fun (name, v) -> Metrics.set (Metrics.gauge ("serve." ^ name)) v)
+    vitals;
   Metrics.to_json (Metrics.snapshot ())
 
 (* Resolve the textual request against the preset tables.  This is also
@@ -138,26 +135,14 @@ let warm_memos index =
       | Ok (arch, problem) -> ignore (Advisor.request_key arch problem : string))
     (Index.entries index)
 
-(* A cold batch's answers are appended to the journal, in one write and
-   before any reply goes out; the snapshot is rewritten only when the
-   journal is folded into it, at shutdown. *)
+(* A cold batch's answers are appended to the index file, in one write
+   and before any reply goes out. *)
 let write_back st entries =
-  if entries <> [] then begin
-    st.dirty <- true;
-    match st.index_path with
-    | Some path -> (
-        match Index.append st.index ~path entries with
-        | Ok () -> ()
-        | Error msg -> Format.eprintf "hexserve: index journal: %s@." msg)
-    | None -> ()
-  end
-
-let persist st =
   match st.index_path with
-  | Some path when st.dirty -> (
-      match Index.fold_journal st.index ~path with
-      | Ok () -> st.dirty <- false
-      | Error msg -> Format.eprintf "hexserve: index save: %s@." msg)
+  | Some path when entries <> [] -> (
+      match Index.append st.index ~path entries with
+      | Ok () -> ()
+      | Error msg -> Format.eprintf "hexserve: index append: %s@." msg)
   | _ -> ()
 
 (* One queued cold request: who asked, for what, and when it arrived. *)
@@ -186,29 +171,27 @@ let send_reply fd reply =
   try Proto.write_frame fd (Proto.reply_to_json reply)
   with Unix.Unix_error _ | Invalid_argument _ -> ()
 
-let access_log st ~req_id ~key ~source ~latency_us ?digest ?error ?attribution
-    () =
+let access_log st ~ts ~req_id ~key ~source ~latency_us ?digest ?error
+    ?attribution () =
   match st.alog with
   | None -> ()
   | Some log ->
-      Access_log.log log ~ts:(Unix.gettimeofday ()) ~req_id ~key ~source
-        ~latency_us ?digest ?error ?attribution ()
+      Access_log.log log ~ts ~req_id ~key ~source ~latency_us ?digest ?error
+        ?attribution ()
 
 let answer_error st ?(req_id = "") ?(key = "") ?(t0 = nan) fd msg =
   st.errors <- st.errors + 1;
   Metrics.incr error_counter;
   let now = Unix.gettimeofday () in
   let latency_us = if Float.is_nan t0 then 0.0 else (now -. t0) *. 1e6 in
-  Slo.observe st.slo ~now ~warm:false ~error:true
-    ~latency_s:(latency_us /. 1e6);
-  access_log st ~req_id ~key ~source:"error" ~latency_us ~error:msg ();
+  access_log st ~ts:now ~req_id ~key ~source:"error" ~latency_us ~error:msg
+    ();
   send_reply fd (Proto.Error_reply msg)
 
 (* Answer one ask that resolved to an index entry (warm hit or solved cold
-   miss): bump the books, feed the SLO window, log the access — with the
-   answer's Section-5 attribution attached when a cold solve blew the
-   slow-query threshold — and reply with the entry's pre-rendered fields
-   plus server vitals. *)
+   miss): bump the books, log the access — with the answer's Section-5
+   attribution attached when a cold solve blew the slow-query threshold —
+   and reply with the entry's pre-rendered fields plus server vitals. *)
 let answer_entry st fd ~req_id ~source ~(entry : Index.entry) ~fields ~t0 =
   let now = Unix.gettimeofday () in
   let dt = now -. t0 in
@@ -221,15 +204,13 @@ let answer_entry st fd ~req_id ~source ~(entry : Index.entry) ~fields ~t0 =
       st.cold_misses <- st.cold_misses + 1;
       Metrics.incr cold_counter;
       Metrics.observe cold_hist dt);
-  Slo.observe st.slo ~now ~warm:(source = Proto.Warm) ~error:false
-    ~latency_s:dt;
   let latency_us = dt *. 1e6 in
   let attribution =
     if source = Proto.Cold && latency_us > st.slow_us then
       Some (Attribution.components_to_json entry.Index.e_components)
     else None
   in
-  access_log st ~req_id ~key:entry.Index.e_key
+  access_log st ~ts:now ~req_id ~key:entry.Index.e_key
     ~source:(Proto.source_to_string source)
     ~latency_us
     ~digest:(Hextime_tiling.Config.id entry.Index.e_config)
@@ -242,8 +223,8 @@ let answer_entry st fd ~req_id ~source ~(entry : Index.entry) ~fields ~t0 =
 
 (* Solve every queued cold miss as one batch through the Parsweep pool:
    concurrent misses from independent clients amortize pool startup, then
-   write back into the in-memory index (and its on-disk journal) so the
-   next ask is warm. *)
+   write back into the in-memory index and its file so the next ask is
+   warm. *)
 let solve_batch st (pending : pending list) =
   let tasks =
     List.fold_left
@@ -312,11 +293,8 @@ let record_verdict st in_band =
   done;
   let ratio = float_of_int !inband /. float_of_int st.ring_len in
   Metrics.set inband_gauge ratio;
-  let was_firing = st.alarm in
-  st.alarm <- ratio < st.drift_min_ratio;
-  Metrics.set drift_alarm_gauge (if st.alarm then 1.0 else 0.0);
-  (* hexlens live gauges: the drift monitor is the online alert source *)
-  Alert.live ~was_firing ~firing:st.alarm ()
+  st.alarm <- ratio < drift_min_ratio;
+  Metrics.set drift_alarm_gauge (if st.alarm then 1.0 else 0.0)
 
 let audit_ledger_record st (q : audit_task) (au : Advisor.audit) =
   match st.ledger_path with
@@ -432,7 +410,7 @@ let serve_ledger_record st ~path ~socket_path ~signal =
             if elapsed_s > 0.0 then float_of_int st.requests /. elapsed_s
             else 0.0 );
         ]
-      ~snapshot:(stats_json st ~now) ()
+      ~snapshot:(stats_json (vitals st ~now)) ()
   in
   match Ledger.append ~path entry with
   | Ok () -> ()
@@ -456,28 +434,25 @@ let move_aside file msg =
         msg e;
       false
 
-(* A snapshot or journal that does not load (damaged, or from another
-   code version) is moved to [<file>.bad.<unix time>] and the load is
-   retried without it, so the first write-back cannot replace it.  If it
-   cannot be moved, the server starts empty and writes nothing back. *)
+(* An index file that does not load (damaged, or from another code
+   version) is moved to [<file>.bad.<unix time>] and the load is retried
+   without it, so the first write-back cannot append to it.  If it cannot
+   be moved, the server starts empty and writes nothing back. *)
 let rec load_index path =
   match Index.load ~path with
   | Ok (idx, r) ->
       Format.eprintf
-        "hexserve: index %s: %d snapshot entries, %d journal entries \
-         replayed, %d bad journal lines skipped@."
-        path r.Index.snapshot_entries r.Index.journal_entries r.Index.bad_lines;
+        "hexserve: index %s: %d entries from %d lines, %d torn lines \
+         skipped@."
+        path (Index.size idx) r.Index.entry_lines r.Index.torn_lines;
       (idx, Some path)
-  | Error (`Snapshot msg) ->
+  | Error msg ->
       if move_aside path msg then load_index path else (Index.create (), None)
-  | Error (`Journal msg) ->
-      if move_aside (Index.journal_path path) msg then load_index path
-      else (Index.create (), None)
 
 let run ?index_path ?(exec = Parsweep.serial) ?max_requests
     ?(on_ready = fun () -> ()) ?access_log_path
-    ?(slow_us = infinity) ?slo ?(audit_rate = 0) ?(audit_cold = false)
-    ?(drift_min_ratio = 0.99) ?ledger_path ~socket_path () =
+    ?(slow_us = infinity) ?(audit_rate = 0) ?(audit_cold = false)
+    ?ledger_path ~socket_path () =
   let t_start = Unix.gettimeofday () in
   let index, index_path =
     match index_path with
@@ -501,18 +476,11 @@ let run ?index_path ?(exec = Parsweep.serial) ?max_requests
       index_path;
       exec;
       t_start;
-      slo = Slo.create ?spec:slo ~now:t_start ();
       alog;
       slow_us;
       audit_rate;
       audit_cold;
-      drift_min_ratio;
       ledger_path;
-      (* a journal left by an earlier server is folded at shutdown *)
-      dirty =
-        (match index_path with
-        | Some path -> Sys.file_exists (Index.journal_path path)
-        | None -> false);
       requests = 0;
       warm_hits = 0;
       cold_misses = 0;
@@ -540,7 +508,7 @@ let run ?index_path ?(exec = Parsweep.serial) ?max_requests
   in
   let running = ref true in
   (* Graceful shutdown: SIGINT/SIGTERM flip [running] and let the loop
-     fall through to the normal cleanup path (persist the index, flush
+     fall through to the normal cleanup path (sync the index file, flush
      the access log, write the run's ledger record, unlink the socket).
      The 1s select timeout bounds the latency even if the EINTR the
      signal causes is swallowed.  Handlers are restored on exit so
@@ -577,13 +545,13 @@ let run ?index_path ?(exec = Parsweep.serial) ?max_requests
      samples it so "every Nth served answer" is global, not per-client. *)
   let audit_clock = ref 0 in
   while !running && budget_left () do
-    (* a finite timeout lets SLO windows close during idle periods *)
+    (* a finite timeout lets the access log flush during idle periods *)
     match Unix.select (listener :: !clients) [] [] 1.0 with
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
     | readable, _, _ ->
-        let now = Unix.gettimeofday () in
-        Slo.tick st.slo ~now;
-        Option.iter (fun a -> Access_log.maybe_flush a ~now) st.alog;
+        Option.iter
+          (fun a -> Access_log.maybe_flush a ~now:(Unix.gettimeofday ()))
+          st.alog;
         let cold_queue = ref [] in
         let audit_queue = ref [] in
         List.iter
@@ -610,12 +578,10 @@ let run ?index_path ?(exec = Parsweep.serial) ?max_requests
                       Metrics.incr requests_counter;
                       answer_error st ~req_id:(fresh_req_id st) ~t0 fd msg
                   | Ok ((Proto.Stats | Proto.Shutdown) as op) ->
+                      let server = vitals st ~now:t0 in
                       send_reply fd
                         (Proto.Stats_reply
-                           {
-                             metrics = stats_json st ~now:t0;
-                             server = vitals st ~now:t0;
-                           });
+                           { metrics = stats_json server; server });
                       if op = Proto.Shutdown then running := false
                   | Ok (Proto.Ask { arch; stencil; space; time }) -> (
                       let req_id = fresh_req_id st in
@@ -673,7 +639,13 @@ let run ?index_path ?(exec = Parsweep.serial) ?max_requests
     (fun (s, prev) ->
       try Sys.set_signal s prev with Invalid_argument _ | Sys_error _ -> ())
     saved_handlers;
-  persist st;
+  (* every append since start-up reaches the disk before a clean exit *)
+  Option.iter
+    (fun path ->
+      match Durable.sync ~path with
+      | Ok () -> ()
+      | Error msg -> Format.eprintf "hexserve: index sync: %s@." msg)
+    st.index_path;
   Option.iter
     (fun a -> Access_log.maybe_flush a ~now:(Unix.gettimeofday ()))
     st.alog;

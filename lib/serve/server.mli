@@ -7,7 +7,7 @@
     are answered inside the drain round; cold misses accumulated during a
     round are solved as {e one} pool batch ({!Advisor.solve} per unique
     digest), written back into the in-memory index, appended to the
-    journal beside [index_path] in one write ({!Index.append}) and only
+    index file at [index_path] in one write ({!Index.append}) and only
     then answered — so the next ask for any of them is warm, in this
     server and in the next one.
 
@@ -21,13 +21,11 @@
     - vitals gauges [serve.uptime_s], [serve.index_entries],
       [serve.requests_in_flight] (also riding along in every answer and
       stats reply);
-    - rolling SLO windows ({!Hextime_obs.Slo}, [slo.*] gauges) fed by
-      every answered request and ticked each loop iteration;
     - the drift monitor: sampled served answers re-verified against the
       exhaustive arg-min ({!Advisor.audit}) off the request path, each
-      verdict appended as an [audit] ledger record and folded into
-      [serve.audit_inband_ratio]; [serve.drift_alarm] latches to 1 while
-      the rolling in-band ratio is below [drift_min_ratio].
+      verdict appended as an [audit] ledger record and counted into
+      [serve.audit_inband_ratio] over the last 64 verdicts;
+      [serve.drift_alarm] latches to 1 while that ratio is below 0.99.
 
     The metrics are read one way: the [stats] frame, whose reply is the
     {!Hextime_obs.Metrics.to_json} snapshot plus the vitals — the format
@@ -52,38 +50,33 @@ val run :
   ?on_ready:(unit -> unit) ->
   ?access_log_path:string ->
   ?slow_us:float ->
-  ?slo:Hextime_obs.Slo.spec ->
   ?audit_rate:int ->
   ?audit_cold:bool ->
-  ?drift_min_ratio:float ->
   ?ledger_path:string ->
   socket_path:string ->
   unit ->
   summary
 (** Serve until a [shutdown] request arrives, until [max_requests] ask
     requests have been answered, or until SIGINT/SIGTERM.  All exits take
-    the same graceful path: fold the journal into the snapshot
-    ({!Index.fold_journal}, if anything was appended or a journal was
-    found at start-up), flush and close the access log, append the run's
-    one [kind = "serve"] record to [ledger_path] (if given), close
-    clients, unlink the socket.  The record carries the final counts,
-    [uptime_s]/[elapsed_s], [requests_per_sec] and the full metrics
+    the same graceful path: fsync the index file and its directory
+    ({!Hextime_obs.Durable.sync}), flush and close the access log, append
+    the run's one [kind = "serve"] record to [ledger_path] (if given),
+    close clients, unlink the socket.  The record carries the final
+    counts, [elapsed_s], [requests_per_sec] and the full metrics
     snapshot, labelled [socket] and, only when a signal ended the run,
     [shutdown = sigint|sigterm]; the previous signal dispositions are
     restored before [run] returns.  SIGPIPE is ignored while [run]
     serves, so a client that hangs up before its reply costs that reply
     only.
-    [index_path] and its journal are loaded ({!Index.load}) and are the
-    write-back target for cold-miss answers; one stderr line reports the
-    snapshot entries, the journal entries replayed and the bad journal
-    lines skipped.  Without [index_path] the index lives only in memory.
-    A snapshot that does not load (malformed, or from another code
-    version) is moved to [<index_path>.bad.<unix time>] with a warning,
-    a journal whose header names another schema or code version to
-    [<index_path>.journal.bad.<unix time>], and the load is retried
-    without it; if it cannot be moved, the server starts empty and
-    nothing is written back.  A failed append or fold is reported on
-    stderr and the server keeps serving.  [exec] drives the cold-path
+    [index_path] is loaded ({!Index.load}) and is the write-back target
+    for cold-miss answers; one stderr line reports the entries, the entry
+    lines replayed and the torn lines skipped.  Without [index_path] the
+    index lives only in memory.  An index file that does not load
+    (unreadable, or a first line that is not a header of this code
+    version) is moved to [<index_path>.bad.<unix time>] with a warning
+    and the load is retried without it; if it cannot be moved, the
+    server starts empty and nothing is written back.  A failed append or
+    sync is reported on stderr and the server keeps serving.  [exec] drives the cold-path
     batch and the audit batches (default
     {!Hextime_parsweep.Parsweep.serial}).  [on_ready] fires after the
     socket is bound and listening, before the first accept: tests use
@@ -91,16 +84,13 @@ val run :
 
     hexpulse knobs: [access_log_path] appends one JSONL record per
     answered request; a cold solve slower than [slow_us] (default: never)
-    logs its Section-5 attribution alongside.  [slo] configures the
-    rolling windows (default {!Hextime_obs.Slo.default_spec}).
+    logs its Section-5 attribution alongside.
     [audit_rate] [> 0] re-verifies every Nth warm answer against the
     exhaustive arg-min; [audit_cold] also audits every cold solve.
     Verdicts append [audit] records to [ledger_path] — each carrying the
     problem's provenance labels (arch, stencil, space, time, config) and
     the served config's [attr.*]/[pred.*] attribution metrics, the raw
-    material for [hextime explain] — and drive [serve.drift_alarm]
-    against [drift_min_ratio] (default [0.99]); alarm transitions also
-    feed the live [alert.firing]/[alert.fired] hexlens gauges. *)
+    material for [hextime explain] — and drive [serve.drift_alarm]. *)
 
 val format_req_id : int -> string
 (** [format_req_id n] is the request id the [n]th request is assigned:

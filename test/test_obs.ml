@@ -690,7 +690,8 @@ let test_quantiles_in_snapshot_json () =
 let gate_snapshot =
   {
     Metrics.snap_counters = [ ("serve.requests", 3) ];
-    snap_gauges = [ ("serve.drift_alarm", 0.0); ("slo.p99_ok", Float.nan) ];
+    snap_gauges =
+      [ ("serve.audit_inband_ratio", Float.nan); ("serve.drift_alarm", 0.0) ];
     snap_histograms =
       [
         ( "serve.cold_seconds",
@@ -746,8 +747,9 @@ let test_gate_missing_name () =
 let test_gate_wrong_gauge () =
   gate_fails "wrong gauge" ~needle:"expected serve.drift_alarm=1, got 0"
     (gate gate_snapshot ~expect:[ ("serve.drift_alarm", 1.0) ]);
-  gate_fails "NaN gauge" ~needle:"expected slo.p99_ok=1, got absent"
-    (gate gate_snapshot ~expect:[ ("slo.p99_ok", 1.0) ])
+  gate_fails "NaN gauge"
+    ~needle:"expected serve.audit_inband_ratio=1, got absent"
+    (gate gate_snapshot ~expect:[ ("serve.audit_inband_ratio", 1.0) ])
 
 let test_gate_negative_counter () =
   gate_fails "negative counter" ~needle:"counter serve.requests is not >= 0"
@@ -772,87 +774,59 @@ let test_gate_not_an_object () =
         (Metrics.check_json ~require:[] ~expect:[] json))
     [ Minijson.List []; Minijson.Str "serve.requests 3"; Minijson.Null ]
 
-(* --- rolling SLO windows (hexpulse) ------------------------------------------ *)
+(* --- one writer's fsync, one name per metric --------------------------- *)
 
-let test_slo_windows_roll_and_judge () =
-  let spec =
-    {
-      Obs.Slo.window_s = 10.0;
-      windows = 4;
-      p99_us = Some 500.0;
-      warm_ratio = Some 0.5;
-      error_budget = 0.01;
-    }
+(* The advisor's clean exit makes its appended index lines durable with
+   [Durable.sync]: the file and its directory are fsynced and the bytes
+   left as they were; a missing file has nothing to sync and is not
+   created; a path under a regular file is an error naming the path. *)
+let test_durable_sync () =
+  let dir = Filename.temp_dir "hextime-sync" "" in
+  let path = Filename.concat dir "index.json" in
+  let link = Filename.concat dir "link" in
+  Fun.protect ~finally:(fun () ->
+      List.iter
+        (fun p -> try Unix.unlink p with Unix.Unix_error _ -> ())
+        [ path; link ];
+      Unix.rmdir dir)
+  @@ fun () ->
+  let sync p =
+    match Obs.Durable.sync ~path:p with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "sync %s: %s" p e
   in
-  let t = Obs.Slo.create ~spec ~now:0.0 () in
-  (* window [0,10): 4 warm fast answers, 1 cold fast, 1 error *)
-  for i = 1 to 4 do
-    Obs.Slo.observe t ~now:(float_of_int i) ~warm:true ~error:false
-      ~latency_s:100e-6
-  done;
-  Obs.Slo.observe t ~now:5.0 ~warm:false ~error:false ~latency_s:200e-6;
-  Obs.Slo.observe t ~now:6.0 ~warm:false ~error:true ~latency_s:0.01;
-  Alcotest.(check int) "nothing closed yet" 0 (List.length (Obs.Slo.windows t));
-  (* crossing the boundary closes [0,10) *)
-  Obs.Slo.tick t ~now:10.5;
-  (match Obs.Slo.windows t with
-  | [ w ] ->
-      Alcotest.(check int) "requests" 6 w.Obs.Slo.w_requests;
-      Alcotest.(check int) "errors" 1 w.Obs.Slo.w_errors;
-      Alcotest.(check int) "warm" 4 w.Obs.Slo.w_warm;
-      Alcotest.(check int) "cold" 1 w.Obs.Slo.w_cold;
-      Alcotest.(check (float 0.0)) "window bounds" 0.0 w.Obs.Slo.w_start;
-      Alcotest.(check (float 0.0)) "window end" 10.0 w.Obs.Slo.w_end;
-      (* p50 over {100us x4, 200us, 10ms}: rank answer stays in the 100us
-         dense bucket region, far under the 500us objective; p99 reaches
-         the 10ms outlier and violates it *)
-      Alcotest.(check bool) "p50 below objective" true
-        (w.Obs.Slo.w_p50_us < 500.0);
-      Alcotest.(check bool) "p99 above objective" true
-        (w.Obs.Slo.w_p99_us > 500.0);
-      Alcotest.(check bool) "p99 verdict: violated" false w.Obs.Slo.w_p99_ok;
-      (* warm ratio 4/6 >= 0.5 holds *)
-      Alcotest.(check bool) "warm verdict: ok" true w.Obs.Slo.w_warm_ok;
-      Alcotest.(check bool) "window_ok is the conjunction" false
-        (Obs.Slo.window_ok w)
-  | ws -> Alcotest.failf "expected 1 closed window, got %d" (List.length ws));
-  Alcotest.(check int) "violated count" 1 (Obs.Slo.violated t);
-  (* the verdict gauges describe the closed window *)
+  sync path;
+  Alcotest.(check (list string)) "a missing file is not created" []
+    (Array.to_list (Sys.readdir dir));
+  let bytes = "{\"schema\":\"x\"}\n{\"key\":\"k\"}\n" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc bytes);
+  sync path;
+  Unix.symlink "index.json" link;
+  sync link;
+  Alcotest.(check string) "sync leaves the bytes" bytes
+    (In_channel.with_open_bin path In_channel.input_all);
+  Alcotest.(check bool) "the symlink stays a symlink" true
+    ((Unix.lstat link).Unix.st_kind = Unix.S_LNK);
+  match Obs.Durable.sync ~path:(Filename.concat path "x") with
+  | Ok () -> Alcotest.fail "a path under a regular file synced"
+  | Error msg ->
+      Alcotest.(check bool) "the error names the path" true
+        (Test_util.contains msg path)
+
+(* The stats frame is [Metrics.to_json] of the whole registry.  Answer
+   latency is read from the serving histograms and the drift alarm from
+   [serve.drift_alarm]; no [slo.*] window or [alert.*] gauge holds either
+   a second time. *)
+let test_registry_names_each_figure_once () =
   let snap = Metrics.snapshot () in
-  let gauge name = List.assoc_opt name snap.Metrics.snap_gauges in
-  Alcotest.(check (option (float 0.0))) "p99_ok gauge" (Some 0.0)
-    (gauge "slo.p99_ok");
-  Alcotest.(check (option (float 0.0))) "warm_ok gauge" (Some 1.0)
-    (gauge "slo.warm_ratio_ok");
-  (* error rate 1/6 over budget 0.01 burns at ~16.7x *)
-  (match gauge "slo.error_budget_burn" with
-  | None -> Alcotest.fail "burn gauge missing"
-  | Some burn ->
-      Alcotest.(check bool) "budget burning" true
-        (burn > 16.0 && burn < 17.0));
-  (* an idle stretch longer than the whole ring: closes a ring of empty
-     windows (NaN quantiles, no violations) and jumps to the present *)
-  Obs.Slo.tick t ~now:1000.0;
-  let ws = Obs.Slo.windows t in
-  Alcotest.(check int) "ring is full" 4 (List.length ws);
-  (match ws with
-  | w :: _ ->
-      Alcotest.(check int) "latest window is empty" 0 w.Obs.Slo.w_requests;
-      Alcotest.(check bool) "empty p99 is NaN" true
-        (Float.is_nan w.Obs.Slo.w_p99_us);
-      Alcotest.(check bool) "empty window violates nothing" true
-        (Obs.Slo.window_ok w)
-  | [] -> Alcotest.fail "ring empty after idle tick");
-  (* the pre-idle violated window has rolled out of the ring *)
-  Alcotest.(check int) "violations aged out" 0 (Obs.Slo.violated t);
-  (* observations after the jump land in a window anchored at the present *)
-  Obs.Slo.observe t ~now:1001.0 ~warm:true ~error:false ~latency_s:50e-6;
-  Obs.Slo.tick t ~now:1011.0;
-  match Obs.Slo.windows t with
-  | w :: _ ->
-      Alcotest.(check int) "post-jump window caught it" 1
-        w.Obs.Slo.w_requests
-  | [] -> Alcotest.fail "no window after the jump"
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " is not slo.* or alert.*") false
+        (String.starts_with ~prefix:"slo." name
+        || String.starts_with ~prefix:"alert." name))
+    (List.map fst snap.Metrics.snap_counters
+    @ List.map fst snap.Metrics.snap_gauges
+    @ List.map fst snap.Metrics.snap_histograms)
 
 (* --- hexlens: series extraction and changepoint alerts --------------------- *)
 
@@ -1114,85 +1088,6 @@ let test_ledger_compact () =
   Alcotest.(check int) "audits deduped across req_ids" 1
     (List.length (Ledger.filter ~kind:"audit" l.Ledger.entries))
 
-let test_slo_ring_wraparound () =
-  (* the ring is reused many times across a long simulated uptime: the
-     verdict gauges and ring-wide counts must describe the *current* ring,
-     not history.  1s windows, capacity 4, 500 closed windows; every 10th
-     window takes a 10ms outlier that violates the 500us p99 objective. *)
-  let spec =
-    {
-      Obs.Slo.window_s = 1.0;
-      windows = 4;
-      p99_us = Some 500.0;
-      warm_ratio = None;
-      error_budget = 0.01;
-    }
-  in
-  let t = Obs.Slo.create ~spec ~now:0.0 () in
-  let total = 500 in
-  for w = 0 to total - 1 do
-    let base = float_of_int w in
-    Obs.Slo.observe t ~now:(base +. 0.25) ~warm:true ~error:false
-      ~latency_s:100e-6;
-    Obs.Slo.observe t ~now:(base +. 0.5) ~warm:true ~error:false
-      ~latency_s:(if w mod 10 = 9 then 0.01 else 120e-6)
-  done;
-  Obs.Slo.tick t ~now:(float_of_int total);
-  let ws = Obs.Slo.windows t in
-  Alcotest.(check int) "ring capped at capacity" 4 (List.length ws);
-  (* newest first: windows 499 498 497 496; 499 took the outlier *)
-  (match ws with
-  | newest :: rest ->
-      Alcotest.(check (float 0.0)) "newest window start" 499.0
-        newest.Obs.Slo.w_start;
-      Alcotest.(check int) "every window saw its 2 requests" 2
-        newest.Obs.Slo.w_requests;
-      Alcotest.(check bool) "outlier window violates p99" false
-        newest.Obs.Slo.w_p99_ok;
-      List.iter
-        (fun w ->
-          Alcotest.(check bool) "clean windows hold p99" true
-            w.Obs.Slo.w_p99_ok)
-        rest
-  | [] -> Alcotest.fail "empty ring after long uptime");
-  Alcotest.(check int) "violations count only the live ring" 1
-    (Obs.Slo.violated t);
-  (* gauges describe the current ring after ~125 full wraps *)
-  let snap = Metrics.snapshot () in
-  let gauge name = List.assoc_opt name snap.Metrics.snap_gauges in
-  Alcotest.(check (option (float 0.0))) "windows gauge" (Some 4.0)
-    (gauge "slo.windows");
-  Alcotest.(check (option (float 0.0))) "violated gauge" (Some 1.0)
-    (gauge "slo.windows_violated");
-  Alcotest.(check (option (float 0.0)))
-    "p99 verdict gauge tracks the last closed window" (Some 0.0)
-    (gauge "slo.p99_ok");
-  (* one more clean window: the verdict gauge flips back *)
-  Obs.Slo.observe t
-    ~now:(float_of_int total +. 0.5)
-    ~warm:true ~error:false ~latency_s:100e-6;
-  Obs.Slo.tick t ~now:(float_of_int total +. 1.5);
-  let snap = Metrics.snapshot () in
-  Alcotest.(check (option (float 0.0)))
-    "verdict gauge recovers on the next clean window" (Some 1.0)
-    (List.assoc_opt "slo.p99_ok" snap.Metrics.snap_gauges)
-
-let test_slo_create_validates () =
-  (match
-     Obs.Slo.create
-       ~spec:{ Obs.Slo.default_spec with Obs.Slo.window_s = 0.0 }
-       ~now:0.0 ()
-   with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "window_s = 0 accepted");
-  match
-    Obs.Slo.create
-      ~spec:{ Obs.Slo.default_spec with Obs.Slo.windows = 0 }
-      ~now:0.0 ()
-  with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "windows = 0 accepted"
-
 let suite =
   [
     Alcotest.test_case "counter, gauge, histogram" `Quick
@@ -1246,9 +1141,10 @@ let suite =
       test_gate_unbalanced_buckets;
     Alcotest.test_case "scrape gate: non-object fails" `Quick
       test_gate_not_an_object;
-    Alcotest.test_case "slo windows roll and judge" `Quick
-      test_slo_windows_roll_and_judge;
-    Alcotest.test_case "slo create validates" `Quick test_slo_create_validates;
+    Alcotest.test_case "durable sync: existing, missing file" `Quick
+      test_durable_sync;
+    Alcotest.test_case "registry: no slo.* or alert.* name" `Quick
+      test_registry_names_each_figure_once;
     Alcotest.test_case "hexlens series extraction" `Quick test_series_extract;
     Alcotest.test_case "hexlens quiet on stationary noise" `Quick
       test_alert_quiet_on_noise;
@@ -1264,6 +1160,4 @@ let suite =
       test_ledger_rotate;
     Alcotest.test_case "ledger compaction keeps latest per identity" `Quick
       test_ledger_compact;
-    Alcotest.test_case "slo ring wrap-around over long uptime" `Quick
-      test_slo_ring_wraparound;
   ]
